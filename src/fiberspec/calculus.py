@@ -31,6 +31,9 @@ from .kernel import KernelSpec, SampledKernel, SeparableKernel
 
 DEFAULT_TIE_TOL = 1e-12
 DEFAULT_EPSILON = 1e-6
+# Upper limit on the Riemann-Stieltjes partition size; finer meshes are
+# rejected before the cuts are built.
+MAX_RS_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -75,17 +78,30 @@ def apply_quadrature(k: KernelSpec, f: Section) -> Section:
     return Section(f.ogrid, f.squad, out)
 
 
+def _multiply(d: FiberDecomposition, f: Section, h, h0) -> Section:
+    """Spectral multiplier sum_n (h_n - h0) <f, x_n> x_n + h0 f, fiberwise.
+
+    h has the shape of d.eigenvalues and h0 is a scalar or one value per
+    fiber, the multiplier on the null component.  Padded slots have zero
+    eigenfunction rows, so they add nothing whatever h holds there.
+    """
+    h0 = np.asarray(h0, dtype=float)[..., None]
+    coeff = np.einsum("irj,ij->ir", d.functions, d.squad.weights * f.values)
+    out = np.einsum("ir,irj->ij", (h - h0) * coeff, d.functions)
+    return Section(d.ogrid, d.squad, out + h0 * f.values)
+
+
+def _evaluate_at(g: expr.Expression, points) -> np.ndarray:
+    """g at every entry of points, keeping their shape."""
+    points = np.asarray(points, dtype=float)
+    values = [expr.evaluate(g, {"lambda": float(x)}) for x in points.flat]
+    return np.array(values).reshape(points.shape)
+
+
 def apply_spectral(d: FiberDecomposition, f: Section) -> Section:
     """Apply the operator through its retained eigenpairs."""
     _require_section_on(d, f)
-    w = d.squad.weights
-    out = np.zeros_like(f.values)
-    for i in range(d.n_fibers):
-        funcs = d.functions[i]
-        if funcs.shape[0]:
-            coeff = funcs @ (w * f.values[i])
-            out[i] = (d.eigenvalues[i] * coeff) @ funcs
-    return Section(d.ogrid, d.squad, out)
+    return _multiply(d, f, d.eigenvalues, 0.0)
 
 
 def projector_apply(d: FiberDecomposition, lam: ThresholdField, f: Section) -> Section:
@@ -100,28 +116,8 @@ def projector_apply(d: FiberDecomposition, lam: ThresholdField, f: Section) -> S
     """
     _require_section_on(d, f)
     _require_field_on(d.ogrid, lam.field)
-    w = d.squad.weights
-    tie = lam.tie_tol
-    out = np.zeros_like(f.values)
-    for i in range(d.n_fibers):
-        cut = lam.field.values[i] + tie
-        include_null = 0.0 <= cut
-        funcs = d.functions[i]
-        if funcs.shape[0] == 0:
-            if include_null:
-                out[i] = f.values[i]
-            continue
-        coeff = funcs @ (w * f.values[i])
-        below = d.eigenvalues[i] <= cut
-        if include_null:
-            drop = ~below
-            out[i] = f.values[i]
-            if np.any(drop):
-                out[i] -= (coeff[drop]) @ funcs[drop]
-        else:
-            if np.any(below):
-                out[i] = (coeff[below]) @ funcs[below]
-    return Section(d.ogrid, d.squad, out)
+    cut = lam.field.values + lam.tie_tol
+    return _multiply(d, f, d.eigenvalues <= cut[:, None], 0.0 <= cut)
 
 
 def functional_calculus(
@@ -140,22 +136,9 @@ def functional_calculus(
     _require_section_on(d, f)
     lo = float(np.min(d.m.values))
     hi = float(np.max(d.M.values)) + epsilon
-    expr.evaluate(g, {"lambda": lo})
-    expr.evaluate(g, {"lambda": hi})
+    _evaluate_at(g, [lo, hi])
     g0 = expr.evaluate(g, {"lambda": 0.0})
-    w = d.squad.weights
-    out = np.zeros_like(f.values)
-    for i in range(d.n_fibers):
-        funcs = d.functions[i]
-        if funcs.shape[0]:
-            gvals = np.array(
-                [expr.evaluate(g, {"lambda": v}) for v in d.eigenvalues[i]]
-            )
-            coeff = funcs @ (w * f.values[i])
-            out[i] = ((gvals - g0) * coeff) @ funcs
-        if g0 != 0.0:
-            out[i] += g0 * f.values[i]
-    return Section(d.ogrid, d.squad, out)
+    return _multiply(d, f, _evaluate_at(g, d.eigenvalues), g0)
 
 
 def riemann_stieltjes_apply(
@@ -168,29 +151,34 @@ def riemann_stieltjes_apply(
     """Riemann-Stieltjes sum over a uniform partition of thresholds.
 
     The partition runs c_0 = m* < ... < c_K = M* + epsilon with step at
-    most mesh, where m* and M* are the extreme spectral bounds over the
-    parameter grid.  The result is
+    most mesh and at most MAX_RS_CELLS cells, where m* and M* are the
+    extreme spectral bounds over the parameter grid.  The result is
 
         sum_k g(c_k) (E_{c_k} - E_{c_{k-1}}) f  +  g(m*) E_{m*} f
 
-    with every c_k taken as a constant threshold field.
+    with every c_k taken as a constant threshold field.  Each spectral
+    value enters exactly one increment, the first cell whose cut reaches
+    it, so the sum is computed as the functional calculus of the step
+    function lambda -> g(c_{k(lambda)}).  g is still evaluated at every
+    cut, so a domain error anywhere on the partition raises.
     """
     _require_section_on(d, f)
     if not (mesh > 0.0) or not math.isfinite(mesh):
         raise InvalidMesh(f"mesh must be a positive real, got {mesh!r}")
     m_star = float(np.min(d.m.values))
     top = float(np.max(d.M.values)) + epsilon
-    steps = max(1, int(math.ceil((top - m_star) / mesh)))
-    cuts = np.linspace(m_star, top, steps + 1)
-    prev = projector_apply(d, ThresholdField.constant(d.ogrid, m_star), f)
-    acc = expr.evaluate(g, {"lambda": m_star}) * prev.values
-    for c in cuts[1:]:
-        cur = projector_apply(d, ThresholdField.constant(d.ogrid, float(c)), f)
-        acc = acc + expr.evaluate(g, {"lambda": float(c)}) * (
-            cur.values - prev.values
+    cells = (top - m_star) / mesh
+    if cells > MAX_RS_CELLS:
+        raise InvalidMesh(
+            f"mesh {mesh!r} gives more than {MAX_RS_CELLS} partition cells"
         )
-        prev = cur
-    return Section(d.ogrid, d.squad, acc)
+    steps = max(1, int(math.ceil(cells)))
+    cuts = np.linspace(m_star, top, steps + 1)
+    g_cuts = _evaluate_at(g, cuts)
+    reach = cuts + DEFAULT_TIE_TOL
+    h = g_cuts[np.searchsorted(reach, d.eigenvalues, side="left")]
+    h0 = g_cuts[np.searchsorted(reach, 0.0, side="left")]
+    return _multiply(d, f, h, h0)
 
 
 @dataclass(frozen=True)
@@ -210,10 +198,9 @@ def eigenspace(
 ) -> Eigenspace:
     """Collect the retained eigenfunctions with eigenvalue near lam(omega)."""
     _require_field_on(d.ogrid, lam.field)
-    bases = []
-    counts = np.zeros(d.n_fibers)
-    for i in range(d.n_fibers):
-        close = np.abs(d.eigenvalues[i] - lam.field.values[i]) <= tol
-        bases.append(d.functions[i][close])
-        counts[i] = int(np.count_nonzero(close))
-    return Eigenspace(tuple(bases), ScalarField(d.ogrid, counts))
+    close = (np.abs(d.eigenvalues - lam.field.values[:, None]) <= tol) & (
+        d.labels >= 0
+    )
+    bases = tuple(funcs[hit] for funcs, hit in zip(d.functions, close))
+    counts = np.count_nonzero(close, axis=1).astype(float)
+    return Eigenspace(bases, ScalarField(d.ogrid, counts))

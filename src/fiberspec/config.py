@@ -65,17 +65,22 @@ def _expect(condition, message):
 
 
 def _parse_named(raw, where):
+    _expect(isinstance(raw, str), f"{where} must be an expression string")
     try:
         return expr.parse(raw)
     except FiberspecError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _positive(raw, where):
+def _real(raw, where):
     try:
-        value = float(raw)
+        return float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"{where} must be a real number, got {raw!r}") from None
+
+
+def _positive(raw, where):
+    value = _real(raw, where)
     _expect(value > 0.0, f"{where} must be positive, got {value!r}")
     return value
 
@@ -103,11 +108,7 @@ def _build_kernel(raw, ogrid, squad):
         except FiberspecError as exc:
             raise ConfigError(f"kernel: {exc}") from exc
     if kind == "sampled":
-        _expect(
-            isinstance(raw.get("expression"), str),
-            "sampled kernel needs an expression string",
-        )
-        e = _parse_named(raw["expression"], "kernel expression")
+        e = _parse_named(raw.get("expression"), "kernel expression")
         try:
             return sample_kernel(e, ogrid, squad, symmetrize=True)
         except FiberspecError as exc:
@@ -204,7 +205,8 @@ def load_config(
                 isinstance(rng, list) and len(rng) == 2,
                 f"{where}.omega_range must be [lo, hi]",
             )
-            lo, hi = float(rng[0]), float(rng[1])
+            lo = _real(rng[0], f"{where}.omega_range[0]")
+            hi = _real(rng[1], f"{where}.omega_range[1]")
             _expect(lo < hi, f"{where}.omega_range must have lo < hi")
             rows.append((label, lo, hi))
         partitions[str(name)] = tuple(rows)

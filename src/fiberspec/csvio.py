@@ -48,8 +48,9 @@ def write_section(path, section: Section):
     write_rows(path, ("omega", "t", "value"), rows())
 
 
-def _curve_order(labels):
-    return np.argsort(labels, kind="stable")
+def _curve_order(d: FiberDecomposition, i: int):
+    """Retained slots of fiber i in ascending curve id order."""
+    return np.argsort(d.labels[i, : d.ranks[i]], kind="stable")
 
 
 def write_eigencurves(path, d: FiberDecomposition):
@@ -57,7 +58,7 @@ def write_eigencurves(path, d: FiberDecomposition):
 
     def rows():
         for i, omega in enumerate(d.ogrid.nodes):
-            for pos in _curve_order(d.labels[i]):
+            for pos in _curve_order(d, i):
                 yield (
                     format_real(omega),
                     str(int(d.labels[i][pos]) + 1),
@@ -70,7 +71,7 @@ def write_eigencurves(path, d: FiberDecomposition):
 def write_eigenfunctions(path, d: FiberDecomposition):
     def rows():
         for i, omega in enumerate(d.ogrid.nodes):
-            for pos in _curve_order(d.labels[i]):
+            for pos in _curve_order(d, i):
                 cid = str(int(d.labels[i][pos]) + 1)
                 for j, t in enumerate(d.squad.nodes):
                     yield (

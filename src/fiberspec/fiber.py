@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotSymmetric
+from .errors import DomainError, NoConvergence, NotSymmetric
 from .grid import OmegaGrid, ScalarField, SQuadrature
 from .kernel import KernelSpec, fiber_kernel_matrix
 
@@ -135,9 +135,9 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     Sweeps run until the Frobenius norm of the off-diagonal part drops to
     tol times the Frobenius norm of the input.  Returns (eigenvalues,
     eigenvectors) with eigenvalues sorted descending and eigenvectors as
-    the matching orthonormal columns.  Raises NotSymmetric when the input
-    is asymmetric beyond 1e-12 and NoConvergence when the sweep budget
-    runs out.
+    the matching orthonormal columns.  Raises DomainError when an entry is
+    not finite, NotSymmetric when the input is asymmetric beyond 1e-12 and
+    NoConvergence when the sweep budget runs out.
     """
     A = np.array(a, dtype=float, copy=True)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -145,6 +145,8 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     n = A.shape[0]
     if n == 0:
         return np.empty(0), np.empty((0, 0))
+    if not np.all(np.isfinite(A)):
+        raise DomainError("matrix has non-finite entries")
     asymmetry = float(np.max(np.abs(A - A.T)))
     if asymmetry > 1e-12:
         raise NotSymmetric(f"matrix asymmetry {asymmetry:.3e} exceeds 1e-12")
@@ -197,19 +199,25 @@ def extract_eigenfunctions(vectors: np.ndarray, squad: SQuadrature) -> np.ndarra
 class FiberDecomposition:
     """Retained eigenpairs of every fiber plus alignment and bounds.
 
-    eigenvalues[i] is descending; functions[i] holds the matching
-    quadrature-orthonormal eigenfunction rows; labels[i] maps each sorted
-    position to its aligned curve id.  traces and eigensums keep the trace
-    of the assembled matrix and the sum of all its eigenvalues before
-    truncation.  m and M are the fiberwise spectral bounds min(0, lambda_min)
-    and max(0, lambda_max).
+    The eigenpairs are stored as zero-padded arrays over F fibers and
+    r_max = max(ranks) slots: eigenvalues (F, r_max), descending within
+    each fiber; functions (F, r_max, n_s), the matching
+    quadrature-orthonormal eigenfunction rows; labels (F, r_max), the
+    aligned curve id of each slot; ranks (F,), the retained rank.  Slots
+    n >= ranks[i] hold eigenvalue 0.0, a zero function row and label -1,
+    so a padded slot is one more null direction and adds nothing to any
+    spectral sum; labels >= 0 marks the retained slots.  traces and
+    eigensums keep the trace of the assembled matrix and the sum of all its
+    eigenvalues before truncation.  m and M are the fiberwise spectral
+    bounds min(0, lambda_min) and max(0, lambda_max).
     """
 
     ogrid: OmegaGrid
     squad: SQuadrature
-    eigenvalues: tuple
-    functions: tuple
-    labels: tuple
+    eigenvalues: np.ndarray
+    functions: np.ndarray
+    labels: np.ndarray
+    ranks: np.ndarray
     traces: np.ndarray
     eigensums: np.ndarray
     m: ScalarField
@@ -221,25 +229,26 @@ class FiberDecomposition:
         return len(self.ogrid)
 
     @property
-    def ranks(self) -> np.ndarray:
-        return np.array([len(vals) for vals in self.eigenvalues], dtype=int)
-
-    @property
     def num_curves(self) -> int:
-        top = [int(lab.max()) for lab in self.labels if lab.size]
-        return max(top) + 1 if top else 0
+        return int(self.labels.max(initial=-1)) + 1
+
+    def _curve_mask(self, curve_ids) -> np.ndarray:
+        """Slot mask (F, r_max) of aligned curve curve_ids[i] in fiber i.
+
+        curve_ids is one id or one per fiber; a row is empty where the
+        curve is absent or the id is negative.
+        """
+        ids = np.broadcast_to(curve_ids, (self.n_fibers,))[:, None]
+        return (self.labels == ids) & (ids >= 0)
 
     def aligned_curve(self, curve_id: int) -> np.ndarray:
         """Eigenvalues of one aligned curve over the parameter grid.
 
         Fibers where the curve is absent get nan.
         """
-        out = np.full(self.n_fibers, np.nan)
-        for i, lab in enumerate(self.labels):
-            hit = np.nonzero(lab == curve_id)[0]
-            if hit.size:
-                out[i] = self.eigenvalues[i][hit[0]]
-        return out
+        hit = self._curve_mask(curve_id)
+        values = np.where(hit, self.eigenvalues, 0.0).sum(axis=1)
+        return np.where(hit.any(axis=1), values, np.nan)
 
 
 def _sign_fix(functions: np.ndarray) -> np.ndarray:
@@ -251,28 +260,26 @@ def _sign_fix(functions: np.ndarray) -> np.ndarray:
     return functions
 
 
-def _align_labels(eigenvalues, functions, weights, degeneracy_tol=DEGENERACY_TOL):
+def _align_labels(
+    eigenvalues, functions, ranks, weights, degeneracy_tol=DEGENERACY_TOL
+):
     """Greedy eigenvector matching between consecutive fibers.
 
     Pairs are taken in order of decreasing overlap magnitude with ties
     broken by lower index; curves absent at a fiber keep their ids free,
     and curves that appear get fresh ids.  Near-degenerate eigenvalues are
     relabeled as a block, in descending order, because their individual
-    eigenvectors are arbitrary within the eigenspace.
+    eigenvectors are arbitrary within the eigenspace.  Returns labels in
+    the padded layout of FiberDecomposition.
     """
-    n_fibers = len(eigenvalues)
-    labels = []
-    if n_fibers == 0:
-        return labels
-    r0 = len(eigenvalues[0])
-    labels.append(np.arange(r0, dtype=int))
-    next_id = r0
-    for i in range(1, n_fibers):
-        prev_funcs = functions[i - 1]
-        cur_funcs = functions[i]
-        r_prev, r_cur = prev_funcs.shape[0], cur_funcs.shape[0]
+    labels = np.full(eigenvalues.shape, -1, dtype=int)
+    next_id = 0
+    for i, r_cur in enumerate(ranks):
+        r_prev = ranks[i - 1] if i else 0
         assigned = np.full(r_cur, -1, dtype=int)
         if r_prev and r_cur:
+            prev_funcs = functions[i - 1, :r_prev]
+            cur_funcs = functions[i, :r_cur]
             overlap = np.abs(prev_funcs @ (weights * cur_funcs).T)
             pairs = sorted(
                 ((n, m) for n in range(r_prev) for m in range(r_cur)),
@@ -283,7 +290,7 @@ def _align_labels(eigenvalues, functions, weights, degeneracy_tol=DEGENERACY_TOL
                 if used_prev[n] or assigned[m] >= 0:
                     continue
                 used_prev[n] = True
-                assigned[m] = labels[i - 1][n]
+                assigned[m] = labels[i - 1, n]
         for m in range(r_cur):
             if assigned[m] < 0:
                 assigned[m] = next_id
@@ -296,7 +303,7 @@ def _align_labels(eigenvalues, functions, weights, degeneracy_tol=DEGENERACY_TOL
                     block_ids = np.sort(assigned[start:stop])
                     assigned[start:stop] = block_ids
                 start = stop
-        labels.append(assigned)
+        labels[i, :r_cur] = assigned
     return labels
 
 
@@ -335,34 +342,33 @@ def decompose_all_fibers(
             results = list(pool.map(work, range(n)))
     else:
         results = [work(i) for i in range(n)]
-    eigenvalues = tuple(r[0] for r in results)
-    functions = tuple(r[1] for r in results)
+    ranks = np.array([r[0].size for r in results], dtype=int)
+    retained = np.arange(int(ranks.max(initial=0))) < ranks[:, None]
+    eigenvalues = np.zeros(retained.shape)
+    eigenvalues[retained] = np.concatenate([r[0] for r in results])
+    functions = np.zeros(retained.shape + (len(squad),))
+    functions[retained] = np.concatenate([r[1] for r in results])
     traces = np.array([r[2] for r in results])
     eigensums = np.array([r[3] for r in results])
-    labels = tuple(_align_labels(eigenvalues, functions, squad.weights))
-    m_vals = np.array(
-        [min(0.0, float(v.min())) if v.size else 0.0 for v in eigenvalues]
-    )
-    M_vals = np.array(
-        [max(0.0, float(v.max())) if v.size else 0.0 for v in eigenvalues]
-    )
+    labels = _align_labels(eigenvalues, functions, ranks, squad.weights)
     return FiberDecomposition(
         ogrid=ogrid,
         squad=squad,
         eigenvalues=eigenvalues,
         functions=functions,
         labels=labels,
+        ranks=ranks,
         traces=traces,
         eigensums=eigensums,
-        m=ScalarField(ogrid, m_vals),
-        M=ScalarField(ogrid, M_vals),
+        m=ScalarField(ogrid, np.min(eigenvalues, axis=1, initial=0.0)),
+        M=ScalarField(ogrid, np.max(eigenvalues, axis=1, initial=0.0)),
         rank_tol=rank_tol,
     )
 
 
-def align_curves(d: FiberDecomposition) -> tuple:
+def align_curves(d: FiberDecomposition) -> np.ndarray:
     """Recompute the aligned curve labeling of a decomposition."""
-    return tuple(_align_labels(d.eigenvalues, d.functions, d.squad.weights))
+    return _align_labels(d.eigenvalues, d.functions, d.ranks, d.squad.weights)
 
 
 def spectral_bounds(d: FiberDecomposition) -> tuple:

@@ -201,16 +201,12 @@ def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:
     d = decomposition
     if rank < 0:
         raise RankTooLarge(f"rank must be non-negative, got {rank}")
-    min_rank = int(min(len(vals) for vals in d.eigenvalues))
+    min_rank = int(d.ranks.min())
     if rank > min_rank:
         raise RankTooLarge(
             f"rank {rank} exceeds the minimum retained rank {min_rank}"
         )
-    n_omega, n_s = len(d.ogrid), len(d.squad)
-    values = np.zeros((n_omega, n_s, n_s))
-    for i in range(n_omega):
-        funcs = d.functions[i][:rank]
-        vals = d.eigenvalues[i][:rank]
-        block = (funcs.T * vals) @ funcs
-        values[i] = 0.5 * (block + block.T)
+    funcs = d.functions[:, :rank]
+    block = (funcs.transpose(0, 2, 1) * d.eigenvalues[:, None, :rank]) @ funcs
+    values = 0.5 * (block + block.transpose(0, 2, 1))
     return SampledKernel(d.ogrid, d.squad, values)

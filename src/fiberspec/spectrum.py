@@ -74,10 +74,8 @@ class Partition:
 def fiber_spectrum(d: FiberDecomposition, i: int) -> np.ndarray:
     """Spectrum of one fiber: retained eigenvalues and 0, descending."""
     if not 0 <= i < d.n_fibers:
-        from .errors import IndexOutOfRange
-
         raise IndexOutOfRange(f"fiber index {i} outside range [0, {d.n_fibers})")
-    vals = np.append(d.eigenvalues[i], 0.0)
+    vals = np.append(d.eigenvalues[i, : d.ranks[i]], 0.0)
     return np.sort(vals)[::-1]
 
 
@@ -93,37 +91,27 @@ def mix_field(
     """
     if p.n_nodes != d.n_fibers:
         raise GridMismatch("partition does not match the decomposition grid")
-    values = np.zeros(d.n_fibers)
-    for label, indices in p.sets:
-        if label == 0:
-            continue
-        curve = label - 1
-        for i in indices:
-            if use_aligned:
-                hit = np.nonzero(d.labels[i] == curve)[0]
-                if hit.size == 0:
-                    raise UnknownCurveLabel(
-                        f"curve {label} is absent at node {i}"
-                    )
-                values[i] = d.eigenvalues[i][hit[0]]
-            else:
-                if curve >= len(d.eigenvalues[i]):
-                    raise UnknownCurveLabel(
-                        f"curve {label} is absent at node {i}"
-                    )
-                values[i] = d.eigenvalues[i][curve]
-    return ScalarField(d.ogrid, values)
+    curve = p.labels_by_node() - 1
+    if use_aligned:
+        hit = d._curve_mask(curve)
+    else:
+        slots = np.arange(d.eigenvalues.shape[1])
+        hit = (slots == curve[:, None]) & (slots < d.ranks[:, None])
+    missing = np.nonzero((curve >= 0) & ~hit.any(axis=1))[0]
+    if missing.size:
+        i = int(missing[0])
+        raise UnknownCurveLabel(f"curve {curve[i] + 1} is absent at node {i}")
+    return ScalarField(d.ogrid, np.where(hit, d.eigenvalues, 0.0).sum(axis=1))
 
 
 def membership_distances(d: FiberDecomposition, field: ScalarField) -> np.ndarray:
     """Distance from field(omega) to the fiber spectrum at every node."""
     if not same_omega_grid(d.ogrid, field.grid):
         raise GridMismatch("field lives on a different parameter grid")
-    out = np.empty(d.n_fibers)
-    for i in range(d.n_fibers):
-        spec = fiber_spectrum(d, i)
-        out[i] = float(np.min(np.abs(spec - field.values[i])))
-    return out
+    # padded slots hold 0, which belongs to every fiber spectrum anyway
+    v = field.values
+    nearest = np.min(np.abs(d.eigenvalues - v[:, None]), axis=1, initial=np.inf)
+    return np.minimum(np.abs(v), nearest)
 
 
 def spm_membership(

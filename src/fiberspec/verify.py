@@ -125,13 +125,9 @@ def _first_curve_data(d: FiberDecomposition):
     Fibers where the curve is absent contribute a zero row and value 0, so
     downstream identities stay exact there.
     """
-    lam = np.zeros(d.n_fibers)
-    psi = np.zeros((d.n_fibers, len(d.squad)))
-    for i, labels in enumerate(d.labels):
-        hit = np.nonzero(labels == 0)[0]
-        if hit.size:
-            lam[i] = d.eigenvalues[i][hit[0]]
-            psi[i] = d.functions[i][hit[0]]
+    hit = d._curve_mask(0)
+    lam = np.where(hit, d.eigenvalues, 0.0).sum(axis=1)
+    psi = np.where(hit[:, :, None], d.functions, 0.0).sum(axis=1)
     return ScalarField(d.ogrid, lam), Section(d.ogrid, d.squad, psi)
 
 
@@ -269,13 +265,11 @@ def projector_axiom_residuals(
                 )
             prev = cur_ip
             closest = cur_ip
-        h_last = steps[-1]
-        valid = np.ones(d.n_fibers, dtype=bool)
-        for i in range(d.n_fibers):
-            spec = np.append(d.eigenvalues[i], 0.0)
-            mu = lam.field.values[i]
-            window = (spec > mu - h_last - 1e-9) & (spec <= mu + tie + 1e-15)
-            valid[i] = not np.any(window)
+        # padded slots repeat 0, which is in every fiber spectrum anyway
+        spec = np.append(d.eigenvalues, np.zeros((d.n_fibers, 1)), axis=1)
+        mu = lam.field.values[:, None]
+        window = (spec > mu - steps[-1] - 1e-9) & (spec <= mu + tie + 1e-15)
+        valid = ~np.any(window, axis=1)
         if np.any(valid):
             bump(
                 "projector_right_sup",
@@ -317,7 +311,7 @@ def _random_node_partition(rng, d: FiberDecomposition) -> Partition:
     """Random labeled partition whose labels are valid at their nodes."""
     groups = {}
     for i in range(d.n_fibers):
-        options = [0] + [int(c) + 1 for c in d.labels[i]]
+        options = [0] + [int(c) + 1 for c in d.labels[i, : d.ranks[i]]]
         label = int(options[int(rng.integers(0, len(options)))])
         groups.setdefault(label, []).append(i)
     return Partition(
@@ -362,25 +356,23 @@ def run_suite(cfg: Config) -> list:
         _check("kernel_psd", max(0.0, -worst_eig), 1e-12, note=f"worst={worst_eig:.3e}")
     )
 
-    # eigensolver quality on the assembled fibers
-    resid = 0.0
-    ortho = 0.0
-    for i in range(d.n_fibers):
-        A = assemble_fiber_matrix(cfg.kernel, ogrid, squad, i)
-        funcs = d.functions[i]
-        if funcs.shape[0] == 0:
-            continue
-        vecs = (funcs * np.sqrt(squad.weights)).T
-        scale = max(1.0, float(np.max(np.abs(d.eigenvalues[i]))))
-        resid = max(
-            resid,
-            float(np.max(np.abs(A @ vecs - vecs * d.eigenvalues[i]))) / scale,
-        )
-        gram = funcs @ (funcs * squad.weights).T
-        ortho = max(
-            ortho,
-            float(np.max(np.abs(gram - np.eye(funcs.shape[0])))),
-        )
+    # eigensolver quality on the assembled fibers; padded slots have zero
+    # rows, so they leave the residual at 0 and the Gram matrix is compared
+    # with the identity on the retained slots only.  Each assembled matrix
+    # is used as soon as it is built, so no (F, n, n) stack is held here or
+    # in the Mercer check below.
+    fibers = range(d.n_fibers)
+    funcs = d.functions
+    vecs = (funcs * np.sqrt(squad.weights)).transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.max(np.abs(d.eigenvalues), axis=1, initial=0.0))
+    A_vecs = np.stack(
+        [assemble_fiber_matrix(cfg.kernel, ogrid, squad, i) @ vecs[i] for i in fibers]
+    )
+    err = np.abs(A_vecs - vecs * d.eigenvalues[:, None, :])
+    resid = float(np.max(err.max(axis=(1, 2), initial=0.0) / scale))
+    gram = funcs @ (funcs * squad.weights).transpose(0, 2, 1)
+    eye = np.eye(funcs.shape[1]) * (d.labels >= 0)[:, None, :]
+    ortho = float(np.max(np.abs(gram - eye), initial=0.0))
     results.append(_check("eigen_residual", resid, 1e-10))
     results.append(_check("eigen_orthonormality", ortho, 1e-10))
     results.append(
@@ -390,9 +382,9 @@ def run_suite(cfg: Config) -> list:
             1e-9,
         )
     )
-    distinct = all(
-        len(set(int(x) for x in labels)) == labels.size for labels in d.labels
-    )
+    ordered = np.sort(d.labels, axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
+    distinct = not np.any(repeated)
     results.append(
         _check("alignment_distinct_ids", 0.0 if distinct else 1.0, 0.5)
     )
@@ -409,13 +401,10 @@ def run_suite(cfg: Config) -> list:
             rank_tol=tol.rank_tol,
             eig_tol=tol.eig_tol,
         )
-        drift = 0.0
-        for i in range(d.n_fibers):
-            a = d.eigenvalues[i]
-            b = d_half.eigenvalues[i]
-            r = min(len(a), len(b))
-            if r:
-                drift = max(drift, float(np.max(np.abs(a[:r] - b[:r]))))
+        r = min(d.eigenvalues.shape[1], d_half.eigenvalues.shape[1])
+        both = (d.labels[:, :r] >= 0) & (d_half.labels[:, :r] >= 0)
+        gap = np.abs(d.eigenvalues[:, :r] - d_half.eigenvalues[:, :r])
+        drift = float(np.max(gap, where=both, initial=0.0))
         results.append(_check("eigenvalue_grid_stability", drift, 1e-10))
 
     # Rayleigh quotients stay inside the spectral bounds
@@ -549,12 +538,11 @@ def run_suite(cfg: Config) -> list:
 
     # kernel reconstruction from the retained eigenpairs (finite-rank route)
     if isinstance(cfg.kernel, SeparableKernel):
-        sup_err = 0.0
-        for i in range(d.n_fibers):
-            K = fiber_kernel_matrix(cfg.kernel, ogrid, squad, i)
-            funcs = d.functions[i]
-            approx = (funcs.T * d.eigenvalues[i]) @ funcs
-            sup_err = max(sup_err, float(np.max(np.abs(K - approx))))
+        approx = (funcs.transpose(0, 2, 1) * d.eigenvalues[:, None, :]) @ funcs
+        sup_err = max(
+            float(np.max(np.abs(fiber_kernel_matrix(cfg.kernel, ogrid, squad, i) - a)))
+            for i, a in zip(fibers, approx)
+        )
         results.append(_check("mercer_reconstruction", sup_err, 1e-8))
 
     # mixings of the eigenvalue curves stay inside the spectrum
@@ -603,23 +591,12 @@ def run_suite(cfg: Config) -> list:
         eig_tol=tol.eig_tol,
         threads=2,
     )
-    drift = 0.0
-    for i in range(d.n_fibers):
-        if d.eigenvalues[i].shape != d2.eigenvalues[i].shape:
-            drift = 1.0
-            break
+    if not np.array_equal(d.ranks, d2.ranks):
+        drift = 1.0
+    else:
         drift = max(
-            drift,
-            float(
-                np.max(np.abs(d.eigenvalues[i] - d2.eigenvalues[i]))
-                if d.eigenvalues[i].size
-                else 0.0
-            ),
-            float(
-                np.max(np.abs(d.functions[i] - d2.functions[i]))
-                if d.functions[i].size
-                else 0.0
-            ),
+            float(np.max(np.abs(d.eigenvalues - d2.eigenvalues), initial=0.0)),
+            float(np.max(np.abs(d.functions - d2.functions), initial=0.0)),
         )
     results.append(_check("threaded_determinism", drift, 0.0))
     return results

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberspec as fs
 from fiberspec import errors
@@ -169,7 +171,8 @@ def test_funcalc_continuous_on_interval(decomposition, f_section):
 
 
 def test_rs_invalid_mesh(decomposition, f_section):
-    for mesh in (0.0, -0.1, float("nan"), float("inf")):
+    # 1e-300 asks for ~1e300 cells and is refused before any cut is built
+    for mesh in (0.0, -0.1, float("nan"), float("inf"), 1e-300):
         with pytest.raises(errors.InvalidMesh):
             fs.riemann_stieltjes_apply(
                 decomposition, parse("lambda"), f_section, mesh
@@ -198,6 +201,49 @@ def test_rs_converges_to_apply(cfg, decomposition, f_section):
         if prev is not None:
             assert err < prev
         prev = err
+
+
+RS_FUNCTIONS = (
+    "lambda",
+    "2",
+    "lambda^2",
+    "exp(lambda)",
+    "sin(3*lambda)+lambda/4",
+    "abs(lambda-0.3)",
+    "max(lambda,0.1)",
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    g_text=st.sampled_from(RS_FUNCTIONS),
+    mesh_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(1e-3, 1e3),
+)
+def test_rs_matches_projector_increments(
+    decomposition, g_text, mesh_frac, seed, scale
+):
+    # reference: the defining sum, one projector call per cut,
+    # g(c_0) E_{c_0} f + sum_k g(c_k) (E_{c_k} - E_{c_{k-1}}) f
+    d, g = decomposition, parse(g_text)
+    noise = np.random.default_rng(seed).standard_normal((len(d.ogrid), len(d.squad)))
+    f = fs.Section(d.ogrid, d.squad, scale * noise)
+    epsilon = 1e-6
+    m_star = float(np.min(d.m.values))
+    top = float(np.max(d.M.values)) + epsilon
+    span = top - m_star
+    mesh = 0.005 + mesh_frac * (2.0 * span - 0.005)
+    cuts = np.linspace(m_star, top, max(1, int(np.ceil(span / mesh))) + 1)
+    ref = np.zeros_like(f.values)
+    prev = np.zeros_like(f.values)
+    for c in cuts:
+        cur = fs.projector_apply(d, fs.ThresholdField.constant(d.ogrid, float(c)), f)
+        ref += fs.evaluate(g, {"lambda": float(c)}) * (cur.values - prev)
+        prev = cur.values
+    out = fs.riemann_stieltjes_apply(d, g, f, mesh, epsilon=epsilon)
+    bound = 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
+    assert np.max(np.abs(out.values - ref)) <= bound
 
 
 def test_eigenspace_multiplicity_and_closure(cfg, decomposition):

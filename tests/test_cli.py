@@ -255,6 +255,42 @@ def test_config_error_exit_codes(tmp_path):
         )
         == 2
     )
+    # a non-numeric partition bound and non-string expressions
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        base = json.load(fh)
+    edits = (
+        ("partitions", {"thirds": [{"label": 1, "omega_range": ["x", 1.0]}]}),
+        ("sections", {"f": 5}),
+        ("thresholds", {"mid": [0.4]}),
+        ("kernel", {"type": "separable", "terms": [{"curve": 1, "basis": "t"}]}),
+        ("kernel", {"type": "sampled", "expression": None}),
+    )
+    for key, value in edits:
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps({**base, key: value}), encoding="utf-8")
+        assert main(["decompose", "--config", str(edited), "--out", str(tmp_path)]) == 2
+
+
+def test_nonfinite_kernel_is_numerical_error(tmp_path, capsys):
+    overflow = tmp_path / "overflow.json"
+    overflow.write_text(
+        json.dumps(
+            {
+                "omega_grid": {"n": 4},
+                "s_quadrature": {"rule": "gauss_legendre", "n": 4},
+                "kernel": {
+                    "type": "separable",
+                    "terms": [{"curve": "1e308*10", "basis": "sin(pi*t)"}],
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", str(overflow), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "non-finite" in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_syntax_diagnostic_reaches_stderr(tmp_path, capsys):

@@ -89,6 +89,15 @@ def test_jacobi_rejects_asymmetry():
         fs.jacobi_eigh(A)
 
 
+def test_jacobi_rejects_nonfinite():
+    # NaN fails every comparison, so it must be caught before the symmetry
+    # test and the sweeps
+    for bad in (np.nan, np.inf):
+        A = np.array([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(errors.DomainError):
+            fs.jacobi_eigh(A)
+
+
 def test_jacobi_rejects_nonsquare():
     with pytest.raises(ValueError):
         fs.jacobi_eigh(np.zeros((2, 3)))
