@@ -7,7 +7,9 @@ Every parameter node gets the symmetrized collocation matrix
 whose eigenvectors v recover quadrature-orthonormal eigenfunction values
 x_n(t_j) = v_n[j] / sqrt(w_j).  Eigenpairs come from a cyclic Jacobi
 solver implemented here; the matrices are small and dense, and rotations
-converge quadratically once the off-diagonal mass is small.
+converge quadratically once the off-diagonal mass is small.  A separable
+kernel of R terms has fiber rank at most R, so its fibers are solved as
+R x R (at most n x n) cores of one shared QR factorization instead.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NotSymmetric
 from .grid import OmegaGrid, ScalarField, SQuadrature
-from .kernel import KernelSpec, fiber_kernel_matrix
+from .kernel import KernelSpec, SeparableKernel, fiber_kernel_matrix
 
 DEFAULT_EIG_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
@@ -28,6 +30,9 @@ MAX_SWEEPS = 64
 # Eigenvalues closer than this are treated as one degenerate block when
 # aligning curves across the parameter grid.
 DEGENERACY_TOL = 1e-10
+# Components within this relative distance of an eigenfunction's peak
+# magnitude count as tied for the sign convention.
+SIGN_TIE = 1e-8
 
 
 def _sweep_loops(A, V, skip_below):
@@ -252,12 +257,18 @@ class FiberDecomposition:
 
 
 def _sign_fix(functions: np.ndarray) -> np.ndarray:
-    for row in functions:
-        if row.size:
-            peak = int(np.argmax(np.abs(row)))
-            if row[peak] < 0:
-                row *= -1.0
-    return functions
+    """Make the first near-peak component of every row positive.
+
+    A component is near-peak when |v_j| >= (1 - SIGN_TIE) * max|v|, so a
+    row with two peaks of equal magnitude and opposite sign, like
+    sqrt(2) sin(2 pi t), keeps the same sign whichever peak rounding puts
+    on top.  Zero rows are left as they are.
+    """
+    mag = np.abs(functions)
+    near_peak = mag >= (1.0 - SIGN_TIE) * mag.max(axis=-1, keepdims=True)
+    lead = np.argmax(near_peak, axis=-1)[..., None]
+    flip = np.take_along_axis(functions, lead, axis=-1) < 0
+    return np.where(flip, -functions, functions)
 
 
 def _align_labels(
@@ -307,16 +318,47 @@ def _align_labels(
     return labels
 
 
-def _decompose_one(k, ogrid, squad, i, rank_tol, eig_tol):
-    A = assemble_fiber_matrix(k, ogrid, squad, i)
-    trace = float(np.trace(A))
-    vals, vecs = jacobi_eigh(A, tol=eig_tol)
-    eigensum = float(vals.sum())
+def _dense_fibers(k, ogrid, squad, eig_tol, threads):
+    """Jacobi on every assembled n x n fiber matrix."""
+
+    def solve(i):
+        A = assemble_fiber_matrix(k, ogrid, squad, i)
+        vals, vecs = jacobi_eigh(A, tol=eig_tol)
+        return vals, vecs, float(np.trace(A))
+
+    if threads and threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(solve, range(len(ogrid))))
+    return [solve(i) for i in range(len(ogrid))]
+
+
+def _factored_fibers(k: SeparableKernel, ogrid, squad, eig_tol):
+    """Exact eigenpairs of separable fibers through one shared QR.
+
+    Every fiber matrix is C^T diag(c(omega_i)) C with C = B diag(sqrt(w))
+    of shape (R, n).  With the reduced QR C^T = Q Rm, the fiber is
+    Q (Rm diag(c) Rm^T) Q^T, so its nonzero eigenpairs are those of the
+    k x k core (k = min(R, n)) with eigenvectors Q U, and its trace is
+    sum_r c_r ||C_r||^2.
+    """
+    C = k.basis_matrix(squad) * np.sqrt(squad.weights)
+    if not np.all(np.isfinite(C)):
+        raise DomainError("kernel basis has non-finite values")
+    Q, Rm = np.linalg.qr(C.T)
+    norms = np.sum(C * C, axis=1)
+    solved = []
+    for c in k.curve_matrix(ogrid):
+        core = (Rm * c) @ Rm.T
+        vals, U = jacobi_eigh(0.5 * (core + core.T), tol=eig_tol)
+        solved.append((vals, Q @ U, float(c @ norms)))
+    return solved
+
+
+def _retain(vals, vecs, squad, rank_tol):
+    """Truncated eigenvalues and sign-fixed eigenfunction rows of a fiber."""
     scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
     keep = np.abs(vals) > rank_tol * scale
-    vals = vals[keep]
-    funcs = _sign_fix(extract_eigenfunctions(vecs[:, keep], squad))
-    return vals, funcs, trace, eigensum
+    return vals[keep], _sign_fix(extract_eigenfunctions(vecs[:, keep], squad))
 
 
 def decompose_all_fibers(
@@ -329,27 +371,30 @@ def decompose_all_fibers(
 ) -> FiberDecomposition:
     """Decompose every fiber, truncate by rank_tol, and align the curves.
 
+    A separable kernel is solved exactly in the span of its R basis
+    functions: one QR shared by all fibers, then a min(R, n_s) square
+    Jacobi solve per fiber.  A sampled kernel gets a Jacobi solve of every
+    assembled n_s x n_s fiber matrix; threads > 1 runs those concurrently
+    with identical results.  The separable route always runs sequentially.
+
     Eigenvalues with |lambda| <= rank_tol * max(1, |lambda|_max(omega)) are
-    dropped.  The eigenfunction sign convention makes the component of
-    largest magnitude positive; ties inside degenerate blocks are resolved
-    during alignment.  threads > 1 decomposes fibers concurrently with
-    identical results.
+    dropped.  The eigenfunction sign convention makes the first component
+    within SIGN_TIE of the largest magnitude positive; ties inside
+    degenerate blocks are resolved during alignment.
     """
-    n = len(ogrid)
-    work = lambda i: _decompose_one(k, ogrid, squad, i, rank_tol, eig_tol)
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(n)))
+    if isinstance(k, SeparableKernel):
+        solved = _factored_fibers(k, ogrid, squad, eig_tol)
     else:
-        results = [work(i) for i in range(n)]
-    ranks = np.array([r[0].size for r in results], dtype=int)
+        solved = _dense_fibers(k, ogrid, squad, eig_tol, threads)
+    results = [_retain(vals, vecs, squad, rank_tol) for vals, vecs, _ in solved]
+    ranks = np.array([vals.size for vals, _ in results], dtype=int)
     retained = np.arange(int(ranks.max(initial=0))) < ranks[:, None]
     eigenvalues = np.zeros(retained.shape)
-    eigenvalues[retained] = np.concatenate([r[0] for r in results])
+    eigenvalues[retained] = np.concatenate([vals for vals, _ in results])
     functions = np.zeros(retained.shape + (len(squad),))
-    functions[retained] = np.concatenate([r[1] for r in results])
-    traces = np.array([r[2] for r in results])
-    eigensums = np.array([r[3] for r in results])
+    functions[retained] = np.concatenate([funcs for _, funcs in results])
+    traces = np.array([trace for _, _, trace in solved])
+    eigensums = np.array([vals.sum() for vals, _, _ in solved])
     labels = _align_labels(eigenvalues, functions, ranks, squad.weights)
     return FiberDecomposition(
         ogrid=ogrid,

@@ -139,7 +139,8 @@ def fiber_kernel_matrix(
             raise GridMismatch("sampled kernel was sampled on different grids")
         return k.values[i]
     basis = k.basis_matrix(squad)
-    curves = k.curve_matrix(ogrid)[i]
+    env = {"omega": ogrid.nodes[i]}
+    curves = np.array([expr.evaluate(curve, env) for curve, _ in k.terms])
     return (basis.T * curves) @ basis
 
 

@@ -1,0 +1,154 @@
+"""Property test of the CLI contract on mutated configurations.
+
+Each example takes configs/trig_rank3.json, replaces, deletes or adds a few
+entries (values of any JSON type, expression strings built from the
+grammar's tokens) and runs decompose or verify on a small grid.  Whatever
+the input, main() must return 0, 2, 3 or 4 without raising, and every
+value in a CSV it wrote must be finite.
+"""
+
+import csv
+import json
+import math
+import shutil
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fiberspec.cli import main
+
+from conftest import CONFIG_PATH
+
+with open(CONFIG_PATH, encoding="utf-8") as fh:
+    BASE = json.load(fh)
+
+
+def _paths(node, prefix=()):
+    """Every key or index path in the config, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, prefix + (key,))
+
+
+def _leaf(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+PATHS = sorted(_paths(BASE), key=repr)
+
+TOKENS = (
+    "omega", "t", "s", "lambda", "pi", "e", "0", "1", "2", "0.5", "1e308",
+    "1e-300", "+", "-", "*", "/", "^", "(", ")", ",", "sin(", "cos(",
+    "tan(", "exp(", "log(", "sqrt(", "abs(", "min(", "max(", "pow(", " ",
+)
+ATOMS = ("omega", "t", "s", "pi", "0", "1", "-1", "0.5", "3", "1e-14", "1e308")
+
+
+def _combine(inner):
+    unary = st.tuples(
+        st.sampled_from(("sin", "cos", "tan", "exp", "log", "sqrt", "abs", "-")),
+        inner,
+    ).map(lambda fa: f"{fa[0]}({fa[1]})")
+    binary = st.tuples(
+        inner, st.sampled_from(("+", "-", "*", "/", "^", ",")), inner
+    ).map(
+        lambda l_op_r: f"max({l_op_r[0]},{l_op_r[2]})"
+        if l_op_r[1] == ","
+        else f"({l_op_r[0]}){l_op_r[1]}({l_op_r[2]})"
+    )
+    return unary | binary
+
+
+# token soup is mostly a syntax error; well-formed expressions reach the
+# numerics, where domain errors, overflow and indefinite kernels live
+expressions = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12).map(
+    "".join
+) | st.recursive(st.sampled_from(ATOMS), _combine, max_leaves=4)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats()
+    | st.text(max_size=8)
+    | expressions
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+EXPRESSION_PATHS = [p for p in PATHS if isinstance(_leaf(BASE, p), str)]
+mutations = st.lists(
+    st.tuples(
+        st.sampled_from(("replace", "delete", "add")),
+        st.sampled_from(PATHS),
+        values,
+        st.sampled_from(("n", "rule", "type", "terms", "curve", "basis", "x")),
+    )
+    | st.tuples(
+        st.just("replace"), st.sampled_from(EXPRESSION_PATHS), expressions, st.just("")
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def mutate(raw, ops):
+    for op, path, value, new_key in ops:
+        parent = raw
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if op == "replace":
+                parent[path[-1]] = value
+            elif op == "delete":
+                del parent[path[-1]]
+            elif isinstance(parent[path[-1]], dict):
+                parent[path[-1]][new_key] = value
+            else:
+                parent[path[-1]] = [parent[path[-1]], value]
+        except (KeyError, IndexError, TypeError):
+            # an earlier mutation removed or retyped part of this path
+            continue
+    return raw
+
+
+def csv_values_finite(path):
+    with open(path, newline="", encoding="ascii") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(ops=mutations, command=st.sampled_from(("decompose", "verify")))
+def test_mutated_config_keeps_cli_contract(tmp_path, capsys, ops, command):
+    raw = mutate(json.loads(json.dumps(BASE)), ops)
+    config = tmp_path / "mutated.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    # tmp_path is shared by all examples of one test run
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    rc = main(
+        [
+            command,
+            "--config", str(config),
+            "--out", str(out),
+            "--omega-n", "8",
+            "--quad-n", "12",
+            "--threads", "1",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    for written in out.glob("*.csv"):
+        assert csv_values_finite(written), written.name

@@ -163,11 +163,32 @@ def test_alignment_tracks_through_crossing(cfg, decomposition):
     assert decomposition.labels[past][0] == 1  # largest eigenvalue is curve2
 
 
+def lead_component(row):
+    """Index of the first component within 1e-8 of the peak magnitude."""
+    mag = np.abs(row)
+    return int(np.nonzero(mag >= (1.0 - 1e-8) * mag.max())[0][0])
+
+
 def test_sign_convention_persists(decomposition):
     for i in (5, 40):
         for row in decomposition.functions[i]:
-            peak = int(np.argmax(np.abs(row)))
-            assert row[peak] > 0
+            assert row[lead_component(row)] > 0
+
+
+def test_aligned_curves_keep_one_sign(cfg, decomposition):
+    # sqrt(2) sin(2 pi t) peaks at t = 1/4 and t = 3/4 with opposite signs
+    # and equal magnitudes; the convention must pick the same peak, and so
+    # the same sign, in every fiber
+    t = cfg.squad.nodes
+    for cid in range(decomposition.num_curves):
+        rows = decomposition.functions[decomposition._curve_mask(cid)]
+        assert rows.shape == (decomposition.n_fibers, len(t))
+        leads = {lead_component(row) for row in rows}
+        assert len(leads) == 1
+        lead = leads.pop()
+        assert np.all(rows[:, lead] > 0)
+        want = np.sqrt(2.0) * np.sin((cid + 1) * np.pi * t)
+        assert np.max(np.abs(rows - want)) < 1e-12
 
 
 def test_rank_truncation_drops_tiny_curves(grids):

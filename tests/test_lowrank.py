@@ -1,0 +1,122 @@
+"""The factored route for separable kernels against the dense oracle.
+
+decompose_all_fibers solves a separable kernel through one QR of its
+weighted basis matrix and a small Jacobi solve per fiber.  The oracle is
+the dense route: jacobi_eigh of the assembled n x n fiber matrix, with
+the same truncation rule.  Both must give the same ranks, the same
+eigenvalues and the same truncated operator sum_n lambda_n x_n x_n^T.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fiberspec as fs
+from fiberspec import verify
+from fiberspec.expr import parse
+
+
+def dense_oracle(k, ogrid, squad, rank_tol=1e-10):
+    """Per fiber: retained eigenvalues and eigenfunction rows, dense route."""
+    out = []
+    for i in range(len(ogrid)):
+        A = fs.assemble_fiber_matrix(k, ogrid, squad, i)
+        vals, vecs = fs.jacobi_eigh(A)
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        keep = np.abs(vals) > rank_tol * scale
+        out.append((vals[keep], fs.extract_eigenfunctions(vecs[:, keep], squad)))
+    return out
+
+
+def assert_matches_oracle(k, ogrid, squad):
+    d = fs.decompose_all_fibers(k, ogrid, squad)
+    for i, (vals, funcs) in enumerate(dense_oracle(k, ogrid, squad)):
+        r = d.ranks[i]
+        assert r == vals.size
+        scale = max(1.0, float(np.max(np.abs(vals), initial=0.0)))
+        assert np.max(np.abs(d.eigenvalues[i, :r] - vals), initial=0.0) <= 1e-12 * scale
+        got = d.functions[i, :r]
+        op = (got.T * d.eigenvalues[i, :r]) @ got
+        want = (funcs.T * vals) @ funcs
+        assert np.max(np.abs(op - want)) <= 1e-10
+        A = fs.assemble_fiber_matrix(k, ogrid, squad, i)
+        assert abs(d.traces[i] - np.trace(A)) <= 1e-12 * scale
+    return d
+
+
+def kernel(*terms):
+    return fs.SeparableKernel(tuple((parse(c), parse(b)) for c, b in terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_omega=st.integers(1, 6),
+    rule=st.sampled_from(["gauss_legendre", "trapezoid"]),
+    n_s=st.integers(2, 10),
+)
+def test_random_separable_matches_dense(seed, n_omega, rule, n_s):
+    # 1..5 terms with non-orthonormal trigonometric bases; R > n_s and
+    # sign-indefinite fibers both occur
+    k = verify.random_separable_kernel(np.random.default_rng(seed), max_rank=5)
+    assert_matches_oracle(
+        k, fs.build_omega_grid(n_omega), fs.build_s_quadrature(rule, n_s)
+    )
+
+
+def test_duplicated_basis_is_rank_deficient(grids):
+    k = kernel(
+        ("omega", "sqrt(2)*sin(pi*t)"),
+        ("1/2", "sqrt(2)*sin(pi*t)"),
+        ("1", "cos(pi*t)"),
+    )
+    d = assert_matches_oracle(k, *grids)
+    assert np.all(d.ranks == 2)
+
+
+def test_more_terms_than_nodes():
+    ogrid = fs.build_omega_grid(5)
+    squad = fs.build_s_quadrature("trapezoid", 4)
+    k = kernel(*((f"1+omega/{n}", f"cos({n}*t)+t^{n}") for n in range(1, 6)))
+    d = assert_matches_oracle(k, ogrid, squad)
+    assert np.all(d.ranks == 4)
+
+
+def test_zero_kernel_matches_dense(grids):
+    d = assert_matches_oracle(kernel(("0", "sin(pi*t)")), *grids)
+    assert np.all(d.ranks == 0)
+    assert np.all(d.traces == 0.0)
+
+
+def test_negative_curve_matches_dense(grids):
+    k = kernel(("0-omega", "sqrt(2)*sin(pi*t)"), ("1/4", "t"))
+    d = assert_matches_oracle(k, *grids)
+    assert np.all(d.m.values < 0.0)
+
+
+def test_tiny_curve_is_truncated(grids):
+    k = kernel(("1", "sqrt(2)*sin(pi*t)"), ("1e-14", "sqrt(2)*sin(2*pi*t)"))
+    d = assert_matches_oracle(k, *grids)
+    assert np.all(d.ranks == 1)
+
+
+def test_nonfinite_basis_is_domain_error(grids):
+    with pytest.raises(fs.errors.DomainError):
+        fs.decompose_all_fibers(kernel(("1", "1e308*10+t")), *grids)
+
+
+def test_fiber_kernel_matrix_evaluates_one_node(cfg, monkeypatch):
+    seen = set()
+    evaluate = fs.expr.evaluate
+
+    def spy(e, env):
+        seen.add(env.get("omega"))
+        return evaluate(e, env)
+
+    monkeypatch.setattr(fs.expr, "evaluate", spy)
+    K = fs.fiber_kernel_matrix(cfg.kernel, cfg.ogrid, cfg.squad, 11)
+    assert seen - {None} == {cfg.ogrid.nodes[11]}
+    B = cfg.kernel.basis_matrix(cfg.squad)
+    curves = cfg.kernel.curve_matrix(cfg.ogrid)[11]
+    assert np.array_equal(K, (B.T * curves) @ B)

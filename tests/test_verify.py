@@ -125,3 +125,61 @@ def test_axiom_residuals_on_random_kernel(cfg):
     res = verify.projector_axiom_residuals(k, d, thresholds, sections, 1e-6)
     for name, bound in verify.AXIOM_BOUNDS.items():
         assert res[name] <= bound, (name, res[name])
+
+
+# Rank 1, 2 and 3 over the parameter grid; sin(3 pi t) needs more than 12
+# Gauss-Legendre nodes for a drift below 1e-10.
+STEP_TERMS = (
+    ("1/2", "sqrt(2)*sin(pi*t)"),
+    ("max(0,omega-1/2)", "sqrt(2)*sin(2*pi*t)"),
+    ("max(0,omega-3/4)", "sqrt(2)*sin(3*pi*t)"),
+)
+
+
+def write_separable(tmp_path, n_s):
+    path = tmp_path / f"step_{n_s}.json"
+    path.write_text(
+        json.dumps(
+            {
+                "omega_grid": {"n": 16},
+                "s_quadrature": {"rule": "gauss_legendre", "n": n_s},
+                "kernel": {
+                    "type": "separable",
+                    "terms": [{"curve": c, "basis": b} for c, b in STEP_TERMS],
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_grid_stability_uses_doubled_rule(tmp_path):
+    # the half rule of 24 nodes does not resolve sin(3 pi t); the doubled
+    # one measures the error of the 24-node rule itself
+    assert main(["verify", "--config", write_separable(tmp_path, 24)]) == 0
+    results = verify.run_suite(fs.load_config(write_separable(tmp_path, 12)))
+    by_name = {r.name: r for r in results}
+    assert not by_name["eigenvalue_grid_stability"].passed
+    assert by_name["lowrank_matches_dense"].passed
+
+
+def test_lowrank_check_only_for_separable(tmp_path):
+    path = tmp_path / "sampled.json"
+    path.write_text(
+        json.dumps(
+            {
+                "omega_grid": {"n": 6},
+                "s_quadrature": {"rule": "trapezoid", "n": 9},
+                "kernel": {
+                    "type": "sampled",
+                    "expression": "(1+omega)*(min(t,s)-t*s)",
+                },
+            }
+        ),
+        encoding="utf-8",
+    )
+    sampled = {r.name for r in verify.run_suite(fs.load_config(str(path)))}
+    separable = verify.run_suite(fs.load_config(write_separable(tmp_path, 16)))
+    assert "lowrank_matches_dense" not in sampled
+    assert "lowrank_matches_dense" in {r.name for r in separable}
