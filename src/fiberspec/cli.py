@@ -180,12 +180,6 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON configuration file")
     common.add_argument("--out", default=".", help="output directory for CSV files")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="fiber decomposition threads (default: available execution units)",
-    )
     common.add_argument("--rank-tol", type=float, default=None)
     common.add_argument("--tie-tol", type=float, default=None)
     common.add_argument("--member-tol", type=float, default=None)
@@ -255,7 +249,6 @@ def main(argv=None) -> int:
             tie_tol=args.tie_tol,
             member_tol=args.member_tol,
             epsilon=args.epsilon,
-            threads=args.threads if args.threads is not None else os.cpu_count(),
         )
         return args.handler(cfg, args)
     except ConfigError as exc:

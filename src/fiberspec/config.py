@@ -56,7 +56,6 @@ class Config:
     partitions: dict  # name -> tuple of (label, lo, hi)
     tolerances: Tolerances = field(default_factory=Tolerances)
     epsilon: float = DEFAULT_EPSILON
-    threads: int = 1
 
 
 def _expect(condition, message):
@@ -64,12 +63,20 @@ def _expect(condition, message):
         raise ConfigError(message)
 
 
-def _parse_named(raw, where):
+def _parse_named(raw, where, variables=None):
+    """Parse one expression; variables, when given, bounds its free ones."""
     _expect(isinstance(raw, str), f"{where} must be an expression string")
     try:
-        return expr.parse(raw)
+        e = expr.parse(raw)
     except FiberspecError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if variables is not None:
+        extra = expr.free_variables(e) - variables
+        _expect(
+            not extra,
+            f"{where} may only depend on {sorted(variables)}, found {sorted(extra)}",
+        )
+    return e
 
 
 def _real(raw, where):
@@ -124,7 +131,6 @@ def load_config(
     tie_tol: float | None = None,
     member_tol: float | None = None,
     epsilon: float | None = None,
-    threads: int | None = None,
 ) -> Config:
     """Load and materialize a configuration file.
 
@@ -170,13 +176,17 @@ def load_config(
     sections_raw = raw.get("sections", {})
     _expect(isinstance(sections_raw, dict), "sections must be an object")
     for name, text in sections_raw.items():
-        sections[str(name)] = _parse_named(text, f"sections[{name}]")
+        sections[str(name)] = _parse_named(
+            text, f"sections[{name}]", {"omega", "t"}
+        )
 
     thresholds = {}
     thresholds_raw = raw.get("thresholds", {})
     _expect(isinstance(thresholds_raw, dict), "thresholds must be an object")
     for name, text in thresholds_raw.items():
-        thresholds[str(name)] = _parse_named(text, f"thresholds[{name}]")
+        thresholds[str(name)] = _parse_named(
+            text, f"thresholds[{name}]", {"omega"}
+        )
 
     partitions = {}
     partitions_raw = raw.get("partitions", {})
@@ -237,11 +247,6 @@ def load_config(
         epsilon if epsilon is not None else raw.get("epsilon", DEFAULT_EPSILON),
         "epsilon",
     )
-    n_threads = threads if threads is not None else 1
-    _expect(
-        isinstance(n_threads, int) and n_threads >= 1,
-        "threads must be a positive integer",
-    )
 
     return Config(
         ogrid=ogrid,
@@ -252,7 +257,6 @@ def load_config(
         partitions=partitions,
         tolerances=tolerances,
         epsilon=eps,
-        threads=n_threads,
     )
 
 
@@ -291,5 +295,4 @@ def decompose(cfg: Config) -> FiberDecomposition:
         cfg.squad,
         rank_tol=cfg.tolerances.rank_tol,
         eig_tol=cfg.tolerances.eig_tol,
-        threads=cfg.threads,
     )

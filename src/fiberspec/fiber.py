@@ -5,24 +5,30 @@ Every parameter node gets the symmetrized collocation matrix
     A[j][l] = sqrt(w_j) * k(omega_i, t_j, t_l) * sqrt(w_l)
 
 whose eigenvectors v recover quadrature-orthonormal eigenfunction values
-x_n(t_j) = v_n[j] / sqrt(w_j).  Eigenpairs come from a cyclic Jacobi
-solver implemented here; the matrices are small and dense, and rotations
-converge quadratically once the off-diagonal mass is small.  A separable
-kernel of R terms has fiber rank at most R, so its fibers are solved as
-R x R (at most n x n) cores of one shared QR factorization instead.
+x_n(t_j) = v_n[j] / sqrt(w_j).  Eigenpairs come from a Jacobi solver
+implemented here; the matrices are small and dense, and rotations converge
+quadratically once the off-diagonal mass is small.  The fibers are
+independent, so all of them are solved as one stack, each round of
+rotations acting on every fiber at once.  A separable kernel of R terms
+has fiber rank at most R, so its fibers are solved as R x R (at most
+n x n) cores of one shared QR factorization instead.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, NotSymmetric
 from .grid import OmegaGrid, ScalarField, SQuadrature
-from .kernel import KernelSpec, SeparableKernel, fiber_kernel_matrix
+from .kernel import (
+    KernelSpec,
+    SeparableKernel,
+    fiber_kernel_matrix,
+    sampled_values,
+)
 
 DEFAULT_EIG_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
@@ -35,169 +41,169 @@ DEGENERACY_TOL = 1e-10
 SIGN_TIE = 1e-8
 
 
-def _sweep_loops(A, V, skip_below):
-    """One cyclic-by-row pass of Jacobi rotations over all p < q pairs."""
-    n = A.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = A[p, q]
-            if abs(apq) <= skip_below:
-                continue
-            app = A[p, p]
-            aqq = A[q, q]
-            diff = aqq - app
-            if abs(apq) < 1e-36 * abs(diff):
-                t = apq / diff
-            else:
-                theta = diff / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            for i in range(n):
-                aip = A[i, p]
-                aiq = A[i, q]
-                A[i, p] = c * aip - s * aiq
-                A[i, q] = s * aip + c * aiq
-            for i in range(n):
-                api = A[p, i]
-                aqi = A[q, i]
-                A[p, i] = c * api - s * aqi
-                A[q, i] = s * api + c * aqi
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            A[p, p] = app - t * apq
-            A[q, q] = aqq + t * apq
-            for i in range(n):
-                vip = V[i, p]
-                viq = V[i, q]
-                V[i, p] = c * vip - s * viq
-                V[i, q] = s * vip + c * viq
+def _round_robin(n):
+    """Parallel ordering of Brent and Luk: rounds of disjoint (p, q) pairs.
+
+    The circle method fixes index 0 and turns the others by one place per
+    round, so the rounds cover every pair p < q exactly once.  An odd n
+    gets a dummy index n whose pairs are dropped.  Returns one (p, q) pair
+    of index arrays per round, with p < q elementwise.
+    """
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        players = [0] + ring
+        pairs = [
+            (min(a, b), max(a, b))
+            for a, b in zip(players[: m // 2], players[::-1])
+            if max(a, b) < n
+        ]
+        p, q = np.array(pairs, dtype=int).reshape(-1, 2).T
+        rounds.append((p, q))
+        ring = ring[-1:] + ring[:-1]
+    return rounds
 
 
-def _sweep_numpy(A, V, skip_below):
-    """Same pass with vectorized row and column updates."""
-    n = A.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = A[p, q]
-            if abs(apq) <= skip_below:
-                continue
-            app = A[p, p]
-            aqq = A[q, q]
-            diff = aqq - app
-            if abs(apq) < 1e-36 * abs(diff):
-                t = apq / diff
-            else:
-                theta = diff / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            col_p = c * A[:, p] - s * A[:, q]
-            col_q = s * A[:, p] + c * A[:, q]
-            A[:, p] = col_p
-            A[:, q] = col_q
-            row_p = c * A[p, :] - s * A[q, :]
-            row_q = s * A[p, :] + c * A[q, :]
-            A[p, :] = row_p
-            A[q, :] = row_q
-            A[p, q] = 0.0
-            A[q, p] = 0.0
-            A[p, p] = app - t * apq
-            A[q, q] = aqq + t * apq
-            vcol_p = c * V[:, p] - s * V[:, q]
-            vcol_q = s * V[:, p] + c * V[:, q]
-            V[:, p] = vcol_p
-            V[:, q] = vcol_q
+def _sweep(A, V, skip_below):
+    """One sweep of Jacobi rotations over a stack of matrices, in place.
+
+    A and V have shape (F, n, n) and skip_below shape (F, 1).  Every round
+    of the round-robin ordering rotates its disjoint pairs of every matrix
+    at once: columns, then rows, then the exact 2 x 2 block, then the
+    columns of V.  A pair with |a_pq| <= skip_below gets t = 0, which
+    leaves its entries as they are.
+    """
+    for p, q in _round_robin(A.shape[-1]):
+        apq = A[:, p, q]
+        app = A[:, p, p]
+        aqq = A[:, q, q]
+        diff = aqq - app
+        rotate = np.abs(apq) > skip_below
+        # skipped pairs may divide by zero here; np.where discards them
+        theta = diff / (2.0 * apq)
+        t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+        t = np.where(theta < 0.0, -t, t)
+        t = np.where(np.abs(apq) < 1e-36 * np.abs(diff), apq / diff, t)
+        t = np.where(rotate, t, 0.0)
+        c = 1.0 / np.sqrt(t * t + 1.0)
+        s = t * c
+        cc, sc = c[:, None, :], s[:, None, :]
+        col_p, col_q = A[:, :, p], A[:, :, q]
+        A[:, :, p] = cc * col_p - sc * col_q
+        A[:, :, q] = sc * col_p + cc * col_q
+        cr, sr = c[:, :, None], s[:, :, None]
+        row_p, row_q = A[:, p, :], A[:, q, :]
+        A[:, p, :] = cr * row_p - sr * row_q
+        A[:, q, :] = sr * row_p + cr * row_q
+        A[:, p, q] = A[:, q, p] = np.where(rotate, 0.0, apq)
+        A[:, p, p] = np.where(rotate, app - t * apq, app)
+        A[:, q, q] = np.where(rotate, aqq + t * apq, aqq)
+        vcol_p, vcol_q = V[:, :, p], V[:, :, q]
+        V[:, :, p] = cc * vcol_p - sc * vcol_q
+        V[:, :, q] = sc * vcol_p + cc * vcol_q
 
 
-try:
-    from numba import njit
-except ImportError:
-    njit = None
+def _frobenius(A, off_diagonal=False):
+    """Frobenius norm of every matrix of a stack (F, n, n).
 
-if njit is not None:
-    _sweep = njit(cache=True, nogil=True)(_sweep_loops)
-else:
-    _sweep = _sweep_numpy
-
-
-def _off_norm(A):
-    # summed directly over the off-diagonal entries; subtracting the
-    # diagonal mass from the total would cancel catastrophically once the
-    # remainder is near machine precision
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return math.sqrt(float(np.sum(off * off)))
+    The off-diagonal norm sums the off-diagonal squares directly;
+    subtracting the diagonal mass from the total would cancel
+    catastrophically once the remainder is near machine precision.
+    """
+    n = A.shape[-1]
+    squares = A * A
+    if off_diagonal:
+        squares[:, np.arange(n), np.arange(n)] = 0.0
+    return np.sqrt(squares.reshape(len(A), n * n).sum(axis=1))
 
 
 def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of symmetric matrices by Jacobi rotations.
 
-    Sweeps run until the Frobenius norm of the off-diagonal part drops to
-    tol times the Frobenius norm of the input.  Returns (eigenvalues,
-    eigenvectors) with eigenvalues sorted descending and eigenvectors as
-    the matching orthonormal columns.  Raises DomainError when an entry is
-    not finite, NotSymmetric when the input is asymmetric beyond 1e-12 and
-    NoConvergence when the sweep budget runs out.
+    a is one matrix (n, n) or a stack (..., n, n); every matrix is solved
+    independently, and its result is bitwise the same whether it is solved
+    alone or inside a stack.  Each matrix is first scaled by the power of
+    two that brings its largest entry into [1/2, 1), which is exact and
+    keeps the norms from overflowing.  Sweeps of the round-robin ordering
+    run until the Frobenius norm of a matrix's off-diagonal part drops to
+    tol times the Frobenius norm of the matrix; a matrix that gets there
+    takes no further rotations.  Returns (eigenvalues, eigenvectors) of
+    shapes (..., n) and (..., n, n), with eigenvalues sorted descending and
+    eigenvectors as the matching orthonormal columns.  Raises ValueError
+    when the input is not a square matrix or a stack of them, DomainError
+    when an entry or an eigenvalue is not finite, NotSymmetric when a
+    matrix is asymmetric beyond 1e-12 and NoConvergence when any matrix
+    runs out of sweeps.
     """
     A = np.array(a, dtype=float, copy=True)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("input must be a square matrix")
-    n = A.shape[0]
-    if n == 0:
-        return np.empty(0), np.empty((0, 0))
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError("input must be a square matrix or a stack of them")
+    lead, n = A.shape[:-2], A.shape[-1]
+    A = A.reshape((math.prod(lead), n, n))
     if not np.all(np.isfinite(A)):
         raise DomainError("matrix has non-finite entries")
-    asymmetry = float(np.max(np.abs(A - A.T)))
+    asymmetry = float(np.max(np.abs(A - A.transpose(0, 2, 1)), initial=0.0))
     if asymmetry > 1e-12:
         raise NotSymmetric(f"matrix asymmetry {asymmetry:.3e} exceeds 1e-12")
-    A = 0.5 * (A + A.T)
-    V = np.eye(n)
-    anorm = float(np.sqrt(np.sum(A * A)))
-    if anorm == 0.0 or n == 1:
-        vals = np.diag(A).copy()
-    else:
-        skip_below = tol * anorm * 1e-2 / (n * n)
-        converged = False
-        for _ in range(max_sweeps):
-            if _off_norm(A) <= tol * anorm:
-                converged = True
+    _, exponent = np.frexp(np.max(np.abs(A), axis=(1, 2), initial=0.0))
+    A = np.ldexp(A, -exponent[:, None, None])
+    A = 0.5 * (A + A.transpose(0, 2, 1))
+    vals = np.empty(A.shape[:-1])
+    vecs = np.empty(A.shape)
+    live = np.arange(len(A))
+    V = np.broadcast_to(np.eye(n), A.shape).copy()
+    anorm = _frobenius(A)
+    limit = tol * anorm
+    skip_below = (tol * anorm * 1e-2 / max(1, n * n))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sweep in range(max_sweeps + 1):
+            done = _frobenius(A, off_diagonal=True) <= limit
+            vals[live[done]] = np.diagonal(A[done], axis1=1, axis2=2)
+            vecs[live[done]] = V[done]
+            going = ~done
+            live, A, V = live[going], A[going], V[going]
+            limit, skip_below = limit[going], skip_below[going]
+            if not live.size:
                 break
+            if sweep == max_sweeps:
+                raise NoConvergence(
+                    f"Jacobi sweeps exhausted ({max_sweeps}) before reaching "
+                    f"relative off-diagonal mass {tol:.0e}"
+                )
             _sweep(A, V, skip_below)
-        else:
-            converged = _off_norm(A) <= tol * anorm
-        if not converged:
-            raise NoConvergence(
-                f"Jacobi sweeps exhausted ({max_sweeps}) before reaching "
-                f"relative off-diagonal mass {tol:.0e}"
-            )
-        vals = np.diag(A).copy()
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], V[:, order]
+        vals = np.ldexp(vals, exponent[:, None])
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("eigenvalues exceed the floating-point range")
+    order = np.argsort(-vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    return vals.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
+
+
+def _collocation(K: np.ndarray, squad: SQuadrature) -> np.ndarray:
+    """Symmetrized sqrt(w_j) K[j][l] sqrt(w_l) of a matrix or a stack."""
+    sw = np.sqrt(squad.weights)
+    A = sw[:, None] * K * sw[None, :]
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 def assemble_fiber_matrix(
     k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, i: int
 ) -> np.ndarray:
     """Symmetrized collocation matrix of one fiber."""
-    K = fiber_kernel_matrix(k, ogrid, squad, i)
-    sw = np.sqrt(squad.weights)
-    A = sw[:, None] * K * sw[None, :]
-    return 0.5 * (A + A.T)
+    return _collocation(fiber_kernel_matrix(k, ogrid, squad, i), squad)
 
 
 def extract_eigenfunctions(vectors: np.ndarray, squad: SQuadrature) -> np.ndarray:
     """Eigenfunction node values from eigenvector columns.
 
     Returns one row per mode: x_n(t_j) = v_n[j] / sqrt(w_j), which keeps
-    the family orthonormal in the quadrature inner product.
+    the family orthonormal in the quadrature inner product.  vectors is
+    (n_s, r) or a stack (..., n_s, r); the rows come back as (..., r, n_s).
     """
     sw = np.sqrt(squad.weights)
-    return (vectors / sw[:, None]).T
+    return np.swapaxes(vectors / sw[:, None], -1, -2)
 
 
 @dataclass(frozen=True)
@@ -318,47 +324,51 @@ def _align_labels(
     return labels
 
 
-def _dense_fibers(k, ogrid, squad, eig_tol, threads):
-    """Jacobi on every assembled n x n fiber matrix."""
+def _solve_fibers(k: KernelSpec, ogrid, squad, eig_tol):
+    """Eigenpairs of every fiber from one stacked Jacobi solve.
 
-    def solve(i):
-        A = assemble_fiber_matrix(k, ogrid, squad, i)
-        vals, vecs = jacobi_eigh(A, tol=eig_tol)
-        return vals, vecs, float(np.trace(A))
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(solve, range(len(ogrid))))
-    return [solve(i) for i in range(len(ogrid))]
-
-
-def _factored_fibers(k: SeparableKernel, ogrid, squad, eig_tol):
-    """Exact eigenpairs of separable fibers through one shared QR.
-
-    Every fiber matrix is C^T diag(c(omega_i)) C with C = B diag(sqrt(w))
-    of shape (R, n).  With the reduced QR C^T = Q Rm, the fiber is
+    Returns eigenvalues (F, r), eigenvectors (F, n_s, r) and the trace of
+    every fiber matrix.  A sampled kernel solves the stack of its assembled
+    n_s x n_s fiber matrices (r = n_s).  Every fiber matrix of a separable
+    kernel is C^T diag(c(omega_i)) C with C = B diag(sqrt(w)) of shape
+    (R, n_s).  With the reduced QR C^T = Q Rm, the fiber is
     Q (Rm diag(c) Rm^T) Q^T, so its nonzero eigenpairs are those of the
-    k x k core (k = min(R, n)) with eigenvectors Q U, and its trace is
+    r x r core (r = min(R, n_s)) with eigenvectors Q U, and its trace is
     sum_r c_r ||C_r||^2.
     """
+    if not isinstance(k, SeparableKernel):
+        A = _collocation(sampled_values(k, ogrid, squad), squad)
+        vals, vecs = jacobi_eigh(A, tol=eig_tol)
+        return vals, vecs, np.trace(A, axis1=1, axis2=2)
     C = k.basis_matrix(squad) * np.sqrt(squad.weights)
     if not np.all(np.isfinite(C)):
         raise DomainError("kernel basis has non-finite values")
     Q, Rm = np.linalg.qr(C.T)
-    norms = np.sum(C * C, axis=1)
-    solved = []
-    for c in k.curve_matrix(ogrid):
-        core = (Rm * c) @ Rm.T
-        vals, U = jacobi_eigh(0.5 * (core + core.T), tol=eig_tol)
-        solved.append((vals, Q @ U, float(c @ norms)))
-    return solved
+    curves = k.curve_matrix(ogrid)
+    cores = (Rm * curves[:, None, :]) @ Rm.T
+    vals, U = jacobi_eigh(0.5 * (cores + cores.transpose(0, 2, 1)), tol=eig_tol)
+    return vals, Q @ U, curves @ np.sum(C * C, axis=1)
 
 
 def _retain(vals, vecs, squad, rank_tol):
-    """Truncated eigenvalues and sign-fixed eigenfunction rows of a fiber."""
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 0.0)
-    keep = np.abs(vals) > rank_tol * scale
-    return vals[keep], _sign_fix(extract_eigenfunctions(vecs[:, keep], squad))
+    """Truncate every fiber and pack it into the padded layout.
+
+    Eigenvalues with |lambda| <= rank_tol * max(1, |lambda|_max) are
+    dropped; a stable sort moves the kept slots to the front in their
+    descending order, and the eigenfunction rows follow, sign-fixed.
+    Returns eigenvalues (F, r_max), functions (F, r_max, n_s) and ranks.
+    """
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1, initial=0.0))
+    keep = np.abs(vals) > rank_tol * scale[:, None]
+    ranks = keep.sum(axis=1)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : ranks.max(initial=0)]
+    retained = np.take_along_axis(keep, order, axis=1)
+    eigenvalues = np.where(retained, np.take_along_axis(vals, order, axis=1), 0.0)
+    rows = np.take_along_axis(
+        extract_eigenfunctions(vecs, squad), order[..., None], axis=1
+    )
+    functions = np.where(retained[..., None], _sign_fix(rows), 0.0)
+    return eigenvalues, functions, ranks
 
 
 def decompose_all_fibers(
@@ -367,34 +377,21 @@ def decompose_all_fibers(
     squad: SQuadrature,
     rank_tol: float = DEFAULT_RANK_TOL,
     eig_tol: float = DEFAULT_EIG_TOL,
-    threads: int = 1,
 ) -> FiberDecomposition:
     """Decompose every fiber, truncate by rank_tol, and align the curves.
 
-    A separable kernel is solved exactly in the span of its R basis
-    functions: one QR shared by all fibers, then a min(R, n_s) square
-    Jacobi solve per fiber.  A sampled kernel gets a Jacobi solve of every
-    assembled n_s x n_s fiber matrix; threads > 1 runs those concurrently
-    with identical results.  The separable route always runs sequentially.
+    All fibers are solved in one stacked Jacobi call.  A separable kernel
+    is solved exactly in the span of its R basis functions: one QR shared
+    by all fibers, then a min(R, n_s) square core per fiber.  A sampled
+    kernel solves every assembled n_s x n_s fiber matrix.
 
     Eigenvalues with |lambda| <= rank_tol * max(1, |lambda|_max(omega)) are
     dropped.  The eigenfunction sign convention makes the first component
     within SIGN_TIE of the largest magnitude positive; ties inside
     degenerate blocks are resolved during alignment.
     """
-    if isinstance(k, SeparableKernel):
-        solved = _factored_fibers(k, ogrid, squad, eig_tol)
-    else:
-        solved = _dense_fibers(k, ogrid, squad, eig_tol, threads)
-    results = [_retain(vals, vecs, squad, rank_tol) for vals, vecs, _ in solved]
-    ranks = np.array([vals.size for vals, _ in results], dtype=int)
-    retained = np.arange(int(ranks.max(initial=0))) < ranks[:, None]
-    eigenvalues = np.zeros(retained.shape)
-    eigenvalues[retained] = np.concatenate([vals for vals, _ in results])
-    functions = np.zeros(retained.shape + (len(squad),))
-    functions[retained] = np.concatenate([funcs for _, funcs in results])
-    traces = np.array([trace for _, _, trace in solved])
-    eigensums = np.array([vals.sum() for vals, _, _ in solved])
+    vals, vecs, traces = _solve_fibers(k, ogrid, squad, eig_tol)
+    eigenvalues, functions, ranks = _retain(vals, vecs, squad, rank_tol)
     labels = _align_labels(eigenvalues, functions, ranks, squad.weights)
     return FiberDecomposition(
         ogrid=ogrid,
@@ -404,7 +401,7 @@ def decompose_all_fibers(
         labels=labels,
         ranks=ranks,
         traces=traces,
-        eigensums=eigensums,
+        eigensums=vals.sum(axis=1),
         m=ScalarField(ogrid, np.min(eigenvalues, axis=1, initial=0.0)),
         M=ScalarField(ogrid, np.max(eigenvalues, axis=1, initial=0.0)),
         rank_tol=rank_tol,

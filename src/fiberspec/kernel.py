@@ -129,15 +129,22 @@ def _check_index(i, n, what):
         raise IndexOutOfRange(f"{what} index {i} outside range [0, {n})")
 
 
+def sampled_values(
+    k: SampledKernel, ogrid: OmegaGrid, squad: SQuadrature
+) -> np.ndarray:
+    """Sample tensor of k, which must have been sampled on these grids."""
+    if not (same_omega_grid(k.ogrid, ogrid) and same_quadrature(k.squad, squad)):
+        raise GridMismatch("sampled kernel was sampled on different grids")
+    return k.values
+
+
 def fiber_kernel_matrix(
     k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, i: int
 ) -> np.ndarray:
     """Kernel matrix K[j][l] = k(omega_i, t_j, t_l) for one fiber."""
     _check_index(i, len(ogrid), "omega")
     if isinstance(k, SampledKernel):
-        if not (same_omega_grid(k.ogrid, ogrid) and same_quadrature(k.squad, squad)):
-            raise GridMismatch("sampled kernel was sampled on different grids")
-        return k.values[i]
+        return sampled_values(k, ogrid, squad)[i]
     basis = k.basis_matrix(squad)
     env = {"omega": ogrid.nodes[i]}
     curves = np.array([expr.evaluate(curve, env) for curve, _ in k.terms])
@@ -152,9 +159,7 @@ def kernel_value(
     _check_index(j, len(squad), "t")
     _check_index(l, len(squad), "s")
     if isinstance(k, SampledKernel):
-        if not (same_omega_grid(k.ogrid, ogrid) and same_quadrature(k.squad, squad)):
-            raise GridMismatch("sampled kernel was sampled on different grids")
-        return float(k.values[i, j, l])
+        return float(sampled_values(k, ogrid, squad)[i, j, l])
     omega = ogrid.nodes[i]
     t = squad.nodes[j]
     s = squad.nodes[l]

@@ -606,21 +606,4 @@ def run_suite(cfg: Config) -> list:
         )
     )
 
-    # threaded decomposition is bit-identical to the sequential one
-    d2 = decompose_all_fibers(
-        cfg.kernel,
-        ogrid,
-        squad,
-        rank_tol=tol.rank_tol,
-        eig_tol=tol.eig_tol,
-        threads=2,
-    )
-    if not np.array_equal(d.ranks, d2.ranks):
-        drift = 1.0
-    else:
-        drift = max(
-            float(np.max(np.abs(d.eigenvalues - d2.eigenvalues), initial=0.0)),
-            float(np.max(np.abs(d.functions - d2.functions), initial=0.0)),
-        )
-    results.append(_check("threaded_determinism", drift, 0.0))
     return results

@@ -255,7 +255,8 @@ def test_config_error_exit_codes(tmp_path):
         )
         == 2
     )
-    # a non-numeric partition bound and non-string expressions
+    # a non-numeric partition bound, non-string expressions, and sections
+    # or thresholds with variables they are not sampled in
     with open(CONFIG_PATH, encoding="utf-8") as fh:
         base = json.load(fh)
     edits = (
@@ -264,11 +265,15 @@ def test_config_error_exit_codes(tmp_path):
         ("thresholds", {"mid": [0.4]}),
         ("kernel", {"type": "separable", "terms": [{"curve": 1, "basis": "t"}]}),
         ("kernel", {"type": "sampled", "expression": None}),
+        ("sections", {"f": "s*t"}),
+        ("thresholds", {"mid": "t"}),
     )
     for key, value in edits:
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps({**base, key: value}), encoding="utf-8")
-        assert main(["decompose", "--config", str(edited), "--out", str(tmp_path)]) == 2
+        for command in ("decompose", "verify"):
+            rc = main([command, "--config", str(edited), "--out", str(tmp_path)])
+            assert rc == 2, (key, value, command)
 
 
 def test_nonfinite_kernel_is_numerical_error(tmp_path, capsys):

@@ -144,7 +144,6 @@ def test_mutated_config_keeps_cli_contract(tmp_path, capsys, ops, command):
             "--out", str(out),
             "--omega-n", "8",
             "--quad-n", "12",
-            "--threads", "1",
         ]
     )
     err = capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberspec as fs
 from fiberspec import errors
@@ -109,6 +111,85 @@ def test_jacobi_sweep_budget():
     A = 0.5 * (B + B.T)
     with pytest.raises(errors.NoConvergence):
         fs.jacobi_eigh(A, max_sweeps=0)
+
+
+def test_jacobi_sweep_budget_covers_every_matrix_of_a_stack():
+    rng = np.random.default_rng(11)
+    B = rng.standard_normal((5, 5))
+    diagonal = np.diag([4.0, -1.0, 2.0, 0.0, 3.0])
+    vals, _ = fs.jacobi_eigh(np.stack([diagonal, diagonal]), max_sweeps=0)
+    assert np.array_equal(vals[1], [4.0, 3.0, 2.0, 0.0, -1.0])
+    with pytest.raises(errors.NoConvergence):
+        fs.jacobi_eigh(np.stack([diagonal, B + B.T, diagonal]), max_sweeps=0)
+
+
+def symmetric_matrix(rng, kind, n):
+    """One test matrix: random, diagonal, zero or with repeated eigenvalues."""
+    if kind == "random":
+        B = rng.standard_normal((n, n))
+        return 0.5 * (B + B.T)
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(n))
+    if kind == "zero":
+        return np.zeros((n, n))
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    A = (Q * rng.choice([-1.0, 0.5, 2.0], size=n)) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+KINDS = ("random", "diagonal", "zero", "repeated")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_jacobi_matches_numpy(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    A = np.stack([symmetric_matrix(rng, kind, n) for kind in kinds])
+    vals, vecs = fs.jacobi_eigh(A)
+    assert vals.shape == (len(kinds), n) and vecs.shape == A.shape
+    want = np.linalg.eigvalsh(A)[:, ::-1]
+    for a, v, V, w in zip(A, vals, vecs, want):
+        anorm = float(np.sqrt(np.sum(a * a)))
+        assert np.max(np.abs(v - w)) <= 1e-12 * max(1.0, anorm)
+        assert np.max(np.abs(a @ V - V * v)) < 1e-11 * max(1.0, anorm)
+        assert np.max(np.abs(V.T @ V - np.eye(n))) < 1e-13
+        assert np.all(np.diff(v) <= 0.0)
+
+
+def test_stacked_solve_bitwise_equal(cfg):
+    # dense rank-3 fibers, random and already diagonal matrices: a matrix
+    # that converges early must leave the stack untouched by later rounds
+    rng = np.random.default_rng(12)
+    n = len(cfg.squad)
+    fibers = [
+        fs.assemble_fiber_matrix(cfg.kernel, cfg.ogrid, cfg.squad, i)
+        for i in (0, 40)
+    ]
+    stack = np.stack(fibers + [symmetric_matrix(rng, kind, n) for kind in KINDS])
+    vals, vecs = fs.jacobi_eigh(stack)
+    for A, v, V in zip(stack, vals, vecs):
+        alone_vals, alone_vecs = fs.jacobi_eigh(A)
+        assert alone_vals.tobytes() == v.tobytes()
+        assert alone_vecs.tobytes() == V.tobytes()
+
+
+def test_jacobi_huge_entries_are_scaled_exactly():
+    huge = np.full((2, 2), 1e200)
+    vals, vecs = fs.jacobi_eigh(huge)
+    assert vals[0] == 2e200 and vals[1] == 0.0
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(2))) < 1e-15
+    ordinary = np.array([[2.0, 1.0], [1.0, -3.0]])
+    stacked_vals, stacked_vecs = fs.jacobi_eigh(np.stack([huge, ordinary]))
+    alone_vals, alone_vecs = fs.jacobi_eigh(ordinary)
+    assert stacked_vals[1].tobytes() == alone_vals.tobytes()
+    assert stacked_vecs[1].tobytes() == alone_vecs.tobytes()
+    # finite entries whose eigenvalue is not a finite double
+    with pytest.raises(errors.DomainError):
+        fs.jacobi_eigh(np.full((2, 2), 1e308))
 
 
 def test_assemble_fiber_matrix_is_symmetric(cfg):
@@ -229,16 +310,6 @@ def test_bounds_with_negative_curve(grids):
     d = fs.decompose_all_fibers(k, ogrid, squad)
     assert np.allclose(d.m.values, -ogrid.nodes, atol=1e-12)
     assert np.all(d.M.values == 0.0)
-
-
-def test_threaded_decomposition_bitwise_equal(cfg, decomposition):
-    d2 = fs.decompose_all_fibers(
-        cfg.kernel, cfg.ogrid, cfg.squad, threads=4
-    )
-    for i in range(d2.n_fibers):
-        assert np.array_equal(d2.eigenvalues[i], decomposition.eigenvalues[i])
-        assert np.array_equal(d2.functions[i], decomposition.functions[i])
-        assert np.array_equal(d2.labels[i], decomposition.labels[i])
 
 
 def test_degenerate_curves_keep_distinct_ids(grids):

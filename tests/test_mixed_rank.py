@@ -90,8 +90,8 @@ def test_padded_layout(d, grids):
 
 
 # The second case adds a third curve above omega = 3/4, so the rank-1 fibers
-# carry two padded slots; 32 nodes keep sin(3 pi t) accurate on the half
-# grid of the eigenvalue_grid_stability check.
+# carry two padded slots; 32 nodes resolve sin(3 pi t), and the
+# eigenvalue_grid_stability check compares them with the doubled rule.
 @pytest.mark.parametrize(
     "terms, n_s",
     [(TERMS, 24), (TERMS + (("max(0,omega-3/4)", "sqrt(2)*sin(3*pi*t)"),), 32)],
