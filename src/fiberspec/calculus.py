@@ -91,13 +91,6 @@ def _multiply(d: FiberDecomposition, f: Section, h, h0) -> Section:
     return Section(d.ogrid, d.squad, out + h0 * f.values)
 
 
-def _evaluate_at(g: expr.Expression, points) -> np.ndarray:
-    """g at every entry of points, keeping their shape."""
-    points = np.asarray(points, dtype=float)
-    values = [expr.evaluate(g, {"lambda": float(x)}) for x in points.flat]
-    return np.array(values).reshape(points.shape)
-
-
 def apply_spectral(d: FiberDecomposition, f: Section) -> Section:
     """Apply the operator through its retained eigenpairs."""
     _require_section_on(d, f)
@@ -130,15 +123,16 @@ def functional_calculus(
     null component.
 
     g is an expression of lambda and must be evaluable on the spectral
-    interval [min m, max M + epsilon]; that is probed at the interval ends
-    before any fiber work so domain violations surface early.
+    interval [min m, max M + epsilon].  One call evaluates it at the
+    interval ends first, then at 0 and at every eigenvalue slot; a domain
+    error at any of these points raises.
     """
     _require_section_on(d, f)
     lo = float(np.min(d.m.values))
     hi = float(np.max(d.M.values)) + epsilon
-    _evaluate_at(g, [lo, hi])
-    g0 = expr.evaluate(g, {"lambda": 0.0})
-    return _multiply(d, f, _evaluate_at(g, d.eigenvalues), g0)
+    points = np.concatenate(([lo, hi, 0.0], d.eigenvalues.ravel()))
+    values = expr.evaluate(g, {"lambda": points})
+    return _multiply(d, f, values[3:].reshape(d.eigenvalues.shape), values[2])
 
 
 def riemann_stieltjes_apply(
@@ -174,7 +168,7 @@ def riemann_stieltjes_apply(
         )
     steps = max(1, int(math.ceil(cells)))
     cuts = np.linspace(m_star, top, steps + 1)
-    g_cuts = _evaluate_at(g, cuts)
+    g_cuts = expr.evaluate(g, {"lambda": cuts})
     reach = cuts + DEFAULT_TIE_TOL
     h = g_cuts[np.searchsorted(reach, d.eigenvalues, side="left")]
     h0 = g_cuts[np.searchsorted(reach, 0.0, side="left")]

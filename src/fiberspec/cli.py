@@ -173,7 +173,11 @@ def cmd_verify(cfg, args):
         print(line)
     n_pass = sum(1 for r in results if r.passed)
     print(f"{n_pass}/{len(results)} checks passed")
-    return 0 if n_pass == len(results) else 4
+    if n_pass == len(results):
+        return 0
+    n_fail = len(results) - n_pass
+    print(f"verify failed: {n_fail} of {len(results)} checks", file=sys.stderr)
+    return 4
 
 
 def _build_parser():
@@ -240,23 +244,26 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        cfg = load_config(
-            args.config,
-            omega_n=args.omega_n,
-            quad_n=args.quad_n,
-            rank_tol=args.rank_tol,
-            tie_tol=args.tie_tol,
-            member_tol=args.member_tol,
-            epsilon=args.epsilon,
-        )
-        return args.handler(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FiberspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    # floating-point trouble surfaces as one DomainError diagnostic, never
+    # as numpy RuntimeWarnings on stderr
+    with np.errstate(all="ignore"):
+        try:
+            cfg = load_config(
+                args.config,
+                omega_n=args.omega_n,
+                quad_n=args.quad_n,
+                rank_tol=args.rank_tol,
+                tie_tol=args.tie_tol,
+                member_tol=args.member_tol,
+                epsilon=args.epsilon,
+            )
+            return args.handler(cfg, args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except FiberspecError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -14,6 +14,13 @@ binds tighter than the base of '^', so -2^2 evaluates to 4.  Numbers are
 decimal literals with an optional exponent part.  The only identifiers are
 the variables omega, t, s, lambda, the constant pi, and the builtin
 functions sin, cos, tan, exp, log, sqrt, abs, min, max, pow.
+
+Evaluation is element-wise: variables bind to floats or numpy arrays that
+broadcast together, and one walk of the tree combines whole arrays with
+numpy ufuncs.  Every domain check (division by zero, zero to a negative
+power, a negative base with a non-integer exponent, log and sqrt out of
+their domain, overflow in exp and pow) runs on every element, and a
+result that is not finite is a DomainError too.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import (
     DomainError,
@@ -69,53 +78,66 @@ class Call:
 Expression = Union[Num, Var, Pi, Neg, BinOp, Call]
 
 
+def _require(bad, message):
+    if np.any(bad):
+        raise DomainError(message)
+
+
+def _first(x, bad):
+    """The first entry of x, in C order, where bad holds."""
+    return float(np.broadcast_to(x, np.shape(bad))[bad][0])
+
+
 def _safe_div(a, b):
-    if b == 0.0:
-        raise DomainError("division by zero")
+    _require(b == 0.0, "division by zero")
     return a / b
 
 
 def _safe_pow(base, exponent):
-    if base == 0.0 and exponent < 0.0:
-        raise DomainError("zero raised to a negative power")
-    if base < 0.0 and exponent != math.floor(exponent):
-        raise DomainError("negative base with non-integer exponent")
-    try:
-        return math.pow(base, exponent)
-    except OverflowError as exc:
-        raise DomainError("overflow in pow") from exc
+    _require((base == 0.0) & (exponent < 0.0), "zero raised to a negative power")
+    _require(
+        (base < 0.0) & (exponent != np.floor(exponent)),
+        "negative base with non-integer exponent",
+    )
+    out = np.power(base, exponent)
+    overflow = np.isinf(out) & np.isfinite(base) & np.isfinite(exponent)
+    _require(overflow, "overflow in pow")
+    return out
 
 
 def _safe_log(x):
-    if x <= 0.0:
-        raise DomainError(f"log of non-positive value {x!r}")
-    return math.log(x)
+    bad = x <= 0.0
+    if np.any(bad):
+        raise DomainError(f"log of non-positive value {_first(x, bad)!r}")
+    return np.log(x)
 
 
 def _safe_sqrt(x):
-    if x < 0.0:
-        raise DomainError(f"sqrt of negative value {x!r}")
-    return math.sqrt(x)
+    bad = x < 0.0
+    if np.any(bad):
+        raise DomainError(f"sqrt of negative value {_first(x, bad)!r}")
+    return np.sqrt(x)
 
 
 def _safe_exp(x):
-    try:
-        return math.exp(x)
-    except OverflowError as exc:
-        raise DomainError("overflow in exp") from exc
+    out = np.exp(x)
+    _require(np.isinf(out) & np.isfinite(x), "overflow in exp")
+    return out
 
 
-# name -> (arity, implementation)
+# name -> (arity, element-wise implementation); min and max keep Python's
+# min(a, b) and max(a, b): the first argument unless the second compares
+# strictly smaller (larger)
 FUNCTIONS = {
-    "sin": (1, math.sin),
-    "cos": (1, math.cos),
-    "tan": (1, math.tan),
+    "sin": (1, np.sin),
+    "cos": (1, np.cos),
+    "tan": (1, np.tan),
     "exp": (1, _safe_exp),
     "log": (1, _safe_log),
     "sqrt": (1, _safe_sqrt),
-    "abs": (1, abs),
-    "min": (2, min),
-    "max": (2, max),
+    "abs": (1, np.abs),
+    "min": (2, lambda a, b: np.where(b < a, b, a)),
+    "max": (2, lambda a, b: np.where(b > a, b, a)),
     "pow": (2, _safe_pow),
 }
 
@@ -269,12 +291,27 @@ def parse(text: str) -> Expression:
     return node
 
 
-def evaluate(e: Expression, bindings: dict) -> float:
-    """Evaluate an AST against variable bindings, returning a float.
+def evaluate(e: Expression, bindings: dict):
+    """Evaluate an AST element-wise over its variable bindings.
 
-    Raises MissingBinding when a free variable has no bound value and
-    DomainError when evaluation leaves the real domain.
+    Each binding is a float or a numpy array, and all of them broadcast
+    together.  The result has their broadcast shape: a float when every
+    binding is a scalar, a new float array otherwise.  Raises
+    MissingBinding when a free variable has no bound value and DomainError
+    when any element leaves the real domain or the result is not finite.
     """
+    with np.errstate(all="ignore"):
+        value = _walk(e, bindings)
+    bad = ~np.isfinite(value)
+    if np.any(bad):
+        raise DomainError(f"non-finite value {_first(value, bad)!r}")
+    shape = np.broadcast_shapes(*(np.shape(v) for v in bindings.values()))
+    if not shape:
+        return float(value)
+    return np.broadcast_to(value, shape).copy()
+
+
+def _walk(e, bindings):
     match e:
         case Num(value):
             return value
@@ -282,24 +319,23 @@ def evaluate(e: Expression, bindings: dict) -> float:
             return math.pi
         case Var(name):
             try:
-                return float(bindings[name])
+                return np.asarray(bindings[name], dtype=float)
             except KeyError:
                 raise MissingBinding(f"no binding for variable {name!r}") from None
         case Neg(operand):
-            return -evaluate(operand, bindings)
+            return -_walk(operand, bindings)
         case BinOp("+", left, right):
-            return evaluate(left, bindings) + evaluate(right, bindings)
+            return _walk(left, bindings) + _walk(right, bindings)
         case BinOp("-", left, right):
-            return evaluate(left, bindings) - evaluate(right, bindings)
+            return _walk(left, bindings) - _walk(right, bindings)
         case BinOp("*", left, right):
-            return evaluate(left, bindings) * evaluate(right, bindings)
+            return _walk(left, bindings) * _walk(right, bindings)
         case BinOp("/", left, right):
-            return _safe_div(evaluate(left, bindings), evaluate(right, bindings))
+            return _safe_div(_walk(left, bindings), _walk(right, bindings))
         case BinOp("^", left, right):
-            return _safe_pow(evaluate(left, bindings), evaluate(right, bindings))
+            return _safe_pow(_walk(left, bindings), _walk(right, bindings))
         case Call(func, args):
-            fn = FUNCTIONS[func][1]
-            return float(fn(*(evaluate(a, bindings) for a in args)))
+            return FUNCTIONS[func][1](*(_walk(a, bindings) for a in args))
     raise TypeError(f"not an expression node: {e!r}")
 
 

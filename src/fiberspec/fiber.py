@@ -341,8 +341,6 @@ def _solve_fibers(k: KernelSpec, ogrid, squad, eig_tol):
         vals, vecs = jacobi_eigh(A, tol=eig_tol)
         return vals, vecs, np.trace(A, axis1=1, axis2=2)
     C = k.basis_matrix(squad) * np.sqrt(squad.weights)
-    if not np.all(np.isfinite(C)):
-        raise DomainError("kernel basis has non-finite values")
     Q, Rm = np.linalg.qr(C.T)
     curves = k.curve_matrix(ogrid)
     cores = (Rm * curves[:, None, :]) @ Rm.T

@@ -178,20 +178,14 @@ def require_matching_sections(x: Section, y: Section):
 
 def sample_field(e: expr.Expression, grid: OmegaGrid) -> ScalarField:
     """Evaluate an expression of omega at every parameter node."""
-    values = np.array(
-        [expr.evaluate(e, {"omega": node}) for node in grid.nodes], dtype=float
-    )
-    return ScalarField(grid, values)
+    return ScalarField(grid, expr.evaluate(e, {"omega": grid.nodes}))
 
 
 def sample_section(
     e: expr.Expression, ogrid: OmegaGrid, squad: SQuadrature
 ) -> Section:
     """Evaluate an expression of omega and t at every product node."""
-    values = np.empty((len(ogrid), len(squad)))
-    for i, omega in enumerate(ogrid.nodes):
-        for j, t in enumerate(squad.nodes):
-            values[i, j] = expr.evaluate(e, {"omega": omega, "t": t})
+    values = expr.evaluate(e, {"omega": ogrid.nodes[:, None], "t": squad.nodes})
     return Section(ogrid, squad, values)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import expr
 from .errors import (
+    DomainError,
     GridMismatch,
     IndexOutOfRange,
     InvalidKernel,
@@ -55,19 +56,13 @@ class SeparableKernel:
 
     def curve_matrix(self, ogrid: OmegaGrid) -> np.ndarray:
         """Curve samples, shape (n_omega, n_terms)."""
-        out = np.empty((len(ogrid), len(self.terms)))
-        for n, (curve, _) in enumerate(self.terms):
-            out[:, n] = [
-                expr.evaluate(curve, {"omega": node}) for node in ogrid.nodes
-            ]
-        return out
+        return np.stack(
+            [expr.evaluate(c, {"omega": ogrid.nodes}) for c, _ in self.terms], axis=1
+        )
 
     def basis_matrix(self, squad: SQuadrature) -> np.ndarray:
         """Basis samples, shape (n_terms, n_s)."""
-        out = np.empty((len(self.terms), len(squad)))
-        for n, (_, basis) in enumerate(self.terms):
-            out[n] = [expr.evaluate(basis, {"t": node}) for node in squad.nodes]
-        return out
+        return np.stack([expr.evaluate(b, {"t": squad.nodes}) for _, b in self.terms])
 
 
 @dataclass(frozen=True)
@@ -86,7 +81,7 @@ class SampledKernel:
                 f"sampled kernel shape {values.shape} does not match grids"
             )
         if not np.all(np.isfinite(values)):
-            raise ValueError("sampled kernel contains non-finite values")
+            raise DomainError("sampled kernel contains non-finite values")
         object.__setattr__(self, "values", values)
 
 
@@ -105,14 +100,15 @@ def sample_kernel(
     transpose when the asymmetry is at most SYMMETRIZE_TOL and rejected
     with NotSymmetric otherwise.
     """
-    n_omega, n_s = len(ogrid), len(squad)
-    values = np.empty((n_omega, n_s, n_s))
-    for i, omega in enumerate(ogrid.nodes):
-        for j, t in enumerate(squad.nodes):
-            for k, s in enumerate(squad.nodes):
-                values[i, j, k] = expr.evaluate(
-                    e, {"omega": omega, "t": t, "s": s}
-                )
+    nodes = squad.nodes
+    values = expr.evaluate(
+        e,
+        {
+            "omega": ogrid.nodes[:, None, None],
+            "t": nodes[None, :, None],
+            "s": nodes[None, None, :],
+        },
+    )
     if symmetrize:
         swapped = values.transpose(0, 2, 1)
         asymmetry = float(np.max(np.abs(values - swapped))) if values.size else 0.0
@@ -155,22 +151,9 @@ def kernel_value(
     k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, i: int, j: int, l: int
 ) -> float:
     """Kernel value at the node triple (omega_i, t_j, s_l)."""
-    _check_index(i, len(ogrid), "omega")
     _check_index(j, len(squad), "t")
     _check_index(l, len(squad), "s")
-    if isinstance(k, SampledKernel):
-        return float(sampled_values(k, ogrid, squad)[i, j, l])
-    omega = ogrid.nodes[i]
-    t = squad.nodes[j]
-    s = squad.nodes[l]
-    total = 0.0
-    for curve, basis in k.terms:
-        total += (
-            expr.evaluate(curve, {"omega": omega})
-            * expr.evaluate(basis, {"t": t})
-            * expr.evaluate(basis, {"t": s})
-        )
-    return total
+    return float(fiber_kernel_matrix(k, ogrid, squad, i)[j, l])
 
 
 def hermitian_check(k: KernelSpec) -> float:

@@ -498,7 +498,7 @@ def run_suite(cfg: Config) -> list:
     lo = float(np.min(d.m.values))
     hi = float(np.max(d.M.values)) + cfg.epsilon
     grid_l = np.linspace(lo, hi, 2001)
-    sup_g = max(abs(expr.evaluate(g_bound, {"lambda": x})) for x in grid_l)
+    sup_g = float(np.max(np.abs(expr.evaluate(g_bound, {"lambda": grid_l}))))
     gout = functional_calculus(d, g_bound, f0, cfg.epsilon)
     results.append(
         _check(

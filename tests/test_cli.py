@@ -298,6 +298,29 @@ def test_nonfinite_kernel_is_numerical_error(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def test_overflowing_sampled_kernel_is_config_error(tmp_path, capsys):
+    # the samples themselves overflow, or only their symmetrized average
+    for expression in ("1e200*1e200*t*s", "1.5e308"):
+        config = tmp_path / "overflow.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "omega_grid": {"n": 4},
+                    "s_quadrature": {"rule": "gauss_legendre", "n": 4},
+                    "kernel": {"type": "sampled", "expression": expression},
+                }
+            ),
+            encoding="utf-8",
+        )
+        for command in ("decompose", "verify"):
+            out = str(tmp_path / "out")
+            rc = main([command, "--config", str(config), "--out", out])
+            err = capsys.readouterr().err
+            assert rc == 2, (expression, command)
+            assert len(err.splitlines()) == 1
+            assert err.startswith("config error: kernel: ") and "non-finite" in err
+
+
 def test_syntax_diagnostic_reaches_stderr(tmp_path, capsys):
     malformed = tmp_path / "expr.json"
     malformed.write_text(

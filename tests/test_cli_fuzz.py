@@ -1,16 +1,19 @@
 """Property test of the CLI contract on mutated configurations.
 
-Each example takes configs/trig_rank3.json, replaces, deletes or adds a few
-entries (values of any JSON type, expression strings built from the
-grammar's tokens) and runs decompose or verify on a small grid.  Whatever
-the input, main() must return 0, 2, 3 or 4 without raising, and every
-value in a CSV it wrote must be finite.
+Each example takes configs/trig_rank3.json or a small sampled-kernel
+config, replaces, deletes or adds a few entries (values of any JSON type,
+expression strings built from the grammar's tokens) and runs decompose or
+verify on a small grid.  Whatever the input, main() must return 0, 2, 3
+or 4 without raising or warning, write nothing to stderr on exit 0 and
+exactly one line otherwise, and every value in a CSV it wrote must be
+finite.
 """
 
 import csv
 import json
 import math
 import shutil
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,7 +23,19 @@ from fiberspec.cli import main
 from conftest import CONFIG_PATH
 
 with open(CONFIG_PATH, encoding="utf-8") as fh:
-    BASE = json.load(fh)
+    TRIG = json.load(fh)
+# a sampled kernel is evaluated on the whole product grid at load time
+SAMPLED = {
+    "omega_grid": {"n": 4},
+    "s_quadrature": {"rule": "gauss_legendre", "n": 6},
+    "kernel": {
+        "type": "sampled",
+        "expression": "min(t,s)-t*s+omega*sin(pi*t)*sin(pi*s)",
+    },
+    "sections": {"f": "omega*sin(pi*t)"},
+    "thresholds": {"ramp": "omega/4"},
+}
+BASES = (TRIG, SAMPLED)
 
 
 def _paths(node, prefix=()):
@@ -38,7 +53,6 @@ def _leaf(node, path):
     return node
 
 
-PATHS = sorted(_paths(BASE), key=repr)
 
 TOKENS = (
     "omega", "t", "s", "lambda", "pi", "e", "0", "1", "2", "0.5", "1e308",
@@ -82,19 +96,31 @@ values = st.recursive(
     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
-EXPRESSION_PATHS = [p for p in PATHS if isinstance(_leaf(BASE, p), str)]
-mutations = st.lists(
-    st.tuples(
-        st.sampled_from(("replace", "delete", "add")),
-        st.sampled_from(PATHS),
-        values,
-        st.sampled_from(("n", "rule", "type", "terms", "curve", "basis", "x")),
+
+
+def _mutations(base):
+    paths = sorted(_paths(base), key=repr)
+    expression_paths = [p for p in paths if isinstance(_leaf(base, p), str)]
+    return st.lists(
+        st.tuples(
+            st.sampled_from(("replace", "delete", "add")),
+            st.sampled_from(paths),
+            values,
+            st.sampled_from(("n", "rule", "type", "terms", "curve", "basis", "x")),
+        )
+        | st.tuples(
+            st.just("replace"),
+            st.sampled_from(expression_paths),
+            expressions,
+            st.just(""),
+        ),
+        min_size=1,
+        max_size=3,
     )
-    | st.tuples(
-        st.just("replace"), st.sampled_from(EXPRESSION_PATHS), expressions, st.just("")
-    ),
-    min_size=1,
-    max_size=3,
+
+
+cases = st.sampled_from(BASES).flatmap(
+    lambda base: st.tuples(st.just(base), _mutations(base))
 )
 
 
@@ -129,25 +155,29 @@ def csv_values_finite(path):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(ops=mutations, command=st.sampled_from(("decompose", "verify")))
-def test_mutated_config_keeps_cli_contract(tmp_path, capsys, ops, command):
-    raw = mutate(json.loads(json.dumps(BASE)), ops)
+@given(case=cases, command=st.sampled_from(("decompose", "verify")))
+def test_mutated_config_keeps_cli_contract(tmp_path, capsys, case, command):
+    base, ops = case
+    raw = mutate(json.loads(json.dumps(base)), ops)
     config = tmp_path / "mutated.json"
     config.write_text(json.dumps(raw), encoding="utf-8")
     # tmp_path is shared by all examples of one test run
     out = tmp_path / "out"
     shutil.rmtree(out, ignore_errors=True)
-    rc = main(
-        [
-            command,
-            "--config", str(config),
-            "--out", str(out),
-            "--omega-n", "8",
-            "--quad-n", "12",
-        ]
-    )
+    # pytest records warnings apart from capsys; raise them here instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            [
+                command,
+                "--config", str(config),
+                "--out", str(out),
+                "--omega-n", "8",
+                "--quad-n", "12",
+            ]
+        )
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == (0 if rc == 0 else 1), err
     for written in out.glob("*.csv"):
         assert csv_values_finite(written), written.name

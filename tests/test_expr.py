@@ -1,10 +1,14 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fiberspec import errors, expr
+from fiberspec.errors import DomainError, MissingBinding
+from fiberspec.expr import BinOp, Call, Neg, Num, Pi, Var
 
 
 def ev(text, **bindings):
@@ -120,6 +124,30 @@ def test_domain_errors():
         ev("(-2)^0.5")
 
 
+def test_array_domain_errors_name_the_first_offending_value():
+    t = np.array([[1.0, 0.0], [-2.0, -3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(errors.DomainError, match=r"non-positive value 0\.0$"):
+            expr.evaluate(expr.parse("log(t)"), {"t": t})
+        with pytest.raises(errors.DomainError, match=r"sqrt of negative value -2\.0$"):
+            expr.evaluate(expr.parse("sqrt(t)"), {"t": t})
+        with pytest.raises(errors.DomainError, match="division by zero"):
+            expr.evaluate(expr.parse("1/t"), {"t": t})
+        with pytest.raises(errors.DomainError, match="non-finite value inf"):
+            expr.evaluate(expr.parse("1e200*1e200*t^2"), {"t": t})
+        with pytest.raises(errors.DomainError, match="overflow in exp"):
+            expr.evaluate(expr.parse("exp(1000*t)"), {"t": t})
+
+
+def test_array_result_has_the_broadcast_shape():
+    omega, t = np.array([[0.25], [0.5]]), np.array([0.0, 1.0, 2.0])
+    out = expr.evaluate(expr.parse("2"), {"omega": omega, "t": t})
+    assert out.shape == (2, 3) and np.all(out == 2.0)
+    out = expr.evaluate(expr.parse("t"), {"t": t})
+    assert np.array_equal(out, t) and out is not t
+
+
 def test_pow_large_overflow():
     with pytest.raises(errors.DomainError):
         ev("10^10^10")
@@ -172,3 +200,198 @@ def test_print_parse_round_trip(tree):
     a = expr.evaluate(tree, {"omega": 0.3, "t": 0.7})
     b = expr.evaluate(expr.parse(text), {"omega": 0.3, "t": 0.7})
     assert a == b
+
+
+# The scalar tree-walker that expr.evaluate replaced, kept as the reference:
+# one point at a time, with the math module.
+def _oracle_div(a, b):
+    if b == 0.0:
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _oracle_pow(base, exponent):
+    if base == 0.0 and exponent < 0.0:
+        raise DomainError("zero raised to a negative power")
+    if base < 0.0 and exponent != math.floor(exponent):
+        raise DomainError("negative base with non-integer exponent")
+    try:
+        return math.pow(base, exponent)
+    except OverflowError as exc:
+        raise DomainError("overflow in pow") from exc
+
+
+def _oracle_log(x):
+    if x <= 0.0:
+        raise DomainError(f"log of non-positive value {x!r}")
+    return math.log(x)
+
+
+def _oracle_sqrt(x):
+    if x < 0.0:
+        raise DomainError(f"sqrt of negative value {x!r}")
+    return math.sqrt(x)
+
+
+def _oracle_exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError as exc:
+        raise DomainError("overflow in exp") from exc
+
+
+ORACLE_FUNCTIONS = {
+    "sin": math.sin,
+    "cos": math.cos,
+    "tan": math.tan,
+    "exp": _oracle_exp,
+    "log": _oracle_log,
+    "sqrt": _oracle_sqrt,
+    "abs": abs,
+    "min": min,
+    "max": max,
+    "pow": _oracle_pow,
+}
+
+
+def oracle(e, bindings):
+    match e:
+        case Num(value):
+            return value
+        case Pi():
+            return math.pi
+        case Var(name):
+            try:
+                return float(bindings[name])
+            except KeyError:
+                raise MissingBinding(f"no binding for variable {name!r}") from None
+        case Neg(operand):
+            return -oracle(operand, bindings)
+        case BinOp("+", left, right):
+            return oracle(left, bindings) + oracle(right, bindings)
+        case BinOp("-", left, right):
+            return oracle(left, bindings) - oracle(right, bindings)
+        case BinOp("*", left, right):
+            return oracle(left, bindings) * oracle(right, bindings)
+        case BinOp("/", left, right):
+            return _oracle_div(oracle(left, bindings), oracle(right, bindings))
+        case BinOp("^", left, right):
+            return _oracle_pow(oracle(left, bindings), oracle(right, bindings))
+        case Call(func, args):
+            fn = ORACLE_FUNCTIONS[func]
+            return float(fn(*(oracle(a, bindings) for a in args)))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def outcome(e, bindings):
+    """The oracle's value at one point, or the class it raises.
+
+    math raises ValueError or OverflowError for some infinite arguments
+    (sin(inf), a negative base to an infinite power), where the oracle has
+    no answer; such examples are discarded.
+    """
+    try:
+        return oracle(e, bindings)
+    except (DomainError, MissingBinding) as exc:
+        return type(exc)
+    except (ValueError, OverflowError):
+        assume(False)
+
+
+REALS = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 1e300, -1e300]
+) | st.floats(-10.0, 10.0)
+LEAVES = st.one_of(
+    REALS.map(Num), st.sampled_from([Var(v) for v in expr.VARIABLES]), st.just(Pi())
+)
+
+
+def trees(unary, binary, calls2):
+    """Random ASTs over the given operators and one- and two-argument calls."""
+
+    def extend(sub):
+        return st.one_of(
+            sub.map(Neg),
+            st.tuples(st.sampled_from(binary), sub, sub).map(lambda a: BinOp(*a)),
+            st.tuples(st.sampled_from(unary), sub).map(lambda a: Call(a[0], (a[1],))),
+            st.tuples(st.sampled_from(calls2), sub, sub).map(
+                lambda a: Call(a[0], (a[1], a[2]))
+            ),
+        )
+
+    return st.recursive(LEAVES, extend, max_leaves=8)
+
+
+# numpy's ufuncs round exactly like math for these; tan, exp, log and pow
+# are checked one call at a time below
+EXACT_TREES = trees(["sin", "cos", "sqrt", "abs"], "+-*/", ["min", "max"])
+SCALAR_BINDINGS = st.dictionaries(st.sampled_from(expr.VARIABLES), REALS)
+
+
+@st.composite
+def array_bindings(draw):
+    """Every variable bound; omega (a, 1), t (1, b) and s (b,) broadcast
+    to (a, b), lambda stays a float."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    shapes = {"omega": (a, 1), "t": (1, b), "s": (b,)}
+    out = {"lambda": draw(REALS)}
+    for name, shape in shapes.items():
+        size = int(np.prod(shape))
+        values = draw(st.lists(REALS, min_size=size, max_size=size))
+        out[name] = np.array(values).reshape(shape)
+    return out
+
+
+def expect(e, bindings, want, close=lambda got, want: got == want):
+    """evaluate(e, bindings) against the oracle's outcome at every point."""
+    want = np.asarray(want, dtype=object)
+    failures = [w for w in want.flat if isinstance(w, type)]
+    if failures or not all(math.isfinite(w) for w in want.flat):
+        # element-wise checks: the first failing node of the walk raises,
+        # so with several points the class is that of some failing point
+        with pytest.raises((DomainError, MissingBinding)) as info:
+            expr.evaluate(e, bindings)
+        assert info.type in (failures or [DomainError])
+        return
+    got = expr.evaluate(e, bindings)
+    if want.ndim == 0:
+        assert isinstance(got, float)
+    assert np.shape(got) == want.shape
+    for g, w in zip(np.ravel(got), want.flat):
+        assert close(g, w), (g, w)
+
+
+@settings(max_examples=400, deadline=None)
+@given(EXACT_TREES, SCALAR_BINDINGS)
+def test_evaluate_matches_oracle_on_scalars(tree, bindings):
+    expect(tree, bindings, outcome(tree, bindings))
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXACT_TREES, array_bindings())
+def test_evaluate_matches_oracle_on_arrays(tree, bindings):
+    shape = np.broadcast_shapes(*(np.shape(v) for v in bindings.values()))
+    want = np.empty(shape, dtype=object)
+    for index in np.ndindex(shape):
+        point = {k: np.broadcast_to(v, shape)[index] for k, v in bindings.items()}
+        want[index] = outcome(tree, point)
+    expect(tree, bindings, want)
+
+
+def within_one_ulp(got, want):
+    return got in (want, np.nextafter(want, -np.inf), np.nextafter(want, np.inf))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["tan(t)", "exp(t)", "log(t)", "t^s", "pow(t,s)"]),
+    st.lists(REALS | st.floats(-800.0, 800.0), min_size=1, max_size=6),
+    REALS | st.integers(-4, 4).map(float),
+)
+def test_inexact_functions_within_one_ulp(text, ts, s):
+    e = expr.parse(text)
+    t = np.array(ts)
+    want = [outcome(e, {"t": x, "s": s}) for x in ts]
+    for x, w in zip(ts, want):
+        expect(e, {"t": x, "s": s}, w, within_one_ulp)
+    expect(e, {"t": t, "s": s}, want, within_one_ulp)

@@ -107,16 +107,19 @@ def test_nonfinite_basis_is_domain_error(grids):
 
 
 def test_fiber_kernel_matrix_evaluates_one_node(cfg, monkeypatch):
-    seen = set()
+    B = cfg.kernel.basis_matrix(cfg.squad)
+    curves = cfg.kernel.curve_matrix(cfg.ogrid)[11]
+    omegas = []
     evaluate = fs.expr.evaluate
 
     def spy(e, env):
-        seen.add(env.get("omega"))
+        if "omega" in env:
+            omegas.append(env["omega"])
         return evaluate(e, env)
 
     monkeypatch.setattr(fs.expr, "evaluate", spy)
     K = fs.fiber_kernel_matrix(cfg.kernel, cfg.ogrid, cfg.squad, 11)
-    assert seen - {None} == {cfg.ogrid.nodes[11]}
-    B = cfg.kernel.basis_matrix(cfg.squad)
-    curves = cfg.kernel.curve_matrix(cfg.ogrid)[11]
+    # one call per curve, each with omega bound to the single node omega_11
+    assert len(omegas) == len(cfg.kernel.terms)
+    assert all(np.array_equal(w, cfg.ogrid.nodes[11]) for w in omegas)
     assert np.array_equal(K, (B.T * curves) @ B)

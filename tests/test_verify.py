@@ -88,9 +88,11 @@ def test_non_psd_kernel_fails_verify(tmp_path, capsys):
         encoding="utf-8",
     )
     rc = main(["verify", "--config", str(path)])
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert rc == 4
-    assert "[FAIL] kernel_psd" in out
+    assert "[FAIL] kernel_psd" in captured.out
+    assert captured.err.startswith("verify failed: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_random_separable_kernels_are_valid():
