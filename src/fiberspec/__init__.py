@@ -41,12 +41,10 @@ from .errors import (
 from .expr import evaluate, free_variables, parse, to_source
 from .fiber import (
     FiberDecomposition,
-    align_curves,
-    assemble_fiber_matrix,
     decompose_all_fibers,
     extract_eigenfunctions,
+    fiber_matrices,
     jacobi_eigh,
-    spectral_bounds,
 )
 from .grid import (
     OmegaGrid,
@@ -64,9 +62,8 @@ from .grid import (
 from .kernel import (
     SampledKernel,
     SeparableKernel,
-    fiber_kernel_matrix,
     hermitian_check,
-    kernel_value,
+    kernel_matrices,
     mercer_reconstruct,
     psd_check,
     sample_kernel,
@@ -111,10 +108,8 @@ __all__ = [
     "Tolerances",
     "UnknownCurveLabel",
     "UnknownIdentifier",
-    "align_curves",
     "apply_quadrature",
     "apply_spectral",
-    "assemble_fiber_matrix",
     "build_omega_grid",
     "build_s_quadrature",
     "decompose",
@@ -123,14 +118,14 @@ __all__ = [
     "evaluate",
     "extract_eigenfunctions",
     "fiber_inner_product",
-    "fiber_kernel_matrix",
+    "fiber_matrices",
     "fiber_norm_field",
     "fiber_spectrum",
     "free_variables",
     "functional_calculus",
     "hermitian_check",
     "jacobi_eigh",
-    "kernel_value",
+    "kernel_matrices",
     "l22_norm",
     "load_config",
     "membership_distances",
@@ -143,7 +138,6 @@ __all__ = [
     "sample_field",
     "sample_kernel",
     "sample_section",
-    "spectral_bounds",
     "spm_membership",
     "to_source",
 ]

@@ -24,6 +24,7 @@ from .grid import (
     OmegaGrid,
     ScalarField,
     Section,
+    SQuadrature,
     same_omega_grid,
     same_quadrature,
 )
@@ -63,38 +64,41 @@ def _require_field_on(grid: OmegaGrid, field: ScalarField):
         raise GridMismatch("threshold field lives on a different parameter grid")
 
 
+def _quadrature(k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, values):
+    """Quadrature action on section values of shape (..., n_omega, n_s)."""
+    w = squad.weights
+    if isinstance(k, SeparableKernel):
+        basis = k.basis_matrix(squad)
+        coeff = (values * w) @ basis.T
+        return (k.curve_matrix(ogrid) * coeff) @ basis
+    if not (same_omega_grid(k.ogrid, ogrid) and same_quadrature(k.squad, squad)):
+        raise GridMismatch("section does not live on the sampled kernel grids")
+    return np.einsum("ijl,...il->...ij", k.values, values * w)
+
+
 def apply_quadrature(k: KernelSpec, f: Section) -> Section:
     """Apply the operator by direct quadrature against the kernel."""
-    w = f.squad.weights
-    if isinstance(k, SeparableKernel):
-        basis = k.basis_matrix(f.squad)
-        curves = k.curve_matrix(f.ogrid)
-        coeff = (f.values * w) @ basis.T
-        out = (curves * coeff) @ basis
-        return Section(f.ogrid, f.squad, out)
-    if not (same_omega_grid(k.ogrid, f.ogrid) and same_quadrature(k.squad, f.squad)):
-        raise GridMismatch("section does not live on the sampled kernel grids")
-    out = np.einsum("ijl,il->ij", k.values, f.values * w)
-    return Section(f.ogrid, f.squad, out)
+    return Section(f.ogrid, f.squad, _quadrature(k, f.ogrid, f.squad, f.values))
 
 
-def _multiply(d: FiberDecomposition, f: Section, h, h0) -> Section:
+def _multiply(d: FiberDecomposition, values, h, h0) -> np.ndarray:
     """Spectral multiplier sum_n (h_n - h0) <f, x_n> x_n + h0 f, fiberwise.
 
-    h has the shape of d.eigenvalues and h0 is a scalar or one value per
-    fiber, the multiplier on the null component.  Padded slots have zero
-    eigenfunction rows, so they add nothing whatever h holds there.
+    values holds sections f of shape (..., F, n_s), h multipliers of shape
+    (..., F, r_max) and h0 the multiplier on the null component, of shape
+    (..., F) or a scalar; the leading axes broadcast.  Padded slots have
+    zero eigenfunction rows, so they add nothing whatever h holds there.
     """
     h0 = np.asarray(h0, dtype=float)[..., None]
-    coeff = np.einsum("irj,ij->ir", d.functions, d.squad.weights * f.values)
-    out = np.einsum("ir,irj->ij", (h - h0) * coeff, d.functions)
-    return Section(d.ogrid, d.squad, out + h0 * f.values)
+    coeff = np.einsum("irj,...ij->...ir", d.functions, d.squad.weights * values)
+    out = np.einsum("...ir,irj->...ij", (h - h0) * coeff, d.functions)
+    return out + h0 * values
 
 
 def apply_spectral(d: FiberDecomposition, f: Section) -> Section:
     """Apply the operator through its retained eigenpairs."""
     _require_section_on(d, f)
-    return _multiply(d, f, d.eigenvalues, 0.0)
+    return Section(d.ogrid, d.squad, _multiply(d, f.values, d.eigenvalues, 0.0))
 
 
 def projector_apply(d: FiberDecomposition, lam: ThresholdField, f: Section) -> Section:
@@ -110,7 +114,8 @@ def projector_apply(d: FiberDecomposition, lam: ThresholdField, f: Section) -> S
     _require_section_on(d, f)
     _require_field_on(d.ogrid, lam.field)
     cut = lam.field.values + lam.tie_tol
-    return _multiply(d, f, d.eigenvalues <= cut[:, None], 0.0 <= cut)
+    h = d.eigenvalues <= cut[:, None]
+    return Section(d.ogrid, d.squad, _multiply(d, f.values, h, 0.0 <= cut))
 
 
 def functional_calculus(
@@ -132,7 +137,8 @@ def functional_calculus(
     hi = float(np.max(d.M.values)) + epsilon
     points = np.concatenate(([lo, hi, 0.0], d.eigenvalues.ravel()))
     values = expr.evaluate(g, {"lambda": points})
-    return _multiply(d, f, values[3:].reshape(d.eigenvalues.shape), values[2])
+    h = values[3:].reshape(d.eigenvalues.shape)
+    return Section(d.ogrid, d.squad, _multiply(d, f.values, h, values[2]))
 
 
 def riemann_stieltjes_apply(
@@ -172,7 +178,7 @@ def riemann_stieltjes_apply(
     reach = cuts + DEFAULT_TIE_TOL
     h = g_cuts[np.searchsorted(reach, d.eigenvalues, side="left")]
     h0 = g_cuts[np.searchsorted(reach, 0.0, side="left")]
-    return _multiply(d, f, h, h0)
+    return Section(d.ogrid, d.squad, _multiply(d, f.values, h, h0))
 
 
 @dataclass(frozen=True)

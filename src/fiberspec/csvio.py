@@ -2,21 +2,37 @@
 
 Every writer uses a header row, LF line endings, '.' as the decimal
 separator, and 17 significant digits for reals, so identical inputs
-produce byte-identical files.
+produce byte-identical files.  Each writer builds its columns from whole
+arrays and zips them into rows.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
 from .fiber import FiberDecomposition
 from .grid import ScalarField, Section
 from .kernel import SampledKernel
-from .spectrum import fiber_spectrum, membership_distances
+from .spectrum import _spectra, membership_distances
 
 
-def format_real(x: float) -> str:
-    return format(float(x), ".17g")
+def _reals(x):
+    """Every value of an array as text with 17 significant digits, in C
+    order, formatted one by one as the rows are written."""
+    return map(format, np.asarray(x, dtype=float).flat, repeat(".17g"))
+
+
+def _along(texts, shape, axis):
+    """texts[k] at every index of shape whose coordinate on axis is k.
+
+    The column is iterated in C order from a broadcast view, so a node
+    value repeated across a grid is formatted once and never copied.
+    """
+    view = np.array(list(texts), dtype=object)
+    view = view.reshape([-1 if a == axis else 1 for a in range(len(shape))])
+    return np.broadcast_to(view, shape).flat
 
 
 def write_rows(path, header, rows):
@@ -26,126 +42,101 @@ def write_rows(path, header, rows):
             fh.write(",".join(row) + "\n")
 
 
-def field_rows(field: ScalarField):
-    for node, value in zip(field.grid.nodes, field.values):
-        yield (format_real(node), format_real(value))
-
-
 def write_field(path, field: ScalarField):
-    write_rows(path, ("omega", "value"), field_rows(field))
+    columns = (_reals(field.grid.nodes), _reals(field.values))
+    write_rows(path, ("omega", "value"), zip(*columns))
 
 
 def write_section(path, section: Section):
-    def rows():
-        for i, omega in enumerate(section.ogrid.nodes):
-            for j, t in enumerate(section.squad.nodes):
-                yield (
-                    format_real(omega),
-                    format_real(t),
-                    format_real(section.values[i, j]),
-                )
-
-    write_rows(path, ("omega", "t", "value"), rows())
+    shape = section.values.shape
+    columns = (
+        _along(_reals(section.ogrid.nodes), shape, 0),
+        _along(_reals(section.squad.nodes), shape, 1),
+        _reals(section.values),
+    )
+    write_rows(path, ("omega", "t", "value"), zip(*columns))
 
 
-def _curve_order(d: FiberDecomposition, i: int):
-    """Retained slots of fiber i in ascending curve id order."""
-    return np.argsort(d.labels[i, : d.ranks[i]], kind="stable")
+def _retained_by_curve(d: FiberDecomposition):
+    """Retained slots fiber by fiber, each fiber in ascending curve id order.
+
+    Returns the fiber index, the 1-based curve id, the eigenvalue and the
+    eigenfunction row of every retained slot; padded slots (label -1) sort
+    first and are dropped.
+    """
+    order = np.argsort(d.labels, axis=1, kind="stable")
+    labels = np.take_along_axis(d.labels, order, axis=1)
+    keep = labels >= 0
+    return (
+        np.nonzero(keep)[0],
+        labels[keep] + 1,
+        np.take_along_axis(d.eigenvalues, order, axis=1)[keep],
+        np.take_along_axis(d.functions, order[..., None], axis=1)[keep],
+    )
 
 
 def write_eigencurves(path, d: FiberDecomposition):
     """Rows (omega, curve_id, lambda) with 1-based aligned curve ids."""
-
-    def rows():
-        for i, omega in enumerate(d.ogrid.nodes):
-            for pos in _curve_order(d, i):
-                yield (
-                    format_real(omega),
-                    str(int(d.labels[i][pos]) + 1),
-                    format_real(d.eigenvalues[i][pos]),
-                )
-
-    write_rows(path, ("omega", "curve_id", "lambda"), rows())
+    fiber, ids, values, _ = _retained_by_curve(d)
+    omega = list(_reals(d.ogrid.nodes))
+    columns = ([omega[i] for i in fiber], map(str, ids.tolist()), _reals(values))
+    write_rows(path, ("omega", "curve_id", "lambda"), zip(*columns))
 
 
 def write_eigenfunctions(path, d: FiberDecomposition):
-    def rows():
-        for i, omega in enumerate(d.ogrid.nodes):
-            for pos in _curve_order(d, i):
-                cid = str(int(d.labels[i][pos]) + 1)
-                for j, t in enumerate(d.squad.nodes):
-                    yield (
-                        format_real(omega),
-                        cid,
-                        format_real(t),
-                        format_real(d.functions[i][pos, j]),
-                    )
-
-    write_rows(path, ("omega", "curve_id", "t", "value"), rows())
+    fiber, ids, _, rows = _retained_by_curve(d)
+    omega = list(_reals(d.ogrid.nodes))
+    columns = (
+        _along([omega[i] for i in fiber], rows.shape, 0),
+        _along(map(str, ids.tolist()), rows.shape, 0),
+        _along(_reals(d.squad.nodes), rows.shape, 1),
+        _reals(rows),
+    )
+    write_rows(path, ("omega", "curve_id", "t", "value"), zip(*columns))
 
 
 def write_bounds(path, d: FiberDecomposition):
-    def rows():
-        for i, omega in enumerate(d.ogrid.nodes):
-            yield (
-                format_real(omega),
-                format_real(d.m.values[i]),
-                format_real(d.M.values[i]),
-            )
-
-    write_rows(path, ("omega", "m", "M"), rows())
+    columns = (_reals(d.ogrid.nodes), _reals(d.m.values), _reals(d.M.values))
+    write_rows(path, ("omega", "m", "M"), zip(*columns))
 
 
 def write_spectra(path, d: FiberDecomposition):
     """Rows (omega, lambda) listing each fiber spectrum in descending order."""
-
-    def rows():
-        for i, omega in enumerate(d.ogrid.nodes):
-            for value in fiber_spectrum(d, i):
-                yield (format_real(omega), format_real(value))
-
-    write_rows(path, ("omega", "lambda"), rows())
+    spectra = _spectra(d)
+    fiber, slot = np.nonzero(np.isfinite(spectra))
+    omega = list(_reals(d.ogrid.nodes))
+    columns = ([omega[i] for i in fiber], _reals(spectra[fiber, slot]))
+    write_rows(path, ("omega", "lambda"), zip(*columns))
 
 
 def write_kernel(path, k: SampledKernel):
-    def rows():
-        for i, omega in enumerate(k.ogrid.nodes):
-            for j, t in enumerate(k.squad.nodes):
-                for l, s in enumerate(k.squad.nodes):
-                    yield (
-                        format_real(omega),
-                        format_real(t),
-                        format_real(s),
-                        format_real(k.values[i, j, l]),
-                    )
-
-    write_rows(path, ("omega", "t", "s", "value"), rows())
+    shape = k.values.shape
+    columns = (
+        _along(_reals(k.ogrid.nodes), shape, 0),
+        _along(_reals(k.squad.nodes), shape, 1),
+        _along(_reals(k.squad.nodes), shape, 2),
+        _reals(k.values),
+    )
+    write_rows(path, ("omega", "t", "s", "value"), zip(*columns))
 
 
 def write_membership(path, d: FiberDecomposition, field: ScalarField):
     """Rows (omega, lambda, nearest_spectral_value, distance)."""
-    distances = membership_distances(d, field)
-
-    def rows():
-        for i, omega in enumerate(d.ogrid.nodes):
-            spec = fiber_spectrum(d, i)
-            nearest = spec[int(np.argmin(np.abs(spec - field.values[i])))]
-            yield (
-                format_real(omega),
-                format_real(field.values[i]),
-                format_real(nearest),
-                format_real(distances[i]),
-            )
-
-    write_rows(
-        path, ("omega", "lambda", "nearest_spectral_value", "distance"), rows()
+    spectra = _spectra(d)
+    # the -inf padding is infinitely far from every value
+    nearest = np.argmin(np.abs(spectra - field.values[:, None]), axis=1)
+    columns = (
+        _reals(d.ogrid.nodes),
+        _reals(field.values),
+        _reals(spectra[np.arange(d.n_fibers), nearest]),
+        _reals(membership_distances(d, field)),
     )
+    header = ("omega", "lambda", "nearest_spectral_value", "distance")
+    write_rows(path, header, zip(*columns))
 
 
 def write_report(path, pairs):
     """Rows (metric, value) for small numeric summaries."""
-    write_rows(
-        path,
-        ("metric", "value"),
-        ((name, format_real(value)) for name, value in pairs),
-    )
+    names = [name for name, _ in pairs]
+    values = _reals([value for _, value in pairs])
+    write_rows(path, ("metric", "value"), zip(names, values))

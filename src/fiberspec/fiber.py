@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, NotSymmetric
 from .grid import OmegaGrid, ScalarField, SQuadrature
-from .kernel import (
-    KernelSpec,
-    SeparableKernel,
-    fiber_kernel_matrix,
-    sampled_values,
-)
+from .kernel import KernelSpec, SeparableKernel, kernel_matrices
 
 DEFAULT_EIG_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
@@ -65,16 +60,16 @@ def _round_robin(n):
     return rounds
 
 
-def _sweep(A, V, skip_below):
+def _sweep(A, V, skip_below, rounds):
     """One sweep of Jacobi rotations over a stack of matrices, in place.
 
-    A and V have shape (F, n, n) and skip_below shape (F, 1).  Every round
-    of the round-robin ordering rotates its disjoint pairs of every matrix
-    at once: columns, then rows, then the exact 2 x 2 block, then the
-    columns of V.  A pair with |a_pq| <= skip_below gets t = 0, which
+    A and V have shape (F, n, n) and skip_below shape (F, 1); rounds is
+    _round_robin(n).  Every round rotates its disjoint pairs of every
+    matrix at once: columns, then rows, then the exact 2 x 2 block, then
+    the columns of V.  A pair with |a_pq| <= skip_below gets t = 0, which
     leaves its entries as they are.
     """
-    for p, q in _round_robin(A.shape[-1]):
+    for p, q in rounds:
         apq = A[:, p, q]
         app = A[:, p, p]
         aqq = A[:, q, q]
@@ -156,6 +151,7 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     anorm = _frobenius(A)
     limit = tol * anorm
     skip_below = (tol * anorm * 1e-2 / max(1, n * n))[:, None]
+    rounds = _round_robin(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(max_sweeps + 1):
             done = _frobenius(A, off_diagonal=True) <= limit
@@ -171,7 +167,7 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
                     f"Jacobi sweeps exhausted ({max_sweeps}) before reaching "
                     f"relative off-diagonal mass {tol:.0e}"
                 )
-            _sweep(A, V, skip_below)
+            _sweep(A, V, skip_below, rounds)
         vals = np.ldexp(vals, exponent[:, None])
     if not np.all(np.isfinite(vals)):
         raise DomainError("eigenvalues exceed the floating-point range")
@@ -181,18 +177,18 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     return vals.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
 
 
-def _collocation(K: np.ndarray, squad: SQuadrature) -> np.ndarray:
-    """Symmetrized sqrt(w_j) K[j][l] sqrt(w_l) of a matrix or a stack."""
-    sw = np.sqrt(squad.weights)
-    A = sw[:, None] * K * sw[None, :]
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
-def assemble_fiber_matrix(
-    k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, i: int
+def fiber_matrices(
+    k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature
 ) -> np.ndarray:
-    """Symmetrized collocation matrix of one fiber."""
-    return _collocation(fiber_kernel_matrix(k, ogrid, squad, i), squad)
+    """Symmetrized collocation matrices of every fiber, (n_omega, n_s, n_s).
+
+    The kernel stack is scaled in place once copied, so at most two
+    (n_omega, n_s, n_s) arrays are alive at a time.
+    """
+    sw = np.sqrt(squad.weights)
+    A = sw[:, None] * kernel_matrices(k, ogrid, squad)
+    A *= sw
+    return 0.5 * (A + A.transpose(0, 2, 1))
 
 
 def extract_eigenfunctions(vectors: np.ndarray, squad: SQuadrature) -> np.ndarray:
@@ -337,7 +333,7 @@ def _solve_fibers(k: KernelSpec, ogrid, squad, eig_tol):
     sum_r c_r ||C_r||^2.
     """
     if not isinstance(k, SeparableKernel):
-        A = _collocation(sampled_values(k, ogrid, squad), squad)
+        A = fiber_matrices(k, ogrid, squad)
         vals, vecs = jacobi_eigh(A, tol=eig_tol)
         return vals, vecs, np.trace(A, axis1=1, axis2=2)
     C = k.basis_matrix(squad) * np.sqrt(squad.weights)
@@ -405,12 +401,3 @@ def decompose_all_fibers(
         rank_tol=rank_tol,
     )
 
-
-def align_curves(d: FiberDecomposition) -> np.ndarray:
-    """Recompute the aligned curve labeling of a decomposition."""
-    return _align_labels(d.eigenvalues, d.functions, d.ranks, d.squad.weights)
-
-
-def spectral_bounds(d: FiberDecomposition) -> tuple:
-    """Fiberwise lower and upper spectral bounds (both keep 0 in range)."""
-    return d.m, d.M

@@ -18,7 +18,6 @@ from . import expr
 from .errors import (
     DomainError,
     GridMismatch,
-    IndexOutOfRange,
     InvalidKernel,
     NotSymmetric,
     RankTooLarge,
@@ -116,44 +115,26 @@ def sample_kernel(
             raise NotSymmetric(
                 f"sampled kernel asymmetry {asymmetry:.3e} exceeds {SYMMETRIZE_TOL:.0e}"
             )
-        values = 0.5 * (values + swapped)
+        values = 0.5 * values + 0.5 * swapped
     return SampledKernel(ogrid, squad, values)
 
 
-def _check_index(i, n, what):
-    if not 0 <= i < n:
-        raise IndexOutOfRange(f"{what} index {i} outside range [0, {n})")
-
-
-def sampled_values(
-    k: SampledKernel, ogrid: OmegaGrid, squad: SQuadrature
+def kernel_matrices(
+    k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature
 ) -> np.ndarray:
-    """Sample tensor of k, which must have been sampled on these grids."""
-    if not (same_omega_grid(k.ogrid, ogrid) and same_quadrature(k.squad, squad)):
-        raise GridMismatch("sampled kernel was sampled on different grids")
-    return k.values
+    """Kernel values K[i][j][l] = k(omega_i, t_j, t_l) of every fiber.
 
-
-def fiber_kernel_matrix(
-    k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, i: int
-) -> np.ndarray:
-    """Kernel matrix K[j][l] = k(omega_i, t_j, t_l) for one fiber."""
-    _check_index(i, len(ogrid), "omega")
+    Returns shape (n_omega, n_s, n_s).  A sampled kernel must have been
+    sampled on these grids and returns its own tensor; a separable kernel
+    samples each curve and basis expression once.
+    """
     if isinstance(k, SampledKernel):
-        return sampled_values(k, ogrid, squad)[i]
+        if not (same_omega_grid(k.ogrid, ogrid) and same_quadrature(k.squad, squad)):
+            raise GridMismatch("sampled kernel was sampled on different grids")
+        return k.values
     basis = k.basis_matrix(squad)
-    env = {"omega": ogrid.nodes[i]}
-    curves = np.array([expr.evaluate(curve, env) for curve, _ in k.terms])
-    return (basis.T * curves) @ basis
-
-
-def kernel_value(
-    k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, i: int, j: int, l: int
-) -> float:
-    """Kernel value at the node triple (omega_i, t_j, s_l)."""
-    _check_index(j, len(squad), "t")
-    _check_index(l, len(squad), "s")
-    return float(fiber_kernel_matrix(k, ogrid, squad, i)[j, l])
+    curves = k.curve_matrix(ogrid)
+    return (basis.T * curves[:, None, :]) @ basis
 
 
 def hermitian_check(k: KernelSpec) -> float:

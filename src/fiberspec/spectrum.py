@@ -71,12 +71,22 @@ class Partition:
         return out
 
 
+def _spectra(d: FiberDecomposition) -> np.ndarray:
+    """Every fiber spectrum, one row (r_max + 1) per fiber.
+
+    Row i holds the retained eigenvalues of fiber i and 0 in descending
+    order, followed by -inf for each padded slot.
+    """
+    vals = np.where(d.labels >= 0, d.eigenvalues, -np.inf)
+    vals = np.append(vals, np.zeros((d.n_fibers, 1)), axis=1)
+    return np.sort(vals, axis=1)[:, ::-1]
+
+
 def fiber_spectrum(d: FiberDecomposition, i: int) -> np.ndarray:
     """Spectrum of one fiber: retained eigenvalues and 0, descending."""
     if not 0 <= i < d.n_fibers:
         raise IndexOutOfRange(f"fiber index {i} outside range [0, {d.n_fibers})")
-    vals = np.append(d.eigenvalues[i, : d.ranks[i]], 0.0)
-    return np.sort(vals)[::-1]
+    return _spectra(d)[i, : d.ranks[i] + 1]
 
 
 def mix_field(
@@ -124,9 +134,6 @@ def spm_membership(
     tol.
     """
     distances = membership_distances(d, field)
-    violations = [
-        (int(i), float(distances[i]))
-        for i in range(d.n_fibers)
-        if distances[i] > tol
-    ]
+    (bad,) = np.nonzero(distances > tol)
+    violations = list(zip(bad.tolist(), distances[bad].tolist()))
     return len(violations) == 0, violations

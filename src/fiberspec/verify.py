@@ -15,17 +15,19 @@ import numpy as np
 from . import expr
 from .calculus import (
     ThresholdField,
+    _multiply,
+    _quadrature,
     apply_quadrature,
     apply_spectral,
     functional_calculus,
-    projector_apply,
     riemann_stieltjes_apply,
 )
 from .config import Config, decompose, sample_section
+from .errors import DomainError
 from .fiber import (
     FiberDecomposition,
-    assemble_fiber_matrix,
     decompose_all_fibers,
+    fiber_matrices,
     jacobi_eigh,
 )
 from .grid import (
@@ -33,15 +35,10 @@ from .grid import (
     ScalarField,
     Section,
     SQuadrature,
-    fiber_inner_product,
+    build_s_quadrature,
     l22_norm,
 )
-from .kernel import (
-    SeparableKernel,
-    fiber_kernel_matrix,
-    hermitian_check,
-    psd_check,
-)
+from .kernel import SeparableKernel, hermitian_check, psd_check
 from .spectrum import Partition, membership_distances, mix_field, spm_membership
 
 SEED = 1347
@@ -78,10 +75,35 @@ def _check(name, value, bound, relation="<=", note=""):
 
 
 def random_sections(rng, ogrid: OmegaGrid, squad: SQuadrature, count: int):
-    return [
-        Section(ogrid, squad, rng.standard_normal((len(ogrid), len(squad))))
-        for _ in range(count)
-    ]
+    values = rng.standard_normal((count, len(ogrid), len(squad)))
+    return [Section(ogrid, squad, v) for v in values]
+
+
+def _finite_field(values: np.ndarray) -> np.ndarray:
+    """values, after the finiteness check of a ScalarField."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError("field contains non-finite values")
+    return values
+
+
+def _pairing(d: FiberDecomposition, x, y) -> np.ndarray:
+    """Fiberwise pairing <x, y>(omega) of stacked section values, (..., F).
+
+    Like fiber_inner_product, it raises DomainError when a pairing is not
+    finite, which is also the case whenever x or y is not.
+    """
+    return _finite_field((x * y) @ d.squad.weights)
+
+
+def _l22(d: FiberDecomposition, x) -> np.ndarray:
+    """l22_norm of every section of a stack (..., F, n_s)."""
+    return np.sqrt(np.maximum(_pairing(d, x, x) @ d.ogrid.weights, 0.0))
+
+
+def _project(d: FiberDecomposition, x, lam, tie_tol):
+    """Projector at the threshold values lam (..., F) applied to x."""
+    cut = lam + tie_tol
+    return _multiply(d, x, d.eigenvalues <= cut[..., None], 0.0 <= cut)
 
 
 def random_threshold_fields(rng, d: FiberDecomposition, count: int, tie_tol: float):
@@ -146,169 +168,87 @@ def projector_axiom_residuals(
     """Residuals of the projector family axioms over the given probes.
 
     Keys match AXIOM_BOUNDS.  The operator itself enters through the
-    quadrature route so the axioms exercise both representations.
+    quadrature route so the axioms exercise both representations.  The
+    sections are stacked, so each axiom is one array expression per
+    threshold.
     """
     res = {name: 0.0 for name in AXIOM_BOUNDS}
 
-    def bump(name, value):
-        res[name] = max(res[name], float(value))
+    def bump(name, values):
+        res[name] = max(res[name], float(np.max(values, initial=0.0)))
 
     tie = thresholds[0].tie_tol if thresholds else 1e-12
-    n_sections = len(sections)
-    t_of = [apply_quadrature(k, f) for f in sections]
-    norms = [l22_norm(f) for f in sections]
-    self_ip = [fiber_inner_product(f, f).values for f in sections]
+    x = np.stack([f.values for f in sections])
+    tx = _quadrature(k, d.ogrid, d.squad, x)
+    norms = _l22(d, x)
+    self_ip = _pairing(d, x, x)
+    tf_ip = _pairing(d, tx, x)
 
     for lam in thresholds:
-        projected = [projector_apply(d, lam, f) for f in sections]
-        for idx, f in enumerate(sections):
-            ef = projected[idx]
-            g = sections[(idx + 1) % n_sections]
-            eg = projected[(idx + 1) % n_sections]
-            bump(
-                "projector_idempotence",
-                l22_norm(
-                    Section(
-                        f.ogrid,
-                        f.squad,
-                        projector_apply(d, lam, ef).values - ef.values,
-                    )
-                ),
-            )
-            bump(
-                "projector_self_adjoint",
-                np.max(
-                    np.abs(
-                        fiber_inner_product(ef, g).values
-                        - fiber_inner_product(f, eg).values
-                    )
-                ),
-            )
-            bump("projector_contraction", l22_norm(ef) - norms[idx])
-            tf = t_of[idx]
-            etf = projector_apply(d, lam, tf)
-            tef = apply_quadrature(k, ef)
-            bump(
-                "projector_commutes_with_op",
-                l22_norm(Section(f.ogrid, f.squad, etf.values - tef.values)),
-            )
-            ef_ip = fiber_inner_product(ef, f).values
-            etf_ip = fiber_inner_product(etf, f).values
-            tf_ip = fiber_inner_product(tf, f).values
-            lam_vals = lam.field.values
-            bump(
-                "projector_order_upper",
-                max(0.0, float(np.max(etf_ip - lam_vals * ef_ip))),
-            )
-            bump(
-                "projector_order_lower",
-                max(
-                    0.0,
-                    float(
-                        np.max(
-                            lam_vals * (self_ip[idx] - ef_ip) - (tf_ip - etf_ip)
-                        )
-                    ),
-                ),
-            )
+        lam_vals = lam.field.values
+        ex = _project(d, x, lam_vals, lam.tie_tol)
+        etx = _project(d, tx, lam_vals, lam.tie_tol)
+        eex = _project(d, ex, lam_vals, lam.tie_tol)
+        bump("projector_idempotence", _l22(d, eex - ex))
+        # each section is paired with the next one, cyclically
+        bump(
+            "projector_self_adjoint",
+            np.abs(
+                _pairing(d, ex, np.roll(x, -1, axis=0))
+                - _pairing(d, x, np.roll(ex, -1, axis=0))
+            ),
+        )
+        bump("projector_contraction", _l22(d, ex) - norms)
+        tex = _quadrature(k, d.ogrid, d.squad, ex)
+        bump("projector_commutes_with_op", _l22(d, etx - tex))
+        ex_ip = _pairing(d, ex, x)
+        etx_ip = _pairing(d, etx, x)
+        bump("projector_order_upper", etx_ip - lam_vals * ex_ip)
+        lower = lam_vals * (self_ip - ex_ip) - (tf_ip - etx_ip)
+        bump("projector_order_lower", lower)
 
     # monotonicity over pointwise min/max pairs of consecutive thresholds
     for a, b in zip(thresholds, thresholds[1:]):
-        lo = ThresholdField(
-            ScalarField(d.ogrid, np.minimum(a.field.values, b.field.values)),
-            tie,
-        )
-        hi = ThresholdField(
-            ScalarField(d.ogrid, np.maximum(a.field.values, b.field.values)),
-            tie,
-        )
-        for f in sections[:2]:
-            e_lo = projector_apply(d, lo, f)
-            bump(
-                "projector_monotone",
-                l22_norm(
-                    Section(
-                        f.ogrid,
-                        f.squad,
-                        projector_apply(d, hi, e_lo).values - e_lo.values,
-                    )
-                ),
-            )
-            e_hi = projector_apply(d, hi, f)
-            bump(
-                "projector_monotone",
-                l22_norm(
-                    Section(
-                        f.ogrid,
-                        f.squad,
-                        projector_apply(d, lo, e_hi).values - e_lo.values,
-                    )
-                ),
-            )
+        lo = np.minimum(a.field.values, b.field.values)
+        hi = np.maximum(a.field.values, b.field.values)
+        e_lo = _project(d, x[:2], lo, tie)
+        e_hi = _project(d, x[:2], hi, tie)
+        bump("projector_monotone", _l22(d, _project(d, e_lo, hi, tie) - e_lo))
+        bump("projector_monotone", _l22(d, _project(d, e_hi, lo, tie) - e_lo))
 
     # right-continuity surrogate: approaching the threshold from below
     # reaches the same quadratic form wherever the approach distance clears
     # the local spectral gap
-    f = sections[0]
+    f = x[0]
+    steps = np.array([1.0, 0.5, 0.2, 0.05])
+    # padded slots repeat 0, which is in every fiber spectrum anyway
+    spec = np.append(d.eigenvalues, np.zeros((d.n_fibers, 1)), axis=1)
     for lam in thresholds:
-        base_ip = fiber_inner_product(f, projector_apply(d, lam, f)).values
-        steps = (1.0, 0.5, 0.2, 0.05)
-        prev = None
-        closest = None
-        for h in steps:
-            shifted = ThresholdField(
-                ScalarField(d.ogrid, lam.field.values - h), tie
-            )
-            cur_ip = fiber_inner_product(
-                f, projector_apply(d, shifted, f)
-            ).values
-            bump("projector_right_sup", max(0.0, float(np.max(cur_ip - base_ip))))
-            if prev is not None:
-                bump(
-                    "projector_right_sup",
-                    max(0.0, float(np.max(prev - cur_ip))),
-                )
-            prev = cur_ip
-            closest = cur_ip
-        # padded slots repeat 0, which is in every fiber spectrum anyway
-        spec = np.append(d.eigenvalues, np.zeros((d.n_fibers, 1)), axis=1)
-        mu = lam.field.values[:, None]
+        lam_vals = lam.field.values
+        base_ip = _pairing(d, f, _project(d, f, lam_vals, lam.tie_tol))
+        shifted = lam_vals - steps[:, None]
+        cur_ip = _pairing(d, f, _project(d, f, shifted, tie))
+        bump("projector_right_sup", cur_ip - base_ip)
+        bump("projector_right_sup", cur_ip[:-1] - cur_ip[1:])
+        mu = lam_vals[:, None]
         window = (spec > mu - steps[-1] - 1e-9) & (spec <= mu + tie + 1e-15)
         valid = ~np.any(window, axis=1)
-        if np.any(valid):
-            bump(
-                "projector_right_sup",
-                float(np.max(np.abs(closest[valid] - base_ip[valid]))),
-            )
+        bump("projector_right_sup", np.abs(cur_ip[-1] - base_ip)[valid])
 
     # boundary thresholds: strictly below every spectral value and above
     # all of them
-    below = ThresholdField(
-        ScalarField(d.ogrid, d.m.values - 1.0), tie
+    below = d.m.values - 1.0
+    above = d.M.values + max(epsilon, 1e-9)
+    bump("projector_zero_below_bounds", _l22(d, _project(d, x, below, tie)))
+    bump(
+        "projector_identity_above_bounds",
+        _l22(d, _project(d, x, above, tie) - x),
     )
-    above = ThresholdField(
-        ScalarField(d.ogrid, d.M.values + max(epsilon, 1e-9)), tie
-    )
-    for f in sections:
-        bump("projector_zero_below_bounds", l22_norm(projector_apply(d, below, f)))
-        bump(
-            "projector_identity_above_bounds",
-            l22_norm(
-                Section(
-                    f.ogrid,
-                    f.squad,
-                    projector_apply(d, above, f).values - f.values,
-                )
-            ),
-        )
 
     # norm equality on an eigenfunction strictly below its threshold
     lam1, psi = _first_curve_data(d)
-    lam_above = ThresholdField(ScalarField(d.ogrid, lam1.values + 1.0), tie)
-    bump(
-        "projector_contraction_equality",
-        abs(l22_norm(projector_apply(d, lam_above, psi)) - l22_norm(psi)),
-    )
+    kept = _project(d, psi.values, lam1.values + 1.0, tie)
+    bump("projector_contraction_equality", abs(_l22(d, kept) - _l22(d, psi.values)))
     return res
 
 
@@ -363,17 +303,12 @@ def run_suite(cfg: Config) -> list:
 
     # eigensolver quality on the assembled fibers; padded slots have zero
     # rows, so they leave the residual at 0 and the Gram matrix is compared
-    # with the identity on the retained slots only.  Each assembled matrix
-    # is used as soon as it is built, so no (F, n, n) stack is held here or
-    # in the Mercer check below.
-    fibers = range(d.n_fibers)
+    # with the identity on the retained slots only
+    A = fiber_matrices(cfg.kernel, ogrid, squad)
     funcs = d.functions
     vecs = (funcs * np.sqrt(squad.weights)).transpose(0, 2, 1)
     scale = np.maximum(1.0, np.max(np.abs(d.eigenvalues), axis=1, initial=0.0))
-    A_vecs = np.stack(
-        [assemble_fiber_matrix(cfg.kernel, ogrid, squad, i) @ vecs[i] for i in fibers]
-    )
-    err = np.abs(A_vecs - vecs * d.eigenvalues[:, None, :])
+    err = np.abs(A @ vecs - vecs * d.eigenvalues[:, None, :])
     resid = float(np.max(err.max(axis=(1, 2), initial=0.0) / scale))
     gram = funcs @ (funcs * squad.weights).transpose(0, 2, 1)
     eye = np.eye(funcs.shape[1]) * (d.labels >= 0)[:, None, :]
@@ -397,24 +332,21 @@ def run_suite(cfg: Config) -> list:
     # the factored separable route agrees with a dense Jacobi solve of the
     # assembled matrix; truncated and padded slots compare as zeros
     if isinstance(cfg.kernel, SeparableKernel):
-        worst = 0.0
-        for i in sorted({0, d.n_fibers // 2, d.n_fibers - 1}):
-            dense, _ = jacobi_eigh(
-                assemble_fiber_matrix(cfg.kernel, ogrid, squad, i), tol=tol.eig_tol
-            )
-            factored = np.zeros(len(squad))
-            factored[: d.ranks[i]] = d.eigenvalues[i, : d.ranks[i]]
-            factored = np.sort(factored)[::-1]
-            scale = max(1.0, float(np.max(np.abs(dense))))
-            worst = max(worst, float(np.max(np.abs(factored - dense))) / scale)
+        picked = sorted({0, d.n_fibers // 2, d.n_fibers - 1})
+        dense, _ = jacobi_eigh(A[picked], tol=tol.eig_tol)
+        factored = np.zeros(dense.shape)
+        factored[:, : d.eigenvalues.shape[1]] = d.eigenvalues[picked]
+        factored = np.sort(factored, axis=1)[:, ::-1]
+        scale = np.maximum(1.0, np.max(np.abs(dense), axis=1))
+        worst = np.max(np.abs(factored - dense) / scale[:, None])
         results.append(_check("lowrank_matches_dense", worst, 1e-10))
+    # the (F, n_s, n_s) stack is not needed past this point
+    del A
 
     # grid refinement stability of the eigenvalues: a separable kernel is
     # compared with the doubled rule, so the drift is the error of this
     # rule; a sampled kernel is compared with the halved rule
     if squad.rule == "gauss_legendre" and len(squad) >= 8:
-        from .grid import build_s_quadrature
-
         n_ref = len(squad) // 2
         if isinstance(cfg.kernel, SeparableKernel):
             n_ref = 2 * len(squad)
@@ -432,30 +364,24 @@ def run_suite(cfg: Config) -> list:
         results.append(_check("eigenvalue_grid_stability", drift, 1e-10))
 
     # Rayleigh quotients stay inside the spectral bounds
-    rayleigh = 0.0
-    for f in random_sections(rng, ogrid, squad, 50):
-        tf = apply_quadrature(cfg.kernel, f)
-        num = fiber_inner_product(tf, f).values
-        den = fiber_inner_product(f, f).values
-        quot = num / den
-        rayleigh = max(
-            rayleigh,
-            float(np.max(np.maximum(d.m.values - quot, quot - d.M.values))),
-        )
-    results.append(_check("rayleigh_bounds", max(0.0, rayleigh), 1e-10))
+    x = rng.standard_normal((50, len(ogrid), len(squad)))
+    den = _pairing(d, x, x)
+    # the products of <Tx, x> are formed in place, so at most two
+    # (50, F, n_s) stacks are alive at a time
+    num = _quadrature(cfg.kernel, ogrid, squad, x)
+    num *= x
+    quot = _finite_field(num @ squad.weights) / den
+    del x, num
+    rayleigh = np.max(np.maximum(d.m.values - quot, quot - d.M.values), initial=0.0)
+    results.append(_check("rayleigh_bounds", rayleigh, 1e-10))
 
     # two representations of the operator agree
     probes = [sample_section(e, ogrid, squad) for e in cfg.sections.values()]
     probes += random_sections(rng, ogrid, squad, 5)
-    two_path = 0.0
-    for f in probes:
-        quad = apply_quadrature(cfg.kernel, f)
-        spec = apply_spectral(d, f)
-        two_path = max(
-            two_path,
-            l22_norm(Section(ogrid, squad, quad.values - spec.values)),
-        )
-    results.append(_check("two_path_equivalence", two_path, 1e-9))
+    x = np.stack([f.values for f in probes])
+    quad = _quadrature(cfg.kernel, ogrid, squad, x)
+    gap = _l22(d, quad - _multiply(d, x, d.eigenvalues, 0.0))
+    results.append(_check("two_path_equivalence", np.max(gap), 1e-9))
 
     # projector axioms over randomized thresholds
     thresholds = random_threshold_fields(rng, d, 20, tol.tie_tol)
@@ -562,11 +488,17 @@ def run_suite(cfg: Config) -> list:
 
     # kernel reconstruction from the retained eigenpairs (finite-rank route)
     if isinstance(cfg.kernel, SeparableKernel):
-        approx = (funcs.transpose(0, 2, 1) * d.eigenvalues[:, None, :]) @ funcs
-        sup_err = max(
-            float(np.max(np.abs(fiber_kernel_matrix(cfg.kernel, ogrid, squad, i) - a)))
-            for i, a in zip(fibers, approx)
+        # sum_n lambda_n x_n x_n^T - sum_r c_r b_r b_r^T is one product of
+        # the stacked rows (x_n, b_r), so only one (F, n_s, n_s) array is built
+        basis = cfg.kernel.basis_matrix(squad)
+        rows = np.concatenate(
+            [funcs, np.broadcast_to(basis, (d.n_fibers,) + basis.shape)], axis=1
         )
+        coeffs = np.concatenate(
+            [d.eigenvalues, -cfg.kernel.curve_matrix(ogrid)], axis=1
+        )
+        err = (rows.transpose(0, 2, 1) * coeffs[:, None, :]) @ rows
+        sup_err = np.max(np.abs(err, out=err))
         results.append(_check("mercer_reconstruction", sup_err, 1e-8))
 
     # mixings of the eigenvalue curves stay inside the spectrum

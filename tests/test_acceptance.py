@@ -143,8 +143,8 @@ def test_criterion_07_mercer_reconstruction(cfg, decomposition):
     err2 = 0.0
     dropped = 0.0
     two = fs.mercer_reconstruct(decomposition, 2)
-    for i in range(decomposition.n_fibers):
-        orig = fs.fiber_kernel_matrix(cfg.kernel, cfg.ogrid, cfg.squad, i)
+    kernel = fs.kernel_matrices(cfg.kernel, cfg.ogrid, cfg.squad)
+    for i, orig in enumerate(kernel):
         err3 = max(err3, float(np.max(np.abs(orig - full.values[i]))))
         err2 = max(err2, float(np.max(np.abs(orig - two.values[i]))))
         tail = decomposition.eigenvalues[i][2] * np.outer(

@@ -298,27 +298,45 @@ def test_nonfinite_kernel_is_numerical_error(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def write_sampled(tmp_path, expression):
+    config = tmp_path / "sampled.json"
+    config.write_text(
+        json.dumps(
+            {
+                "omega_grid": {"n": 4},
+                "s_quadrature": {"rule": "gauss_legendre", "n": 4},
+                "kernel": {"type": "sampled", "expression": expression},
+            }
+        ),
+        encoding="utf-8",
+    )
+    return str(config)
+
+
 def test_overflowing_sampled_kernel_is_config_error(tmp_path, capsys):
-    # the samples themselves overflow, or only their symmetrized average
-    for expression in ("1e200*1e200*t*s", "1.5e308"):
-        config = tmp_path / "overflow.json"
-        config.write_text(
-            json.dumps(
-                {
-                    "omega_grid": {"n": 4},
-                    "s_quadrature": {"rule": "gauss_legendre", "n": 4},
-                    "kernel": {"type": "sampled", "expression": expression},
-                }
-            ),
-            encoding="utf-8",
-        )
-        for command in ("decompose", "verify"):
-            out = str(tmp_path / "out")
-            rc = main([command, "--config", str(config), "--out", out])
-            err = capsys.readouterr().err
-            assert rc == 2, (expression, command)
-            assert len(err.splitlines()) == 1
-            assert err.startswith("config error: kernel: ") and "non-finite" in err
+    # the samples themselves overflow
+    config = write_sampled(tmp_path, "1e200*1e200*t*s")
+    for command in ("decompose", "verify"):
+        out = str(tmp_path / "out")
+        rc = main([command, "--config", config, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 2, command
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: kernel: ") and "non-finite" in err
+
+
+def test_huge_finite_sampled_kernel_is_symmetrized(tmp_path, capsys):
+    # 0.5 * (k + k^T) would overflow; the halves are added instead
+    config = write_sampled(tmp_path, "1.5e308")
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", config, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = (out / "eigencurves.csv").read_text(encoding="ascii").splitlines()[1:]
+    assert [float(row.split(",")[2]) for row in rows] == [1.5e308] * 4
+    # verify's probes overflow: a numerical failure with one diagnostic
+    assert main(["verify", "--config", config, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_syntax_diagnostic_reaches_stderr(tmp_path, capsys):

@@ -165,11 +165,9 @@ def test_stacked_solve_bitwise_equal(cfg):
     # that converges early must leave the stack untouched by later rounds
     rng = np.random.default_rng(12)
     n = len(cfg.squad)
-    fibers = [
-        fs.assemble_fiber_matrix(cfg.kernel, cfg.ogrid, cfg.squad, i)
-        for i in (0, 40)
-    ]
-    stack = np.stack(fibers + [symmetric_matrix(rng, kind, n) for kind in KINDS])
+    fibers = fs.fiber_matrices(cfg.kernel, cfg.ogrid, cfg.squad)[[0, 40]]
+    others = [symmetric_matrix(rng, kind, n) for kind in KINDS]
+    stack = np.concatenate([fibers, others])
     vals, vecs = fs.jacobi_eigh(stack)
     for A, v, V in zip(stack, vals, vecs):
         alone_vals, alone_vecs = fs.jacobi_eigh(A)
@@ -192,11 +190,12 @@ def test_jacobi_huge_entries_are_scaled_exactly():
         fs.jacobi_eigh(np.full((2, 2), 1e308))
 
 
-def test_assemble_fiber_matrix_is_symmetric(cfg):
-    A = fs.assemble_fiber_matrix(cfg.kernel, cfg.ogrid, cfg.squad, 11)
-    assert np.array_equal(A, A.T)
+def test_fiber_matrices_are_symmetric(cfg):
+    A = fs.fiber_matrices(cfg.kernel, cfg.ogrid, cfg.squad)
+    assert A.shape == (64, 64, 64)
+    assert np.array_equal(A, A.transpose(0, 2, 1))
     sw = np.sqrt(cfg.squad.weights)
-    K = fs.fiber_kernel_matrix(cfg.kernel, cfg.ogrid, cfg.squad, 11)
+    K = fs.kernel_matrices(cfg.kernel, cfg.ogrid, cfg.squad)
     assert np.max(np.abs(A - sw[:, None] * K * sw[None, :])) < 1e-15
 
 
@@ -295,7 +294,7 @@ def test_zero_kernel_decomposition(grids):
 
 
 def test_spectral_bounds_cover_zero(decomposition):
-    m, M = fs.spectral_bounds(decomposition)
+    m, M = decomposition.m, decomposition.M
     assert np.all(m.values <= 0.0)
     assert np.all(M.values >= 0.0)
     # PSD fixture: M is the largest eigenvalue, m is exactly 0

@@ -2,8 +2,8 @@
 
 decompose_all_fibers solves a separable kernel through one QR of its
 weighted basis matrix and a small Jacobi solve per fiber.  The oracle is
-the dense route: jacobi_eigh of the assembled n x n fiber matrix, with
-the same truncation rule.  Both must give the same ranks, the same
+the dense route: jacobi_eigh of the stack of assembled n x n fiber
+matrices, with the same truncation rule.  Both must give the same ranks, the same
 eigenvalues and the same truncated operator sum_n lambda_n x_n x_n^T.
 """
 
@@ -20,9 +20,7 @@ from fiberspec.expr import parse
 def dense_oracle(k, ogrid, squad, rank_tol=1e-10):
     """Per fiber: retained eigenvalues and eigenfunction rows, dense route."""
     out = []
-    for i in range(len(ogrid)):
-        A = fs.assemble_fiber_matrix(k, ogrid, squad, i)
-        vals, vecs = fs.jacobi_eigh(A)
+    for vals, vecs in zip(*fs.jacobi_eigh(fs.fiber_matrices(k, ogrid, squad))):
         scale = max(1.0, float(np.max(np.abs(vals))))
         keep = np.abs(vals) > rank_tol * scale
         out.append((vals[keep], fs.extract_eigenfunctions(vecs[:, keep], squad)))
@@ -31,6 +29,7 @@ def dense_oracle(k, ogrid, squad, rank_tol=1e-10):
 
 def assert_matches_oracle(k, ogrid, squad):
     d = fs.decompose_all_fibers(k, ogrid, squad)
+    A = fs.fiber_matrices(k, ogrid, squad)
     for i, (vals, funcs) in enumerate(dense_oracle(k, ogrid, squad)):
         r = d.ranks[i]
         assert r == vals.size
@@ -40,8 +39,7 @@ def assert_matches_oracle(k, ogrid, squad):
         op = (got.T * d.eigenvalues[i, :r]) @ got
         want = (funcs.T * vals) @ funcs
         assert np.max(np.abs(op - want)) <= 1e-10
-        A = fs.assemble_fiber_matrix(k, ogrid, squad, i)
-        assert abs(d.traces[i] - np.trace(A)) <= 1e-12 * scale
+        assert abs(d.traces[i] - np.trace(A[i])) <= 1e-12 * scale
     return d
 
 
@@ -106,20 +104,25 @@ def test_nonfinite_basis_is_domain_error(grids):
         fs.decompose_all_fibers(kernel(("1", "1e308*10+t")), *grids)
 
 
-def test_fiber_kernel_matrix_evaluates_one_node(cfg, monkeypatch):
+def test_kernel_matrices_evaluate_each_expression_once(cfg, monkeypatch):
     B = cfg.kernel.basis_matrix(cfg.squad)
-    curves = cfg.kernel.curve_matrix(cfg.ogrid)[11]
-    omegas = []
+    curves = cfg.kernel.curve_matrix(cfg.ogrid)
+    calls = []
     evaluate = fs.expr.evaluate
 
     def spy(e, env):
-        if "omega" in env:
-            omegas.append(env["omega"])
+        calls.append(env)
         return evaluate(e, env)
 
     monkeypatch.setattr(fs.expr, "evaluate", spy)
-    K = fs.fiber_kernel_matrix(cfg.kernel, cfg.ogrid, cfg.squad, 11)
-    # one call per curve, each with omega bound to the single node omega_11
-    assert len(omegas) == len(cfg.kernel.terms)
-    assert all(np.array_equal(w, cfg.ogrid.nodes[11]) for w in omegas)
-    assert np.array_equal(K, (B.T * curves) @ B)
+    K = fs.kernel_matrices(cfg.kernel, cfg.ogrid, cfg.squad)
+    # one call per curve on the whole parameter grid, one per basis on the
+    # whole quadrature
+    omegas = [env["omega"] for env in calls if "omega" in env]
+    ts = [env["t"] for env in calls if "t" in env]
+    assert len(calls) == 2 * len(cfg.kernel.terms)
+    assert all(np.array_equal(w, cfg.ogrid.nodes) for w in omegas)
+    assert all(np.array_equal(t, cfg.squad.nodes) for t in ts)
+    # every fiber matrix is bitwise the one built from its own curve values
+    for i in (0, 11, 63):
+        assert np.array_equal(K[i], (B.T * curves[i]) @ B)

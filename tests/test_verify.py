@@ -116,6 +116,182 @@ def test_random_thresholds_span_spectrum(cfg, decomposition):
         assert np.all(np.isfinite(lam.field.values))
 
 
+# The projector axioms as they were first written, one threshold, section
+# and step at a time: the oracle for the stacked projector_axiom_residuals.
+def loop_axiom_residuals(
+    k,
+    d,
+    thresholds,
+    sections,
+    epsilon: float,
+) -> dict:
+    """The projector axioms one threshold, section and step at a time."""
+    res = {name: 0.0 for name in verify.AXIOM_BOUNDS}
+
+    def bump(name, value):
+        res[name] = max(res[name], float(value))
+
+    tie = thresholds[0].tie_tol if thresholds else 1e-12
+    n_sections = len(sections)
+    t_of = [fs.apply_quadrature(k, f) for f in sections]
+    norms = [fs.l22_norm(f) for f in sections]
+    self_ip = [fs.fiber_inner_product(f, f).values for f in sections]
+
+    for lam in thresholds:
+        projected = [fs.projector_apply(d, lam, f) for f in sections]
+        for idx, f in enumerate(sections):
+            ef = projected[idx]
+            g = sections[(idx + 1) % n_sections]
+            eg = projected[(idx + 1) % n_sections]
+            bump(
+                "projector_idempotence",
+                fs.l22_norm(
+                    fs.Section(
+                        f.ogrid,
+                        f.squad,
+                        fs.projector_apply(d, lam, ef).values - ef.values,
+                    )
+                ),
+            )
+            bump(
+                "projector_self_adjoint",
+                np.max(
+                    np.abs(
+                        fs.fiber_inner_product(ef, g).values
+                        - fs.fiber_inner_product(f, eg).values
+                    )
+                ),
+            )
+            bump("projector_contraction", fs.l22_norm(ef) - norms[idx])
+            tf = t_of[idx]
+            etf = fs.projector_apply(d, lam, tf)
+            tef = fs.apply_quadrature(k, ef)
+            bump(
+                "projector_commutes_with_op",
+                fs.l22_norm(fs.Section(f.ogrid, f.squad, etf.values - tef.values)),
+            )
+            ef_ip = fs.fiber_inner_product(ef, f).values
+            etf_ip = fs.fiber_inner_product(etf, f).values
+            tf_ip = fs.fiber_inner_product(tf, f).values
+            lam_vals = lam.field.values
+            bump(
+                "projector_order_upper",
+                max(0.0, float(np.max(etf_ip - lam_vals * ef_ip))),
+            )
+            bump(
+                "projector_order_lower",
+                max(
+                    0.0,
+                    float(
+                        np.max(
+                            lam_vals * (self_ip[idx] - ef_ip) - (tf_ip - etf_ip)
+                        )
+                    ),
+                ),
+            )
+
+    # monotonicity over pointwise min/max pairs of consecutive thresholds
+    for a, b in zip(thresholds, thresholds[1:]):
+        lo = fs.ThresholdField(
+            fs.ScalarField(d.ogrid, np.minimum(a.field.values, b.field.values)),
+            tie,
+        )
+        hi = fs.ThresholdField(
+            fs.ScalarField(d.ogrid, np.maximum(a.field.values, b.field.values)),
+            tie,
+        )
+        for f in sections[:2]:
+            e_lo = fs.projector_apply(d, lo, f)
+            bump(
+                "projector_monotone",
+                fs.l22_norm(
+                    fs.Section(
+                        f.ogrid,
+                        f.squad,
+                        fs.projector_apply(d, hi, e_lo).values - e_lo.values,
+                    )
+                ),
+            )
+            e_hi = fs.projector_apply(d, hi, f)
+            bump(
+                "projector_monotone",
+                fs.l22_norm(
+                    fs.Section(
+                        f.ogrid,
+                        f.squad,
+                        fs.projector_apply(d, lo, e_hi).values - e_lo.values,
+                    )
+                ),
+            )
+
+    # right-continuity surrogate: approaching the threshold from below
+    # reaches the same quadratic form wherever the approach distance clears
+    # the local spectral gap
+    f = sections[0]
+    for lam in thresholds:
+        base_ip = fs.fiber_inner_product(f, fs.projector_apply(d, lam, f)).values
+        steps = (1.0, 0.5, 0.2, 0.05)
+        prev = None
+        closest = None
+        for h in steps:
+            shifted = fs.ThresholdField(
+                fs.ScalarField(d.ogrid, lam.field.values - h), tie
+            )
+            cur_ip = fs.fiber_inner_product(
+                f, fs.projector_apply(d, shifted, f)
+            ).values
+            bump("projector_right_sup", max(0.0, float(np.max(cur_ip - base_ip))))
+            if prev is not None:
+                bump(
+                    "projector_right_sup",
+                    max(0.0, float(np.max(prev - cur_ip))),
+                )
+            prev = cur_ip
+            closest = cur_ip
+        # padded slots repeat 0, which is in every fiber spectrum anyway
+        spec = np.append(d.eigenvalues, np.zeros((d.n_fibers, 1)), axis=1)
+        mu = lam.field.values[:, None]
+        window = (spec > mu - steps[-1] - 1e-9) & (spec <= mu + tie + 1e-15)
+        valid = ~np.any(window, axis=1)
+        if np.any(valid):
+            bump(
+                "projector_right_sup",
+                float(np.max(np.abs(closest[valid] - base_ip[valid]))),
+            )
+
+    # boundary thresholds: strictly below every spectral value and above
+    # all of them
+    below = fs.ThresholdField(
+        fs.ScalarField(d.ogrid, d.m.values - 1.0), tie
+    )
+    above = fs.ThresholdField(
+        fs.ScalarField(d.ogrid, d.M.values + max(epsilon, 1e-9)), tie
+    )
+    for f in sections:
+        bump(
+            "projector_zero_below_bounds", fs.l22_norm(fs.projector_apply(d, below, f))
+        )
+        bump(
+            "projector_identity_above_bounds",
+            fs.l22_norm(
+                fs.Section(
+                    f.ogrid,
+                    f.squad,
+                    fs.projector_apply(d, above, f).values - f.values,
+                )
+            ),
+        )
+
+    # norm equality on an eigenfunction strictly below its threshold
+    lam1, psi = verify._first_curve_data(d)
+    lam_above = fs.ThresholdField(fs.ScalarField(d.ogrid, lam1.values + 1.0), tie)
+    bump(
+        "projector_contraction_equality",
+        abs(fs.l22_norm(fs.projector_apply(d, lam_above, psi)) - fs.l22_norm(psi)),
+    )
+    return res
+
+
 def test_axiom_residuals_on_random_kernel(cfg):
     rng = np.random.default_rng(21)
     ogrid = fs.build_omega_grid(12)
@@ -127,6 +303,49 @@ def test_axiom_residuals_on_random_kernel(cfg):
     res = verify.projector_axiom_residuals(k, d, thresholds, sections, 1e-6)
     for name, bound in verify.AXIOM_BOUNDS.items():
         assert res[name] <= bound, (name, res[name])
+
+
+def assert_axioms_match_loop(k, d, thresholds, sections):
+    got = verify.projector_axiom_residuals(k, d, thresholds, sections, 1e-6)
+    want = loop_axiom_residuals(k, d, thresholds, sections, 1e-6)
+    assert list(got) == list(want)
+    for name in want:
+        assert abs(got[name] - want[name]) <= 1e-15, (name, got[name], want[name])
+
+
+def test_stacked_axioms_match_loop_on_fixture(cfg, decomposition):
+    # the probes of run_suite: 20 thresholds and 4 sections
+    rng = np.random.default_rng(verify.SEED)
+    thresholds = verify.random_threshold_fields(
+        rng, decomposition, 20, cfg.tolerances.tie_tol
+    )
+    sections = verify.random_sections(rng, cfg.ogrid, cfg.squad, 4)
+    assert_axioms_match_loop(cfg.kernel, decomposition, thresholds, sections)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_axioms_match_loop_on_random_kernels(seed):
+    rng = np.random.default_rng(seed)
+    ogrid = fs.build_omega_grid(int(rng.integers(1, 10)))
+    rule = ("gauss_legendre", "trapezoid")[seed % 2]
+    squad = fs.build_s_quadrature(rule, int(rng.integers(2, 16)))
+    k = verify.random_separable_kernel(rng)
+    d = fs.decompose_all_fibers(k, ogrid, squad)
+    thresholds = verify.random_threshold_fields(rng, d, int(rng.integers(1, 6)), 1e-12)
+    sections = verify.random_sections(rng, ogrid, squad, int(rng.integers(1, 5)))
+    assert_axioms_match_loop(k, d, thresholds, sections)
+
+
+def test_stacked_axioms_match_loop_on_zero_kernel(grids):
+    # no retained eigenpair anywhere: r_max = 0 slots
+    ogrid, squad = grids
+    k = fs.SeparableKernel(((fs.parse("0"), fs.parse("sin(pi*t)")),))
+    d = fs.decompose_all_fibers(k, ogrid, squad)
+    assert d.eigenvalues.shape == (len(ogrid), 0)
+    rng = np.random.default_rng(5)
+    thresholds = verify.random_threshold_fields(rng, d, 4, 1e-12)
+    sections = verify.random_sections(rng, ogrid, squad, 3)
+    assert_axioms_match_loop(k, d, thresholds, sections)
 
 
 # Rank 1, 2 and 3 over the parameter grid; sin(3 pi t) needs more than 12
