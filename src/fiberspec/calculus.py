@@ -101,6 +101,13 @@ def apply_spectral(d: FiberDecomposition, f: Section) -> Section:
     return Section(d.ogrid, d.squad, _multiply(d, f.values, d.eigenvalues, 0.0))
 
 
+def _project(d: FiberDecomposition, values, lam, tie_tol) -> np.ndarray:
+    """Projector at the threshold values lam (..., F) applied to section
+    values (..., F, n_s); the leading axes broadcast."""
+    cut = lam + tie_tol
+    return _multiply(d, values, d.eigenvalues <= cut[..., None], 0.0 <= cut)
+
+
 def projector_apply(d: FiberDecomposition, lam: ThresholdField, f: Section) -> Section:
     """Apply the spectral projector for the threshold field lam.
 
@@ -113,9 +120,9 @@ def projector_apply(d: FiberDecomposition, lam: ThresholdField, f: Section) -> S
     """
     _require_section_on(d, f)
     _require_field_on(d.ogrid, lam.field)
-    cut = lam.field.values + lam.tie_tol
-    h = d.eigenvalues <= cut[:, None]
-    return Section(d.ogrid, d.squad, _multiply(d, f.values, h, 0.0 <= cut))
+    return Section(
+        d.ogrid, d.squad, _project(d, f.values, lam.field.values, lam.tie_tol)
+    )
 
 
 def functional_calculus(

@@ -137,6 +137,7 @@ def write_membership(path, d: FiberDecomposition, field: ScalarField):
 
 def write_report(path, pairs):
     """Rows (metric, value) for small numeric summaries."""
+    pairs = list(pairs)
     names = [name for name, _ in pairs]
     values = _reals([value for _, value in pairs])
     write_rows(path, ("metric", "value"), zip(names, values))

@@ -24,11 +24,35 @@ from .errors import (
 _WEIGHT_SUM_TOL = 1e-9
 
 
+def _require_finite(values, what):
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} contains non-finite values")
+    return values
+
+
 def _require_1d_float(values, name):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one dimensional")
     return arr
+
+
+def _set_rule(rule):
+    """Check and store the nodes and weights of a grid or quadrature."""
+    nodes = _require_1d_float(rule.nodes, "nodes")
+    weights = _require_1d_float(rule.weights, "weights")
+    if nodes.size == 0 or nodes.size != weights.size:
+        raise ValueError("nodes and weights must be non-empty and equal length")
+    if np.any(np.diff(nodes) <= 0):
+        raise ValueError("nodes must be strictly increasing")
+    if nodes[0] < 0.0 or nodes[-1] > 1.0:
+        raise ValueError("nodes must lie in [0, 1]")
+    if np.any(weights <= 0):
+        raise ValueError("weights must be positive")
+    if abs(float(weights.sum()) - 1.0) > _WEIGHT_SUM_TOL:
+        raise ValueError("weights must sum to one")
+    object.__setattr__(rule, "nodes", nodes)
+    object.__setattr__(rule, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -39,20 +63,7 @@ class OmegaGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = _require_1d_float(self.nodes, "nodes")
-        weights = _require_1d_float(self.weights, "weights")
-        if nodes.size == 0 or nodes.size != weights.size:
-            raise ValueError("nodes and weights must be non-empty and equal length")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if nodes[0] < 0.0 or nodes[-1] > 1.0:
-            raise ValueError("nodes must lie in [0, 1]")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to one")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        _set_rule(self)
 
     def __len__(self):
         return self.nodes.size
@@ -67,20 +78,7 @@ class SQuadrature:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = _require_1d_float(self.nodes, "nodes")
-        weights = _require_1d_float(self.weights, "weights")
-        if nodes.size == 0 or nodes.size != weights.size:
-            raise ValueError("nodes and weights must be non-empty and equal length")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if nodes[0] < 0.0 or nodes[-1] > 1.0:
-            raise ValueError("nodes must lie in [0, 1]")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > _WEIGHT_SUM_TOL:
-            raise ValueError("weights must sum to one")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
+        _set_rule(self)
 
     def __len__(self):
         return self.nodes.size
@@ -130,9 +128,7 @@ class ScalarField:
         values = _require_1d_float(self.values, "values")
         if values.size != len(self.grid):
             raise ValueError("field length must match the grid")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("field contains non-finite values")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _require_finite(values, "field"))
 
     @staticmethod
     def constant(grid: OmegaGrid, value: float) -> "ScalarField":
@@ -154,9 +150,7 @@ class Section:
                 f"section shape {values.shape} does not match grids "
                 f"({len(self.ogrid)}, {len(self.squad)})"
             )
-        if not np.all(np.isfinite(values)):
-            raise DomainError("section contains non-finite values")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _require_finite(values, "section"))
 
 
 def same_omega_grid(a: OmegaGrid, b: OmegaGrid) -> bool:
@@ -189,11 +183,25 @@ def sample_section(
     return Section(ogrid, squad, values)
 
 
+def _pairing(squad: SQuadrature, x, y) -> np.ndarray:
+    """Fiberwise pairing of stacked section values (..., F, n_s), shape
+    (..., F).  Like the ScalarField of fiber_inner_product, it raises
+    DomainError where a pairing is not finite."""
+    return _require_finite((x * y) @ squad.weights, "field")
+
+
+def _l22(ogrid: OmegaGrid, squad: SQuadrature, x) -> np.ndarray:
+    """l22_norm of every section of a stack (..., F, n_s).  Like building a
+    Section of each, it raises DomainError where x is not finite."""
+    x = _require_finite(x, "section")
+    ip = (x * x) @ squad.weights
+    return np.sqrt(np.maximum(ip @ ogrid.weights, 0.0))
+
+
 def fiber_inner_product(x: Section, y: Section) -> ScalarField:
     """Pointwise-in-omega quadrature pairing of two sections."""
     require_matching_sections(x, y)
-    values = (x.values * y.values) @ x.squad.weights
-    return ScalarField(x.ogrid, values)
+    return ScalarField(x.ogrid, _pairing(x.squad, x.values, y.values))
 
 
 def fiber_norm_field(x: Section) -> ScalarField:
@@ -204,5 +212,4 @@ def fiber_norm_field(x: Section) -> ScalarField:
 
 def l22_norm(x: Section) -> float:
     """Norm that integrates the squared fiber norms over the parameter grid."""
-    ip = (x.values * x.values) @ x.squad.weights
-    return float(np.sqrt(max(float(ip @ x.ogrid.weights), 0.0)))
+    return float(_l22(x.ogrid, x.squad, x.values))

@@ -115,7 +115,11 @@ def sample_kernel(
             raise NotSymmetric(
                 f"sampled kernel asymmetry {asymmetry:.3e} exceeds {SYMMETRIZE_TOL:.0e}"
             )
-        values = 0.5 * values + 0.5 * swapped
+        # the sum is exact for subnormals; halving first only where the sum
+        # overflows keeps the largest finite samples
+        with np.errstate(over="ignore"):
+            total = values + swapped
+        values = np.where(np.isfinite(total), 0.5 * total, 0.5 * values + 0.5 * swapped)
     return SampledKernel(ogrid, squad, values)
 
 

@@ -86,7 +86,8 @@ def fiber_spectrum(d: FiberDecomposition, i: int) -> np.ndarray:
     """Spectrum of one fiber: retained eigenvalues and 0, descending."""
     if not 0 <= i < d.n_fibers:
         raise IndexOutOfRange(f"fiber index {i} outside range [0, {d.n_fibers})")
-    return _spectra(d)[i, : d.ranks[i] + 1]
+    vals = np.append(d.eigenvalues[i, : d.ranks[i]], 0.0)
+    return np.sort(vals)[::-1]
 
 
 def mix_field(

@@ -16,6 +16,7 @@ from . import expr
 from .calculus import (
     ThresholdField,
     _multiply,
+    _project,
     _quadrature,
     apply_quadrature,
     apply_spectral,
@@ -23,7 +24,6 @@ from .calculus import (
     riemann_stieltjes_apply,
 )
 from .config import Config, decompose, sample_section
-from .errors import DomainError
 from .fiber import (
     FiberDecomposition,
     decompose_all_fibers,
@@ -35,8 +35,10 @@ from .grid import (
     ScalarField,
     Section,
     SQuadrature,
+    _l22,
+    _pairing,
+    _require_finite,
     build_s_quadrature,
-    l22_norm,
 )
 from .kernel import SeparableKernel, hermitian_check, psd_check
 from .spectrum import Partition, membership_distances, mix_field, spm_membership
@@ -69,41 +71,14 @@ class CheckResult:
 
 
 def _check(name, value, bound, relation="<=", note=""):
-    value = float(value)
+    value, bound = float(value), float(bound)
     passed = value <= bound if relation == "<=" else value >= bound
-    return CheckResult(name, value, float(bound), relation, passed, note)
+    return CheckResult(name, value, bound, relation, passed, note)
 
 
 def random_sections(rng, ogrid: OmegaGrid, squad: SQuadrature, count: int):
     values = rng.standard_normal((count, len(ogrid), len(squad)))
     return [Section(ogrid, squad, v) for v in values]
-
-
-def _finite_field(values: np.ndarray) -> np.ndarray:
-    """values, after the finiteness check of a ScalarField."""
-    if not np.all(np.isfinite(values)):
-        raise DomainError("field contains non-finite values")
-    return values
-
-
-def _pairing(d: FiberDecomposition, x, y) -> np.ndarray:
-    """Fiberwise pairing <x, y>(omega) of stacked section values, (..., F).
-
-    Like fiber_inner_product, it raises DomainError when a pairing is not
-    finite, which is also the case whenever x or y is not.
-    """
-    return _finite_field((x * y) @ d.squad.weights)
-
-
-def _l22(d: FiberDecomposition, x) -> np.ndarray:
-    """l22_norm of every section of a stack (..., F, n_s)."""
-    return np.sqrt(np.maximum(_pairing(d, x, x) @ d.ogrid.weights, 0.0))
-
-
-def _project(d: FiberDecomposition, x, lam, tie_tol):
-    """Projector at the threshold values lam (..., F) applied to x."""
-    cut = lam + tie_tol
-    return _multiply(d, x, d.eigenvalues <= cut[..., None], 0.0 <= cut)
 
 
 def random_threshold_fields(rng, d: FiberDecomposition, count: int, tie_tol: float):
@@ -177,32 +152,33 @@ def projector_axiom_residuals(
     def bump(name, values):
         res[name] = max(res[name], float(np.max(values, initial=0.0)))
 
+    ogrid, squad = d.ogrid, d.squad
     tie = thresholds[0].tie_tol if thresholds else 1e-12
     x = np.stack([f.values for f in sections])
-    tx = _quadrature(k, d.ogrid, d.squad, x)
-    norms = _l22(d, x)
-    self_ip = _pairing(d, x, x)
-    tf_ip = _pairing(d, tx, x)
+    tx = _quadrature(k, ogrid, squad, x)
+    norms = _l22(ogrid, squad, x)
+    self_ip = _pairing(squad, x, x)
+    tf_ip = _pairing(squad, tx, x)
 
     for lam in thresholds:
         lam_vals = lam.field.values
         ex = _project(d, x, lam_vals, lam.tie_tol)
         etx = _project(d, tx, lam_vals, lam.tie_tol)
         eex = _project(d, ex, lam_vals, lam.tie_tol)
-        bump("projector_idempotence", _l22(d, eex - ex))
+        bump("projector_idempotence", _l22(ogrid, squad, eex - ex))
         # each section is paired with the next one, cyclically
         bump(
             "projector_self_adjoint",
             np.abs(
-                _pairing(d, ex, np.roll(x, -1, axis=0))
-                - _pairing(d, x, np.roll(ex, -1, axis=0))
+                _pairing(squad, ex, np.roll(x, -1, axis=0))
+                - _pairing(squad, x, np.roll(ex, -1, axis=0))
             ),
         )
-        bump("projector_contraction", _l22(d, ex) - norms)
-        tex = _quadrature(k, d.ogrid, d.squad, ex)
-        bump("projector_commutes_with_op", _l22(d, etx - tex))
-        ex_ip = _pairing(d, ex, x)
-        etx_ip = _pairing(d, etx, x)
+        bump("projector_contraction", _l22(ogrid, squad, ex) - norms)
+        tex = _quadrature(k, ogrid, squad, ex)
+        bump("projector_commutes_with_op", _l22(ogrid, squad, etx - tex))
+        ex_ip = _pairing(squad, ex, x)
+        etx_ip = _pairing(squad, etx, x)
         bump("projector_order_upper", etx_ip - lam_vals * ex_ip)
         lower = lam_vals * (self_ip - ex_ip) - (tf_ip - etx_ip)
         bump("projector_order_lower", lower)
@@ -213,8 +189,8 @@ def projector_axiom_residuals(
         hi = np.maximum(a.field.values, b.field.values)
         e_lo = _project(d, x[:2], lo, tie)
         e_hi = _project(d, x[:2], hi, tie)
-        bump("projector_monotone", _l22(d, _project(d, e_lo, hi, tie) - e_lo))
-        bump("projector_monotone", _l22(d, _project(d, e_hi, lo, tie) - e_lo))
+        for e in (_project(d, e_lo, hi, tie), _project(d, e_hi, lo, tie)):
+            bump("projector_monotone", _l22(ogrid, squad, e - e_lo))
 
     # right-continuity surrogate: approaching the threshold from below
     # reaches the same quadratic form wherever the approach distance clears
@@ -225,9 +201,9 @@ def projector_axiom_residuals(
     spec = np.append(d.eigenvalues, np.zeros((d.n_fibers, 1)), axis=1)
     for lam in thresholds:
         lam_vals = lam.field.values
-        base_ip = _pairing(d, f, _project(d, f, lam_vals, lam.tie_tol))
+        base_ip = _pairing(squad, f, _project(d, f, lam_vals, lam.tie_tol))
         shifted = lam_vals - steps[:, None]
-        cur_ip = _pairing(d, f, _project(d, f, shifted, tie))
+        cur_ip = _pairing(squad, f, _project(d, f, shifted, tie))
         bump("projector_right_sup", cur_ip - base_ip)
         bump("projector_right_sup", cur_ip[:-1] - cur_ip[1:])
         mu = lam_vals[:, None]
@@ -239,16 +215,20 @@ def projector_axiom_residuals(
     # all of them
     below = d.m.values - 1.0
     above = d.M.values + max(epsilon, 1e-9)
-    bump("projector_zero_below_bounds", _l22(d, _project(d, x, below, tie)))
+    bump(
+        "projector_zero_below_bounds",
+        _l22(ogrid, squad, _project(d, x, below, tie)),
+    )
     bump(
         "projector_identity_above_bounds",
-        _l22(d, _project(d, x, above, tie) - x),
+        _l22(ogrid, squad, _project(d, x, above, tie) - x),
     )
 
     # norm equality on an eigenfunction strictly below its threshold
     lam1, psi = _first_curve_data(d)
     kept = _project(d, psi.values, lam1.values + 1.0, tie)
-    bump("projector_contraction_equality", abs(_l22(d, kept) - _l22(d, psi.values)))
+    gap = _l22(ogrid, squad, kept) - _l22(ogrid, squad, psi.values)
+    bump("projector_contraction_equality", abs(gap))
     return res
 
 
@@ -365,12 +345,12 @@ def run_suite(cfg: Config) -> list:
 
     # Rayleigh quotients stay inside the spectral bounds
     x = rng.standard_normal((50, len(ogrid), len(squad)))
-    den = _pairing(d, x, x)
+    den = _pairing(squad, x, x)
     # the products of <Tx, x> are formed in place, so at most two
     # (50, F, n_s) stacks are alive at a time
     num = _quadrature(cfg.kernel, ogrid, squad, x)
     num *= x
-    quot = _finite_field(num @ squad.weights) / den
+    quot = _require_finite(num @ squad.weights, "field") / den
     del x, num
     rayleigh = np.max(np.maximum(d.m.values - quot, quot - d.M.values), initial=0.0)
     results.append(_check("rayleigh_bounds", rayleigh, 1e-10))
@@ -380,7 +360,7 @@ def run_suite(cfg: Config) -> list:
     probes += random_sections(rng, ogrid, squad, 5)
     x = np.stack([f.values for f in probes])
     quad = _quadrature(cfg.kernel, ogrid, squad, x)
-    gap = _l22(d, quad - _multiply(d, x, d.eigenvalues, 0.0))
+    gap = _l22(ogrid, squad, quad - _multiply(d, x, d.eigenvalues, 0.0))
     results.append(_check("two_path_equivalence", np.max(gap), 1e-9))
 
     # projector axioms over randomized thresholds
@@ -416,7 +396,7 @@ def run_suite(cfg: Config) -> list:
     results.append(
         _check(
             "funcalc_square_vs_double_apply",
-            l22_norm(Section(ogrid, squad, square.values - twice.values)),
+            _l22(ogrid, squad, square.values - twice.values),
             1e-9,
         )
     )
@@ -426,10 +406,11 @@ def run_suite(cfg: Config) -> list:
     grid_l = np.linspace(lo, hi, 2001)
     sup_g = float(np.max(np.abs(expr.evaluate(g_bound, {"lambda": grid_l}))))
     gout = functional_calculus(d, g_bound, f0, cfg.epsilon)
+    excess = _l22(ogrid, squad, gout.values) - sup_g * _l22(ogrid, squad, f0.values)
     results.append(
         _check(
             "funcalc_norm_bound",
-            max(0.0, l22_norm(gout) - sup_g * l22_norm(f0)),
+            max(0.0, excess),
             1e-9,
         )
     )
@@ -447,13 +428,13 @@ def run_suite(cfg: Config) -> list:
         )
     )
     tf0 = apply_quadrature(cfg.kernel, f0)
-    nf0 = l22_norm(f0)
+    nf0 = _l22(ogrid, squad, f0.values)
     errs = {}
     for mesh in (0.04, 0.02):
         rs = riemann_stieltjes_apply(
             d, expr.parse("lambda"), f0, mesh=mesh, epsilon=cfg.epsilon
         )
-        errs[mesh] = l22_norm(Section(ogrid, squad, rs.values - tf0.values))
+        errs[mesh] = _l22(ogrid, squad, rs.values - tf0.values)
         results.append(
             _check(f"rs_mesh_bound_{mesh:g}", errs[mesh], mesh * nf0 + 1e-12)
         )
@@ -481,8 +462,8 @@ def run_suite(cfg: Config) -> list:
     alpha = ogrid.nodes[:, None]
     scaled = Section(ogrid, squad, alpha * psi.values)
     t_scaled = apply_quadrature(cfg.kernel, scaled)
-    closure = l22_norm(
-        Section(ogrid, squad, lam1.values[:, None] * scaled.values - t_scaled.values)
+    closure = _l22(
+        ogrid, squad, lam1.values[:, None] * scaled.values - t_scaled.values
     )
     results.append(_check("eigenspace_module_closure", closure, 1e-8))
 

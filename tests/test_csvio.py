@@ -222,6 +222,9 @@ def test_writers_match_row_oracle(case, tmp_path):
         writer(got, *args)
         oracle(want, *args)
         assert got.read_bytes() == want.read_bytes(), writer.__name__
+    # the report writer takes any iterable of pairs, a one-shot one too
+    csvio.write_report(got, iter(report))
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_sampled_case_has_signed_zeros_and_subnormals():

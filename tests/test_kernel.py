@@ -84,6 +84,26 @@ def test_sample_kernel_mild_asymmetry_averaged(grids):
     assert fs.hermitian_check(k) == 0.0
 
 
+def test_sample_kernel_keeps_symmetric_samples_exactly(grids):
+    ogrid, squad = grids
+    # halving before the sum rounds subnormals, and summing before halving
+    # overflows near the top of the float range; neither may change a
+    # sample that is already symmetric
+    for text in ("5e-324*(1+t*s)", "1.5e308*(1-t*s/2)"):
+        e = parse(text)
+        raw = fs.evaluate(
+            e,
+            {
+                "omega": ogrid.nodes[:, None, None],
+                "t": squad.nodes[None, :, None],
+                "s": squad.nodes[None, None, :],
+            },
+        )
+        values = fs.sample_kernel(e, ogrid, squad).values
+        assert np.all(values > 0.0)
+        assert np.array_equal(values, raw), text
+
+
 def test_hermitian_check_separable_is_exact(grids):
     assert fs.hermitian_check(separable_fixture()) == 0.0
 
