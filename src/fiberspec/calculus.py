@@ -20,14 +20,7 @@ import numpy as np
 from . import expr
 from .errors import GridMismatch, InvalidMesh
 from .fiber import FiberDecomposition
-from .grid import (
-    OmegaGrid,
-    ScalarField,
-    Section,
-    SQuadrature,
-    same_omega_grid,
-    same_quadrature,
-)
+from .grid import OmegaGrid, ScalarField, Section, SQuadrature, same_rule
 from .kernel import KernelSpec, SampledKernel, SeparableKernel
 
 DEFAULT_TIE_TOL = 1e-12
@@ -55,12 +48,12 @@ class ThresholdField:
 
 
 def _require_section_on(d: FiberDecomposition, f: Section):
-    if not (same_omega_grid(d.ogrid, f.ogrid) and same_quadrature(d.squad, f.squad)):
+    if not (same_rule(d.ogrid, f.ogrid) and same_rule(d.squad, f.squad)):
         raise GridMismatch("section does not live on the decomposition grids")
 
 
 def _require_field_on(grid: OmegaGrid, field: ScalarField):
-    if not same_omega_grid(grid, field.grid):
+    if not same_rule(grid, field.grid):
         raise GridMismatch("threshold field lives on a different parameter grid")
 
 
@@ -71,7 +64,7 @@ def _quadrature(k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, values):
         basis = k.basis_matrix(squad)
         coeff = (values * w) @ basis.T
         return (k.curve_matrix(ogrid) * coeff) @ basis
-    if not (same_omega_grid(k.ogrid, ogrid) and same_quadrature(k.squad, squad)):
+    if not (same_rule(k.ogrid, ogrid) and same_rule(k.squad, squad)):
         raise GridMismatch("section does not live on the sampled kernel grids")
     return np.einsum("ijl,...il->...ij", k.values, values * w)
 

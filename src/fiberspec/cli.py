@@ -37,6 +37,12 @@ from .spectrum import mix_field, spm_membership
 from .verify import run_suite
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one diagnostic line: the usage text is left out
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _out_path(args, name):
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -189,7 +195,7 @@ def _build_parser():
     common.add_argument("--quad-n", type=int, default=None)
     common.add_argument("--omega-n", type=int, default=None)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fiberspec",
         description="Fiberwise spectral calculus for partially integral operators.",
     )
@@ -256,12 +262,12 @@ def main(argv=None) -> int:
                 epsilon=args.epsilon,
             )
             return args.handler(cfg, args)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
         except FiberspecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
+            config = isinstance(exc, ConfigError)
+            # config names may hold line breaks; the diagnostic stays one line
+            text = " ".join(str(exc).splitlines())
+            print(f"{'config error' if config else 'error'}: {text}", file=sys.stderr)
+            return 2 if config else 3
 
 
 if __name__ == "__main__":

@@ -117,7 +117,7 @@ def _build_kernel(raw, ogrid, squad):
     if kind == "sampled":
         e = _parse_named(raw.get("expression"), "kernel expression")
         try:
-            return sample_kernel(e, ogrid, squad, symmetrize=True)
+            return sample_kernel(e, ogrid, squad)
         except FiberspecError as exc:
             raise ConfigError(f"kernel: {exc}") from exc
     raise ConfigError(f"kernel type must be separable or sampled, got {kind!r}")
@@ -210,6 +210,7 @@ def load_config(
                 isinstance(label, int) and not isinstance(label, bool) and label >= 0,
                 f"{where}.label must be a non-negative integer",
             )
+            _expect(label < 2**63, f"{where}.label must be below 2^63")
             rng = entry["omega_range"]
             _expect(
                 isinstance(rng, list) and len(rng) == 2,

@@ -229,7 +229,6 @@ class FiberDecomposition:
     eigensums: np.ndarray
     m: ScalarField
     M: ScalarField
-    rank_tol: float
 
     @property
     def n_fibers(self) -> int:
@@ -273,9 +272,7 @@ def _sign_fix(functions: np.ndarray) -> np.ndarray:
     return np.where(flip, -functions, functions)
 
 
-def _align_labels(
-    eigenvalues, functions, ranks, weights, degeneracy_tol=DEGENERACY_TOL
-):
+def _align_labels(eigenvalues, functions, ranks, weights):
     """Greedy eigenvector matching between consecutive fibers.
 
     Pairs are taken in order of decreasing overlap magnitude with ties
@@ -285,38 +282,34 @@ def _align_labels(
     eigenvectors are arbitrary within the eigenspace.  Returns labels in
     the padded layout of FiberDecomposition.
     """
-    labels = np.full(eigenvalues.shape, -1, dtype=int)
+    F, r_max = eigenvalues.shape
+    # every consecutive overlap at once; a stable sort of the flat index
+    # n * r_max + m breaks ties by lower (n, m)
+    overlap = np.abs(functions[:-1] @ (weights * functions[1:]).transpose(0, 2, 1))
+    order = np.argsort(-overlap.reshape(F - 1, r_max * r_max), axis=1, kind="stable")
+    gaps = eigenvalues[:, :-1] - eigenvalues[:, 1:] >= DEGENERACY_TOL
+    blocks = np.cumsum(np.pad(gaps, ((0, 0), (1, 0))), axis=1)
+    labels = np.full((F, r_max), -1, dtype=int)
     next_id = 0
-    for i, r_cur in enumerate(ranks):
-        r_prev = ranks[i - 1] if i else 0
-        assigned = np.full(r_cur, -1, dtype=int)
-        if r_prev and r_cur:
-            prev_funcs = functions[i - 1, :r_prev]
-            cur_funcs = functions[i, :r_cur]
-            overlap = np.abs(prev_funcs @ (weights * cur_funcs).T)
-            pairs = sorted(
-                ((n, m) for n in range(r_prev) for m in range(r_cur)),
-                key=lambda nm: (-overlap[nm[0], nm[1]], nm[0], nm[1]),
-            )
-            used_prev = np.zeros(r_prev, dtype=bool)
-            for n, m in pairs:
-                if used_prev[n] or assigned[m] >= 0:
+    r_prev = 0
+    for i, r in enumerate(ranks.tolist()):
+        assigned = [-1] * r
+        if r_prev and r:
+            prev = labels[i - 1].tolist()
+            used_prev = [False] * r_prev
+            for flat in order[i - 1].tolist():
+                n, m = divmod(flat, r_max)
+                if n >= r_prev or m >= r or used_prev[n] or assigned[m] >= 0:
                     continue
                 used_prev[n] = True
-                assigned[m] = labels[i - 1, n]
-        for m in range(r_cur):
+                assigned[m] = prev[n]
+        for m in range(r):
             if assigned[m] < 0:
                 assigned[m] = next_id
                 next_id += 1
-        vals = eigenvalues[i]
-        start = 0
-        for stop in range(1, r_cur + 1):
-            if stop == r_cur or vals[stop - 1] - vals[stop] >= degeneracy_tol:
-                if stop - start > 1:
-                    block_ids = np.sort(assigned[start:stop])
-                    assigned[start:stop] = block_ids
-                start = stop
-        labels[i, :r_cur] = assigned
+        ids = np.array(assigned, dtype=int)
+        labels[i, :r] = ids[np.lexsort((ids, blocks[i, :r]))]
+        r_prev = r
     return labels
 
 
@@ -398,6 +391,5 @@ def decompose_all_fibers(
         eigensums=vals.sum(axis=1),
         m=ScalarField(ogrid, np.min(eigenvalues, axis=1, initial=0.0)),
         M=ScalarField(ogrid, np.max(eigenvalues, axis=1, initial=0.0)),
-        rank_tol=rank_tol,
     )
 

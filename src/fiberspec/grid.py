@@ -153,21 +153,11 @@ class Section:
         object.__setattr__(self, "values", _require_finite(values, "section"))
 
 
-def same_omega_grid(a: OmegaGrid, b: OmegaGrid) -> bool:
+def same_rule(a, b) -> bool:
+    """Whether two grids or two quadratures have the same nodes and weights."""
     return a is b or (
         np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
     )
-
-
-def same_quadrature(a: SQuadrature, b: SQuadrature) -> bool:
-    return a is b or (
-        np.array_equal(a.nodes, b.nodes) and np.array_equal(a.weights, b.weights)
-    )
-
-
-def require_matching_sections(x: Section, y: Section):
-    if not (same_omega_grid(x.ogrid, y.ogrid) and same_quadrature(x.squad, y.squad)):
-        raise GridMismatch("sections live on different grids")
 
 
 def sample_field(e: expr.Expression, grid: OmegaGrid) -> ScalarField:
@@ -194,13 +184,22 @@ def _l22(ogrid: OmegaGrid, squad: SQuadrature, x) -> np.ndarray:
     """l22_norm of every section of a stack (..., F, n_s).  Like building a
     Section of each, it raises DomainError where x is not finite."""
     x = _require_finite(x, "section")
-    ip = (x * x) @ squad.weights
-    return np.sqrt(np.maximum(ip @ ogrid.weights, 0.0))
+    with np.errstate(over="ignore"):
+        ip = (x * x) @ squad.weights
+    out = np.sqrt(np.maximum(ip @ ogrid.weights, 0.0))
+    overflow = np.isinf(out)
+    if np.any(overflow):
+        # squares overflowed: rescale exactly by a power of two, as jacobi_eigh does
+        _, exponent = np.frexp(np.max(np.abs(x), axis=(-2, -1)))
+        scaled = _l22(ogrid, squad, np.ldexp(x, -exponent[..., None, None]))
+        out = np.where(overflow, np.ldexp(scaled, exponent), out)
+    return out
 
 
 def fiber_inner_product(x: Section, y: Section) -> ScalarField:
     """Pointwise-in-omega quadrature pairing of two sections."""
-    require_matching_sections(x, y)
+    if not (same_rule(x.ogrid, y.ogrid) and same_rule(x.squad, y.squad)):
+        raise GridMismatch("sections live on different grids")
     return ScalarField(x.ogrid, _pairing(x.squad, x.values, y.values))
 
 

@@ -22,12 +22,11 @@ from .errors import (
     NotSymmetric,
     RankTooLarge,
 )
-from .grid import OmegaGrid, SQuadrature, same_omega_grid, same_quadrature
+from .grid import OmegaGrid, SQuadrature, same_rule
 
 # Sampled tensors may be asymmetric up to this much and still be usable
 # after symmetrization; anything worse is rejected.
 SYMMETRIZE_TOL = 1e-9
-SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,16 +87,12 @@ KernelSpec = Union[SeparableKernel, SampledKernel]
 
 
 def sample_kernel(
-    e: expr.Expression,
-    ogrid: OmegaGrid,
-    squad: SQuadrature,
-    symmetrize: bool = True,
+    e: expr.Expression, ogrid: OmegaGrid, squad: SQuadrature
 ) -> SampledKernel:
     """Sample an expression of omega, t, s on the product grid.
 
-    With symmetrize=True the tensor is averaged with its fiberwise
-    transpose when the asymmetry is at most SYMMETRIZE_TOL and rejected
-    with NotSymmetric otherwise.
+    The tensor is averaged with its fiberwise transpose when the asymmetry
+    is at most SYMMETRIZE_TOL and rejected with NotSymmetric otherwise.
     """
     nodes = squad.nodes
     values = expr.evaluate(
@@ -108,18 +103,17 @@ def sample_kernel(
             "s": nodes[None, None, :],
         },
     )
-    if symmetrize:
-        swapped = values.transpose(0, 2, 1)
-        asymmetry = float(np.max(np.abs(values - swapped))) if values.size else 0.0
-        if asymmetry > SYMMETRIZE_TOL:
-            raise NotSymmetric(
-                f"sampled kernel asymmetry {asymmetry:.3e} exceeds {SYMMETRIZE_TOL:.0e}"
-            )
-        # the sum is exact for subnormals; halving first only where the sum
-        # overflows keeps the largest finite samples
-        with np.errstate(over="ignore"):
-            total = values + swapped
-        values = np.where(np.isfinite(total), 0.5 * total, 0.5 * values + 0.5 * swapped)
+    swapped = values.transpose(0, 2, 1)
+    asymmetry = float(np.max(np.abs(values - swapped), initial=0.0))
+    if asymmetry > SYMMETRIZE_TOL:
+        raise NotSymmetric(
+            f"sampled kernel asymmetry {asymmetry:.3e} exceeds {SYMMETRIZE_TOL:.0e}"
+        )
+    # the sum is exact for subnormals; halving first only where the sum
+    # overflows keeps the largest finite samples
+    with np.errstate(over="ignore"):
+        total = values + swapped
+    values = np.where(np.isfinite(total), 0.5 * total, 0.5 * values + 0.5 * swapped)
     return SampledKernel(ogrid, squad, values)
 
 
@@ -133,7 +127,7 @@ def kernel_matrices(
     samples each curve and basis expression once.
     """
     if isinstance(k, SampledKernel):
-        if not (same_omega_grid(k.ogrid, ogrid) and same_quadrature(k.squad, squad)):
+        if not (same_rule(k.ogrid, ogrid) and same_rule(k.squad, squad)):
             raise GridMismatch("sampled kernel was sampled on different grids")
         return k.values
     basis = k.basis_matrix(squad)
@@ -149,10 +143,7 @@ def hermitian_check(k: KernelSpec) -> float:
     """
     if isinstance(k, SeparableKernel):
         return 0.0
-    swapped = k.values.transpose(0, 2, 1)
-    if k.values.size == 0:
-        return 0.0
-    return float(np.max(np.abs(k.values - swapped)))
+    return float(np.max(np.abs(k.values - k.values.transpose(0, 2, 1)), initial=0.0))
 
 
 def psd_check(k: KernelSpec, decomposition, tol: float) -> tuple:

@@ -1,8 +1,8 @@
 """Fiber spectra, mixings of eigenvalue curves, and membership tests.
 
-A partition splits the parameter nodes into labeled sets; the mixed field
-takes curve n's eigenvalue on the set labeled n, with label 0 reserved for
-the constant zero curve.  A field belongs to the operator's spectrum
+A partition gives every parameter node one curve label; the mixed field
+takes curve n's eigenvalue at the nodes labeled n, with label 0 reserved
+for the constant zero curve.  A field belongs to the operator's spectrum
 exactly when at every node it is within tolerance of the fiber spectrum,
 the retained eigenvalues together with 0.
 """
@@ -20,55 +20,40 @@ from .errors import (
     UnknownCurveLabel,
 )
 from .fiber import FiberDecomposition
-from .grid import OmegaGrid, ScalarField, same_omega_grid
+from .grid import OmegaGrid, ScalarField, same_rule
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Labeled sets of parameter node indices covering the grid exactly once."""
+    """One non-negative curve label per parameter node."""
 
-    n_nodes: int
-    sets: tuple  # ((label, (node indices...)), ...)
+    labels: np.ndarray
 
     def __post_init__(self):
-        seen = np.zeros(self.n_nodes, dtype=int)
-        norm = []
-        for label, indices in self.sets:
-            label = int(label)
-            if label < 0:
-                raise ValueError(f"labels must be non-negative, got {label}")
-            idx = tuple(int(i) for i in indices)
-            for i in idx:
-                if not 0 <= i < self.n_nodes:
-                    raise IndexOutOfRange(f"node index {i} outside the grid")
-                seen[i] += 1
-            norm.append((label, idx))
-        if np.any(seen > 1):
-            first = int(np.nonzero(seen > 1)[0][0])
-            raise IncompletePartition(
-                f"node {first} is covered by more than one set"
-            )
-        if np.any(seen == 0):
-            first = int(np.nonzero(seen == 0)[0][0])
-            raise IncompletePartition(f"node {first} is not covered by any set")
-        object.__setattr__(self, "sets", tuple(norm))
+        labels = np.asarray(self.labels)
+        if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError("labels must be a one dimensional integer array")
+        if np.any(labels < 0):
+            raise ValueError(f"labels must be non-negative, got {labels.min()}")
+        # a signed copy: label 0 must become curve -1, not wrap around
+        object.__setattr__(self, "labels", labels.astype(int))
 
     @staticmethod
     def from_ranges(ogrid: OmegaGrid, entries) -> "Partition":
-        """Build from (label, lo, hi) rows; each set takes the nodes with
-        lo <= omega < hi."""
-        sets = []
-        for label, lo, hi in entries:
-            picked = np.nonzero((ogrid.nodes >= lo) & (ogrid.nodes < hi))[0]
-            sets.append((int(label), tuple(int(i) for i in picked)))
-        return Partition(len(ogrid), tuple(sets))
-
-    def labels_by_node(self) -> np.ndarray:
-        out = np.zeros(self.n_nodes, dtype=int)
-        for label, indices in self.sets:
-            for i in indices:
-                out[i] = label
-        return out
+        """Build from (label, lo, hi) rows; row k labels the nodes with
+        lo <= omega < hi, and every node must be covered exactly once."""
+        rows = [(int(label), lo, hi) for label, lo, hi in entries]
+        labels = np.array([label for label, _, _ in rows], dtype=int)
+        table = np.array(rows, dtype=float).reshape(len(rows), 3)
+        hit = (ogrid.nodes >= table[:, 1:2]) & (ogrid.nodes < table[:, 2:])
+        count = hit.sum(axis=0)
+        for bad, what in (
+            (count > 1, "is covered by more than one set"),
+            (count == 0, "is not covered by any set"),
+        ):
+            if np.any(bad):
+                raise IncompletePartition(f"node {np.argmax(bad)} {what}")
+        return Partition(labels[np.argmax(hit, axis=0)])
 
 
 def _spectra(d: FiberDecomposition) -> np.ndarray:
@@ -95,14 +80,14 @@ def mix_field(
 ) -> ScalarField:
     """Mix eigenvalue curves over a partition.
 
-    On the set labeled n > 0 the field takes curve n's eigenvalue (aligned
-    curve id by default, descending sorted position otherwise); label 0
-    contributes the zero curve.  Raises UnknownCurveLabel when a label
+    At a node labeled n > 0 the field takes curve n's eigenvalue (aligned
+    curve id n - 1 by default, the n-th largest eigenvalue otherwise);
+    label 0 contributes the zero curve.  Raises UnknownCurveLabel when a label
     references a curve missing at one of its nodes.
     """
-    if p.n_nodes != d.n_fibers:
+    if p.labels.size != d.n_fibers:
         raise GridMismatch("partition does not match the decomposition grid")
-    curve = p.labels_by_node() - 1
+    curve = p.labels - 1
     if use_aligned:
         hit = d._curve_mask(curve)
     else:
@@ -117,7 +102,7 @@ def mix_field(
 
 def membership_distances(d: FiberDecomposition, field: ScalarField) -> np.ndarray:
     """Distance from field(omega) to the fiber spectrum at every node."""
-    if not same_omega_grid(d.ogrid, field.grid):
+    if not same_rule(d.ogrid, field.grid):
         raise GridMismatch("field lives on a different parameter grid")
     # padded slots hold 0, which belongs to every fiber spectrum anyway
     v = field.values

@@ -227,6 +227,53 @@ def test_reconstruct_report(tmp_path):
     assert rc == 3  # more than the retained rank is a numerical failure
 
 
+def test_rs_report_stays_finite_for_huge_g(tmp_path):
+    # the rs error reaches 1e306; squaring it overflowed to inf
+    rc = main(
+        [
+            "rs",
+            "--config",
+            CONFIG_PATH,
+            "--function",
+            "1e308*lambda",
+            "--mesh",
+            "0.05",
+            "--section",
+            "f",
+            "--out",
+            str(tmp_path),
+        ]
+    )
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "rs_report.csv")
+    report = {k: float(v) for k, v in rows}
+    assert 1e300 < report["error_vs_funcalc"] < 1e308
+
+
+def test_line_break_in_config_name_gives_one_line(tmp_path, capsys):
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["partitions"]["a\nb"] = []
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    rc = main(["decompose", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "config error: partitions[a b] must be a non-empty list\n"
+
+
+def test_partition_label_beyond_int64_is_config_error(tmp_path, capsys):
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["partitions"]["big"] = [{"label": 2**63, "omega_range": [0.0, 1.0]}]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    rc = main(["mix", "--config", str(path), "--partition", "big"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "config error: partitions[big][0].label must be below 2^63\n"
+
+
 def test_config_error_exit_codes(tmp_path):
     rc = main(["decompose", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
@@ -397,3 +444,12 @@ def test_flag_overrides(tmp_path):
 def test_missing_required_flag_is_config_error(tmp_path):
     assert main(["decompose"]) == 2
     assert main(["mix", "--config", CONFIG_PATH, "--out", str(tmp_path)]) == 2
+
+
+def test_usage_error_is_one_line(capsys):
+    # a value that starts with "-" reads as a flag; argparse's usage text
+    # is left out of the diagnostic
+    argv = ["funcalc", "--config", CONFIG_PATH, "--function", "-(1)", "--section", "f"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "fiberspec funcalc: error: argument --function: expected one argument\n"

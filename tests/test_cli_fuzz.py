@@ -1,12 +1,14 @@
 """Property test of the CLI contract on mutated configurations.
 
 Each example takes configs/trig_rank3.json or a small sampled-kernel
-config, replaces, deletes or adds a few entries (values of any JSON type,
-expression strings built from the grammar's tokens) and runs decompose or
-verify on a small grid.  Whatever the input, main() must return 0, 2, 3
-or 4 without raising or warning, write nothing to stderr on exit 0 and
-exactly one line otherwise, and every value in a CSV it wrote must be
-finite.
+config, replaces, deletes or adds up to three entries (values of any JSON
+type, expression strings built from the grammar's tokens) and runs one
+subcommand on a small grid: decompose, verify, apply in both modes,
+project, funcalc or rs with a drawn g (and mesh), spectrum with or without
+a partition, mix or reconstruct with a drawn rank.  Whatever the input,
+main() must return 0, 2, 3 or 4 without raising or warning, write nothing
+to stderr on exit 0 and exactly one line otherwise, and every value in a
+CSV it wrote must be finite (the value column of a *_report.csv).
 """
 
 import csv
@@ -33,7 +35,14 @@ SAMPLED = {
         "expression": "min(t,s)-t*s+omega*sin(pi*t)*sin(pi*s)",
     },
     "sections": {"f": "omega*sin(pi*t)"},
-    "thresholds": {"ramp": "omega/4"},
+    "thresholds": {"mid": "omega/4"},
+    "partitions": {
+        "thirds": [
+            {"label": 1, "omega_range": [0.0, 0.3]},
+            {"label": 2, "omega_range": [0.3, 0.7]},
+            {"label": 3, "omega_range": [0.7, 1.0]},
+        ]
+    },
 }
 BASES = (TRIG, SAMPLED)
 
@@ -98,6 +107,43 @@ values = st.recursive(
 )
 
 
+# g for funcalc and rs: well-formed expressions, mostly of lambda alone
+functions = st.recursive(
+    st.sampled_from(
+        ("lambda", "lambda", "0", "1", "-1", "0.5", "1e308", "1e-300", "omega")
+    ),
+    _combine,
+    max_leaves=4,
+)
+meshes = st.floats(1e-3, 2.0) | st.sampled_from(
+    (0.0, -0.5, 1e-9, 1e-300, float("nan"), float("inf"))
+)
+# every subcommand, equally often; {g}, {mesh} and {rank} are drawn, and
+# the config names are those of both bases, which a mutation may remove
+COMMANDS = (
+    ("decompose",),
+    ("verify",),
+    ("apply", "--section", "f", "--mode", "quadrature"),
+    ("apply", "--section", "f", "--mode", "spectral"),
+    ("project", "--threshold", "mid", "--section", "f"),
+    ("funcalc", "--function={g}", "--section", "f"),
+    ("rs", "--function={g}", "--mesh={mesh!r}", "--section", "f"),
+    ("spectrum",),
+    ("spectrum", "--partition", "thirds"),
+    ("mix", "--partition", "thirds"),
+    ("reconstruct", "--rank={rank}"),
+)
+commands = st.builds(
+    lambda template, g, mesh, rank: [
+        arg.format(g=g, mesh=mesh, rank=rank) for arg in template
+    ],
+    st.sampled_from(COMMANDS),
+    functions,
+    meshes,
+    st.integers(-1, 4),
+)
+
+
 def _mutations(base):
     paths = sorted(_paths(base), key=repr)
     expression_paths = [p for p in paths if isinstance(_leaf(base, p), str)]
@@ -114,7 +160,6 @@ def _mutations(base):
             expressions,
             st.just(""),
         ),
-        min_size=1,
         max_size=3,
     )
 
@@ -147,6 +192,9 @@ def mutate(raw, ops):
 def csv_values_finite(path):
     with open(path, newline="", encoding="ascii") as fh:
         rows = list(csv.reader(fh))[1:]
+    if path.name.endswith("_report.csv"):
+        # the first column names the metric
+        rows = [row[1:] for row in rows]
     return all(math.isfinite(float(v)) for row in rows for v in row)
 
 
@@ -155,7 +203,7 @@ def csv_values_finite(path):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(case=cases, command=st.sampled_from(("decompose", "verify")))
+@given(case=cases, command=commands)
 def test_mutated_config_keeps_cli_contract(tmp_path, capsys, case, command):
     base, ops = case
     raw = mutate(json.loads(json.dumps(base)), ops)
@@ -168,8 +216,8 @@ def test_mutated_config_keeps_cli_contract(tmp_path, capsys, case, command):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(
-            [
-                command,
+            command
+            + [
                 "--config", str(config),
                 "--out", str(out),
                 "--omega-n", "8",

@@ -4,6 +4,7 @@ import pytest
 import fiberspec as fs
 from fiberspec import errors
 from fiberspec.expr import parse
+from fiberspec.grid import _l22
 
 
 def test_midpoint_grid():
@@ -120,6 +121,21 @@ def test_l22_norm_closed_form(cfg):
     discrete = np.sqrt(2.0 / 3.0 - 0.5 / (12.0 * n * n))
     assert fs.l22_norm(f) == pytest.approx(discrete, abs=1e-12)
     assert fs.l22_norm(f) == pytest.approx(np.sqrt(2.0 / 3.0), abs=2e-5)
+
+
+def test_l22_norm_rescales_only_overflowing_sections(grids):
+    # the squares of 1e308 overflow; a power-of-two rescale keeps the norm
+    ogrid, squad = grids
+    huge = fs.Section(ogrid, squad, np.full((16, 24), 1e308))
+    assert fs.l22_norm(huge) == pytest.approx(1e308, rel=1e-14)
+    rng = np.random.default_rng(3)
+    plain = rng.standard_normal((16, 24))
+    stack = np.stack([np.full((16, 24), np.finfo(float).max), plain])
+    norms = _l22(ogrid, squad, stack)
+    assert norms[0] == pytest.approx(np.finfo(float).max, rel=1e-14)
+    # sections that do not overflow keep the plain formula bit for bit
+    want = np.sqrt(np.maximum(((plain * plain) @ squad.weights) @ ogrid.weights, 0.0))
+    assert norms[1] == want
 
 
 def test_norm_field_matches_inner_product(grids):

@@ -12,7 +12,7 @@ def test_partition_from_ranges_half_open(cfg):
     p = Partition.from_ranges(
         cfg.ogrid, ((1, 0.0, 0.5), (2, 0.5, 1.0))
     )
-    labels = p.labels_by_node()
+    labels = p.labels
     nodes = cfg.ogrid.nodes
     assert np.all(labels[nodes < 0.5] == 1)
     assert np.all(labels[nodes >= 0.5] == 2)
@@ -23,16 +23,17 @@ def test_partition_gap_rejected(cfg):
         Partition.from_ranges(cfg.ogrid, ((1, 0.0, 0.4),))
 
 
-def test_partition_overlap_rejected():
-    with pytest.raises(errors.IncompletePartition):
-        Partition(4, ((1, (0, 1, 2)), (2, (2, 3))))
+def test_partition_overlap_rejected(cfg):
+    with pytest.raises(errors.IncompletePartition, match="node 32 is covered"):
+        Partition.from_ranges(cfg.ogrid, ((1, 0.0, 0.6), (2, 0.5, 1.0)))
 
 
 def test_partition_bad_indices():
-    with pytest.raises(errors.IndexOutOfRange):
-        Partition(3, ((1, (0, 1, 5)),))
-    with pytest.raises(ValueError):
-        Partition(2, ((-1, (0, 1)),))
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        Partition(np.array([1, -1]))
+    for labels in (np.array([1.0, 2.0]), np.ones((2, 2), dtype=int), 1):
+        with pytest.raises(ValueError, match="one dimensional integer array"):
+            Partition(labels)
 
 
 def test_fiber_spectrum_contains_zero(decomposition):
@@ -63,6 +64,8 @@ def test_mix_label_zero_is_null_curve(cfg, decomposition):
     p = Partition.from_ranges(cfg.ogrid, ((0, 0.0, 1.0),))
     mixed = fs.mix_field(decomposition, p)
     assert np.all(mixed.values == 0.0)
+    unsigned = fs.mix_field(decomposition, Partition(np.zeros(64, dtype=np.uint8)))
+    assert np.all(unsigned.values == 0.0)
 
 
 def test_mix_unknown_curve(cfg, decomposition):
@@ -84,7 +87,7 @@ def test_mix_sorted_versus_aligned(cfg, decomposition):
 
 
 def test_mix_partition_size_guard(decomposition):
-    p = Partition(3, ((1, (0, 1, 2)),))
+    p = Partition(np.ones(3, dtype=int))
     with pytest.raises(errors.GridMismatch):
         fs.mix_field(decomposition, p)
 

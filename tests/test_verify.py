@@ -41,6 +41,26 @@ def test_suite_passes_on_fixture(small_cfg):
         assert expected in names
 
 
+@pytest.mark.parametrize("n", [40, 48, 100, 200])
+def test_moment_check_accepts_gauss_legendre_and_catches_one_weight(n):
+    squad = fs.build_s_quadrature("gauss_legendre", n)
+    assert verify._moment_error(squad) <= 1e-13
+    weights = squad.weights.copy()
+    weights[n // 3] += 1e-10
+    off = fs.SQuadrature("gauss_legendre", squad.nodes, weights)
+    assert verify._moment_error(off) > 1e-13
+
+
+def test_verify_passes_at_48_nodes(tmp_path, capsys):
+    # the monomial moments t^k, k < 96, exceeded 1e-13 on this exact rule
+    rc = main(
+        ["verify", "--config", CONFIG_PATH, "--omega-n", "8", "--quad-n", "48"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "[PASS] quadrature_moments" in out
+
+
 def test_suite_is_deterministic(small_cfg):
     a = verify.run_suite(small_cfg)
     b = verify.run_suite(small_cfg)
