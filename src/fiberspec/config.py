@@ -42,6 +42,7 @@ DEFAULT_MEMBER_TOL = 1e-8
 class Tolerances:
     rank_tol: float = DEFAULT_RANK_TOL
     tie_tol: float = DEFAULT_TIE_TOL
+    # stopping tolerance of verify's Jacobi oracle; decompose uses LAPACK
     eig_tol: float = DEFAULT_EIG_TOL
     member_tol: float = DEFAULT_MEMBER_TOL
 
@@ -295,5 +296,4 @@ def decompose(cfg: Config) -> FiberDecomposition:
         cfg.ogrid,
         cfg.squad,
         rank_tol=cfg.tolerances.rank_tol,
-        eig_tol=cfg.tolerances.eig_tol,
     )

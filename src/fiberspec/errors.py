@@ -52,7 +52,7 @@ class NotSymmetric(FiberspecError):
 
 
 class NoConvergence(FiberspecError):
-    """Eigensolver failed to converge within the sweep budget."""
+    """Eigensolver did not converge (LAPACK, or the Jacobi sweep budget)."""
 
 
 class RankTooLarge(FiberspecError):

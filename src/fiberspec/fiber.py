@@ -5,13 +5,15 @@ Every parameter node gets the symmetrized collocation matrix
     A[j][l] = sqrt(w_j) * k(omega_i, t_j, t_l) * sqrt(w_l)
 
 whose eigenvectors v recover quadrature-orthonormal eigenfunction values
-x_n(t_j) = v_n[j] / sqrt(w_j).  Eigenpairs come from a Jacobi solver
-implemented here; the matrices are small and dense, and rotations converge
-quadratically once the off-diagonal mass is small.  The fibers are
-independent, so all of them are solved as one stack, each round of
-rotations acting on every fiber at once.  A separable kernel of R terms
-has fiber rank at most R, so its fibers are solved as R x R (at most
-n x n) cores of one shared QR factorization instead.
+x_n(t_j) = v_n[j] / sqrt(w_j).  The fibers are independent, so all of them
+are solved as one stack by LAPACK's symmetric eigensolver (np.linalg.eigh),
+behind the same input checks, power-of-two prescale and descending stable
+order as the Jacobi solver implemented here.  That Jacobi solver, whose
+rounds of rotations act on every matrix of a stack at once, is kept as the
+independent oracle that verify checks the production eigenvalues against.
+A separable kernel of R terms has fiber rank at most R, so its fibers are
+solved as R x R (at most n x n) cores of one shared QR factorization
+instead.
 """
 
 from __future__ import annotations
@@ -113,23 +115,13 @@ def _frobenius(A, off_diagonal=False):
     return np.sqrt(squares.reshape(len(A), n * n).sum(axis=1))
 
 
-def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
-    """Eigendecomposition of symmetric matrices by Jacobi rotations.
+def _prepare(a):
+    """Checked, scaled and symmetrized float copy of a matrix stack.
 
-    a is one matrix (n, n) or a stack (..., n, n); every matrix is solved
-    independently, and its result is bitwise the same whether it is solved
-    alone or inside a stack.  Each matrix is first scaled by the power of
-    two that brings its largest entry into [1/2, 1), which is exact and
-    keeps the norms from overflowing.  Sweeps of the round-robin ordering
-    run until the Frobenius norm of a matrix's off-diagonal part drops to
-    tol times the Frobenius norm of the matrix; a matrix that gets there
-    takes no further rotations.  Returns (eigenvalues, eigenvectors) of
-    shapes (..., n) and (..., n, n), with eigenvalues sorted descending and
-    eigenvectors as the matching orthonormal columns.  Raises ValueError
-    when the input is not a square matrix or a stack of them, DomainError
-    when an entry or an eigenvalue is not finite, NotSymmetric when a
-    matrix is asymmetric beyond 1e-12 and NoConvergence when any matrix
-    runs out of sweeps.
+    Returns the stack as (F, n, n), the binary exponent of every matrix's
+    largest entry and the leading shape of the input.  Each matrix is
+    scaled by the power of two that brings its largest entry into
+    [1/2, 1), which is exact and keeps norms from overflowing.
     """
     A = np.array(a, dtype=float, copy=True)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -143,7 +135,63 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
         raise NotSymmetric(f"matrix asymmetry {asymmetry:.3e} exceeds 1e-12")
     _, exponent = np.frexp(np.max(np.abs(A), axis=(1, 2), initial=0.0))
     A = np.ldexp(A, -exponent[:, None, None])
-    A = 0.5 * (A + A.transpose(0, 2, 1))
+    return 0.5 * (A + A.transpose(0, 2, 1)), exponent, lead
+
+
+def _finish(vals, vecs, exponent, lead):
+    """Undo the prescale and order every matrix's eigenpairs descending.
+
+    The sort is stable, so eigenvectors of equal eigenvalues keep the
+    column order the solver gave them.
+    """
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(vals, exponent[:, None])
+    if not np.all(np.isfinite(vals)):
+        raise DomainError("eigenvalues exceed the floating-point range")
+    order = np.argsort(-vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
+    n = vals.shape[1]
+    return vals.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
+
+
+def _eigh(a):
+    """Production eigendecomposition of symmetric matrices by LAPACK.
+
+    Takes and returns what jacobi_eigh does, with the same checks, prescale
+    and order; every matrix of a stack is solved by its own LAPACK call, so
+    its result is bitwise the same alone or inside a stack.  Raises
+    NoConvergence when LAPACK reports that a matrix did not converge.
+    """
+    A, exponent, lead = _prepare(a)
+    try:
+        vals, vecs = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
+    return _finish(vals, vecs, exponent, lead)
+
+
+def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
+    """Eigendecomposition of symmetric matrices by Jacobi rotations.
+
+    This is the reference solver that verify compares the production
+    LAPACK solve against; decompositions do not call it.  a is one matrix
+    (n, n) or a stack (..., n, n); every matrix is solved independently,
+    and its result is bitwise the same whether it is solved alone or inside
+    a stack.  Each matrix is first scaled by the power of two that brings
+    its largest entry into [1/2, 1), which is exact and keeps the norms
+    from overflowing.  Sweeps of the round-robin ordering run until the
+    Frobenius norm of a matrix's off-diagonal part drops to tol times the
+    Frobenius norm of the matrix; a matrix that gets there takes no further
+    rotations.  Returns (eigenvalues, eigenvectors) of shapes (..., n) and
+    (..., n, n), with eigenvalues sorted descending and eigenvectors as the
+    matching orthonormal columns.  Raises ValueError when the input is not
+    a square matrix or a stack of them, DomainError when an entry or an
+    eigenvalue is not finite, NotSymmetric when a matrix is asymmetric
+    beyond 1e-12 and NoConvergence when any matrix runs out of sweeps.
+    """
+    A, exponent, lead = _prepare(a)
+    n = A.shape[-1]
     vals = np.empty(A.shape[:-1])
     vecs = np.empty(A.shape)
     live = np.arange(len(A))
@@ -168,13 +216,7 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
                     f"relative off-diagonal mass {tol:.0e}"
                 )
             _sweep(A, V, skip_below, rounds)
-        vals = np.ldexp(vals, exponent[:, None])
-    if not np.all(np.isfinite(vals)):
-        raise DomainError("eigenvalues exceed the floating-point range")
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    return vals.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
+    return _finish(vals, vecs, exponent, lead)
 
 
 def fiber_matrices(
@@ -313,8 +355,8 @@ def _align_labels(eigenvalues, functions, ranks, weights):
     return labels
 
 
-def _solve_fibers(k: KernelSpec, ogrid, squad, eig_tol):
-    """Eigenpairs of every fiber from one stacked Jacobi solve.
+def _solve_fibers(k: KernelSpec, ogrid, squad):
+    """Eigenpairs of every fiber from one stacked LAPACK solve.
 
     Returns eigenvalues (F, r), eigenvectors (F, n_s, r) and the trace of
     every fiber matrix.  A sampled kernel solves the stack of its assembled
@@ -327,13 +369,13 @@ def _solve_fibers(k: KernelSpec, ogrid, squad, eig_tol):
     """
     if not isinstance(k, SeparableKernel):
         A = fiber_matrices(k, ogrid, squad)
-        vals, vecs = jacobi_eigh(A, tol=eig_tol)
+        vals, vecs = _eigh(A)
         return vals, vecs, np.trace(A, axis1=1, axis2=2)
     C = k.basis_matrix(squad) * np.sqrt(squad.weights)
     Q, Rm = np.linalg.qr(C.T)
     curves = k.curve_matrix(ogrid)
     cores = (Rm * curves[:, None, :]) @ Rm.T
-    vals, U = jacobi_eigh(0.5 * (cores + cores.transpose(0, 2, 1)), tol=eig_tol)
+    vals, U = _eigh(0.5 * (cores + cores.transpose(0, 2, 1)))
     return vals, Q @ U, curves @ np.sum(C * C, axis=1)
 
 
@@ -363,11 +405,10 @@ def decompose_all_fibers(
     ogrid: OmegaGrid,
     squad: SQuadrature,
     rank_tol: float = DEFAULT_RANK_TOL,
-    eig_tol: float = DEFAULT_EIG_TOL,
 ) -> FiberDecomposition:
     """Decompose every fiber, truncate by rank_tol, and align the curves.
 
-    All fibers are solved in one stacked Jacobi call.  A separable kernel
+    All fibers are solved in one stacked LAPACK call.  A separable kernel
     is solved exactly in the span of its R basis functions: one QR shared
     by all fibers, then a min(R, n_s) square core per fiber.  A sampled
     kernel solves every assembled n_s x n_s fiber matrix.
@@ -377,7 +418,7 @@ def decompose_all_fibers(
     within SIGN_TIE of the largest magnitude positive; ties inside
     degenerate blocks are resolved during alignment.
     """
-    vals, vecs, traces = _solve_fibers(k, ogrid, squad, eig_tol)
+    vals, vecs, traces = _solve_fibers(k, ogrid, squad)
     eigenvalues, functions, ranks = _retain(vals, vecs, squad, rank_tol)
     labels = _align_labels(eigenvalues, functions, ranks, squad.weights)
     return FiberDecomposition(

@@ -189,7 +189,8 @@ def _l22(ogrid: OmegaGrid, squad: SQuadrature, x) -> np.ndarray:
     out = np.sqrt(np.maximum(ip @ ogrid.weights, 0.0))
     overflow = np.isinf(out)
     if np.any(overflow):
-        # squares overflowed: rescale exactly by a power of two, as jacobi_eigh does
+        # squares overflowed: rescale exactly by a power of two, as the
+        # eigensolvers do
         _, exponent = np.frexp(np.max(np.abs(x), axis=(-2, -1)))
         scaled = _l22(ogrid, squad, np.ldexp(x, -exponent[..., None, None]))
         out = np.where(overflow, np.ldexp(scaled, exponent), out)

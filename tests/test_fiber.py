@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import fiberspec as fs
 from fiberspec import errors
 from fiberspec.expr import parse
+from fiberspec.fiber import _eigh
 
 from conftest import curve1, curve2, curve3
 
@@ -162,17 +163,91 @@ def test_stacked_jacobi_matches_numpy(n, kinds, seed):
 
 def test_stacked_solve_bitwise_equal(cfg):
     # dense rank-3 fibers, random and already diagonal matrices: a matrix
-    # that converges early must leave the stack untouched by later rounds
+    # that converges early must leave the stack untouched by later rounds,
+    # and a LAPACK solve must not depend on the matrices beside it
     rng = np.random.default_rng(12)
     n = len(cfg.squad)
     fibers = fs.fiber_matrices(cfg.kernel, cfg.ogrid, cfg.squad)[[0, 40]]
     others = [symmetric_matrix(rng, kind, n) for kind in KINDS]
     stack = np.concatenate([fibers, others])
-    vals, vecs = fs.jacobi_eigh(stack)
-    for A, v, V in zip(stack, vals, vecs):
-        alone_vals, alone_vecs = fs.jacobi_eigh(A)
-        assert alone_vals.tobytes() == v.tobytes()
-        assert alone_vecs.tobytes() == V.tobytes()
+    for solve in (fs.jacobi_eigh, _eigh):
+        vals, vecs = solve(stack)
+        for A, v, V in zip(stack, vals, vecs):
+            alone_vals, alone_vecs = solve(A)
+            assert alone_vals.tobytes() == v.tobytes()
+            assert alone_vecs.tobytes() == V.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 48),
+    kinds=st.lists(st.sampled_from(KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_eigh_matches_jacobi(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    A = np.stack([symmetric_matrix(rng, kind, n) for kind in kinds])
+    vals, vecs = _eigh(A)
+    assert vals.shape == (len(kinds), n) and vecs.shape == A.shape
+    oracle, _ = fs.jacobi_eigh(A)
+    for a, v, V, w in zip(A, vals, vecs, oracle):
+        scale = max(1.0, float(np.sqrt(np.sum(a * a))))
+        assert np.max(np.abs(v - w)) <= 1e-12 * scale
+        assert np.max(np.abs(a @ V - V * v)) <= 1e-12 * scale
+        assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-12
+        assert np.all(np.diff(v) <= 0.0)
+
+
+def unit_columns(vecs):
+    """Index of the unit vector in every column of a signed permutation."""
+    assert np.array_equal(np.abs(vecs).sum(axis=-2), np.ones(vecs.shape[-1]))
+    return np.argmax(np.abs(vecs), axis=-2)
+
+
+def test_equal_eigenvalues_keep_solver_column_order():
+    # numpy's default argsort is stable anyway below 16 entries, so the
+    # stacks are large; eigenvectors of a diagonal matrix are unit vectors,
+    # so the column order inside every group of equal eigenvalues shows
+    rng = np.random.default_rng(13)
+    for n in (32, 48, 64):
+        diagonals = rng.choice([-1.0, 0.5, 2.0, 3.0], size=(3, n))
+        stack = np.stack([np.diag(d) for d in diagonals])
+        for solve in (fs.jacobi_eigh, _eigh):
+            vals, vecs = solve(stack)
+            for d, A, v, V in zip(diagonals, stack, vals, vecs):
+                assert np.array_equal(v, np.sort(d)[::-1])
+                got = unit_columns(V)
+                if solve is fs.jacobi_eigh:
+                    # the rotations leave a diagonal matrix as it is
+                    w, source = d, np.arange(n)
+                else:
+                    w, raw = np.linalg.eigh(A)
+                    source = unit_columns(raw)
+                for x in np.unique(d):
+                    assert np.array_equal(got[v == x], source[w == x])
+
+
+def test_eigh_keeps_the_solver_contract(monkeypatch):
+    vals, vecs = _eigh(np.full((2, 2), 1e200))
+    assert np.array_equal(vals, [2e200, 0.0])
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(2))) < 1e-15
+    with pytest.raises(ValueError):
+        _eigh(np.zeros((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(errors.DomainError):
+            _eigh(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(errors.NotSymmetric):
+        _eigh(np.array([[1.0, 2.0], [2.1, 1.0]]))
+    # finite entries whose eigenvalue is not a finite double
+    with pytest.raises(errors.DomainError):
+        _eigh(np.full((2, 2), 1e308))
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(errors.NoConvergence):
+        _eigh(np.eye(3))
 
 
 def test_jacobi_huge_entries_are_scaled_exactly():

@@ -1,7 +1,7 @@
 """The factored route for separable kernels against the dense oracle.
 
 decompose_all_fibers solves a separable kernel through one QR of its
-weighted basis matrix and a small Jacobi solve per fiber.  The oracle is
+weighted basis matrix and a small LAPACK solve per fiber.  The oracle is
 the dense route: jacobi_eigh of the stack of assembled n x n fiber
 matrices, with the same truncation rule.  Both must give the same ranks, the same
 eigenvalues and the same truncated operator sum_n lambda_n x_n x_n^T.
