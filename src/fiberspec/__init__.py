@@ -8,6 +8,16 @@ continuous functions of the operator, and checks spectral membership of
 mixed eigenvalue fields.
 """
 
+import os
+import sys
+
+# Every fiber matrix is small, so OpenBLAS's worker threads only spin on
+# it.  This must run before numpy loads OpenBLAS, which reads the variable
+# once; a value the caller set wins, and a process that has already loaded
+# numpy keeps its environment untouched.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .calculus import (
     Eigenspace,
     ThresholdField,

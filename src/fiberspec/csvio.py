@@ -2,8 +2,12 @@
 
 Every writer uses a header row, LF line endings, '.' as the decimal
 separator, and 17 significant digits for reals, so identical inputs
-produce byte-identical files.  Each writer builds its columns from whole
-arrays and zips them into rows.
+produce byte-identical files.  A writer of one row per fiber or per
+spectral value builds its columns from whole arrays and zips them into
+rows.  A writer of a grid whose last axis is a node list (sections,
+eigenfunctions, kernel samples) writes one block of rows per leading index
+with a single `%` operation on a template built once from the formatted
+nodes; '%.17g' % x is byte-for-byte format(x, '.17g').
 """
 
 from __future__ import annotations
@@ -24,22 +28,31 @@ def _reals(x):
     return map(format, np.asarray(x, dtype=float).flat, repeat(".17g"))
 
 
-def _along(texts, shape, axis):
-    """texts[k] at every index of shape whose coordinate on axis is k.
-
-    The column is iterated in C order from a broadcast view, so a node
-    value repeated across a grid is formatted once and never copied.
-    """
-    view = np.array(list(texts), dtype=object)
-    view = view.reshape([-1 if a == axis else 1 for a in range(len(shape))])
-    return np.broadcast_to(view, shape).flat
-
-
 def write_rows(path, header, rows):
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
+
+
+def _write_grid(path, header, prefixes, nodes, values):
+    """Rows (prefix, node, value): one block per prefix, one row per node.
+
+    prefixes holds the text of the leading columns of each block, and
+    values one row of len(nodes) reals per block.  The blocks are streamed,
+    each formatted by one `%` on a template that has every node's text in
+    place, so the nodes are formatted once for the whole file.
+    """
+    values = np.asarray(values, dtype=float).reshape(-1, len(nodes))
+    nodes = list(_reals(nodes))
+    template = "".join(f"%s,{t},%.17g\n" for t in nodes)
+    args = [None] * (2 * len(nodes))
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for prefix, row in zip(prefixes, values):
+            args[::2] = repeat(prefix, len(nodes))
+            args[1::2] = row.tolist()
+            fh.write(template % tuple(args))
 
 
 def write_field(path, field: ScalarField):
@@ -48,13 +61,9 @@ def write_field(path, field: ScalarField):
 
 
 def write_section(path, section: Section):
-    shape = section.values.shape
-    columns = (
-        _along(_reals(section.ogrid.nodes), shape, 0),
-        _along(_reals(section.squad.nodes), shape, 1),
-        _reals(section.values),
-    )
-    write_rows(path, ("omega", "t", "value"), zip(*columns))
+    omega = _reals(section.ogrid.nodes)
+    header = ("omega", "t", "value")
+    _write_grid(path, header, omega, section.squad.nodes, section.values)
 
 
 def _retained_by_curve(d: FiberDecomposition):
@@ -86,13 +95,9 @@ def write_eigencurves(path, d: FiberDecomposition):
 def write_eigenfunctions(path, d: FiberDecomposition):
     fiber, ids, _, rows = _retained_by_curve(d)
     omega = list(_reals(d.ogrid.nodes))
-    columns = (
-        _along([omega[i] for i in fiber], rows.shape, 0),
-        _along(map(str, ids.tolist()), rows.shape, 0),
-        _along(_reals(d.squad.nodes), rows.shape, 1),
-        _reals(rows),
-    )
-    write_rows(path, ("omega", "curve_id", "t", "value"), zip(*columns))
+    prefixes = (f"{omega[i]},{n}" for i, n in zip(fiber.tolist(), ids.tolist()))
+    header = ("omega", "curve_id", "t", "value")
+    _write_grid(path, header, prefixes, d.squad.nodes, rows)
 
 
 def write_bounds(path, d: FiberDecomposition):
@@ -110,14 +115,10 @@ def write_spectra(path, d: FiberDecomposition):
 
 
 def write_kernel(path, k: SampledKernel):
-    shape = k.values.shape
-    columns = (
-        _along(_reals(k.ogrid.nodes), shape, 0),
-        _along(_reals(k.squad.nodes), shape, 1),
-        _along(_reals(k.squad.nodes), shape, 2),
-        _reals(k.values),
-    )
-    write_rows(path, ("omega", "t", "s", "value"), zip(*columns))
+    t = list(_reals(k.squad.nodes))
+    prefixes = (f"{omega},{tj}" for omega in _reals(k.ogrid.nodes) for tj in t)
+    header = ("omega", "t", "s", "value")
+    _write_grid(path, header, prefixes, k.squad.nodes, k.values)
 
 
 def write_membership(path, d: FiberDecomposition, field: ScalarField):

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fiberspec
 from fiberspec.cli import main
 
 from conftest import CONFIG_PATH, curve1, tf_ref
@@ -466,3 +469,59 @@ def test_usage_error_is_one_line(capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "fiberspec funcalc: error: argument --function: expected one argument\n"
+
+
+SRC = os.path.dirname(os.path.dirname(fiberspec.__file__))
+
+
+def run_python(args, threads=None):
+    """Run the interpreter on args in a fresh process with fiberspec on its
+    path and OPENBLAS_NUM_THREADS set to threads, or unset for None."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+PROBE = """
+import os
+{before}
+import fiberspec
+tasks = "/proc/self/task"
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(len(os.listdir(tasks)) if os.path.isdir(tasks) else "no proc")
+"""
+
+
+def test_import_defaults_to_one_blas_thread():
+    value, tasks = run_python(["-c", PROBE.format(before="")]).splitlines()
+    assert value == "1"
+    if tasks == "no proc":
+        pytest.skip("no /proc/self/task to count threads in")
+    assert tasks == "1"
+
+
+def test_blas_thread_default_leaves_caller_settings_alone():
+    # a value the caller set wins
+    value, _ = run_python(["-c", PROBE.format(before="")], threads="2").splitlines()
+    assert value == "2"
+    # once numpy has loaded its BLAS, the variable would change nothing
+    value, _ = run_python(["-c", PROBE.format(before="import numpy")]).splitlines()
+    assert value == "None"
+
+
+def test_decompose_bytes_do_not_depend_on_blas_threads(tmp_path):
+    for threads in (None, "2"):
+        out = str(tmp_path / f"threads_{threads}")
+        argv = ["decompose", "--config", CONFIG_PATH, "--out", out]
+        run_python(["-m", "fiberspec", *argv], threads)
+    for name in ("bounds", "eigencurves", "eigenfunctions"):
+        default = (tmp_path / "threads_None" / f"{name}.csv").read_bytes()
+        assert default == (tmp_path / "threads_2" / f"{name}.csv").read_bytes(), name
