@@ -19,11 +19,9 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .calculus import (
-    Eigenspace,
     ThresholdField,
     apply_quadrature,
     apply_spectral,
-    eigenspace,
     functional_calculus,
     projector_apply,
     riemann_stieltjes_apply,
@@ -36,7 +34,6 @@ from .errors import (
     FiberspecError,
     GridMismatch,
     IncompletePartition,
-    IndexOutOfRange,
     InvalidCount,
     InvalidKernel,
     InvalidMesh,
@@ -64,7 +61,6 @@ from .grid import (
     build_omega_grid,
     build_s_quadrature,
     fiber_inner_product,
-    fiber_norm_field,
     l22_norm,
     sample_field,
     sample_section,
@@ -75,12 +71,10 @@ from .kernel import (
     hermitian_check,
     kernel_matrices,
     mercer_reconstruct,
-    psd_check,
     sample_kernel,
 )
 from .spectrum import (
     Partition,
-    fiber_spectrum,
     membership_distances,
     mix_field,
     spm_membership,
@@ -92,13 +86,11 @@ __all__ = [
     "Config",
     "ConfigError",
     "DomainError",
-    "Eigenspace",
     "ExpressionSyntaxError",
     "FiberDecomposition",
     "FiberspecError",
     "GridMismatch",
     "IncompletePartition",
-    "IndexOutOfRange",
     "InvalidCount",
     "InvalidKernel",
     "InvalidMesh",
@@ -124,13 +116,10 @@ __all__ = [
     "build_s_quadrature",
     "decompose",
     "decompose_all_fibers",
-    "eigenspace",
     "evaluate",
     "extract_eigenfunctions",
     "fiber_inner_product",
     "fiber_matrices",
-    "fiber_norm_field",
-    "fiber_spectrum",
     "free_variables",
     "functional_calculus",
     "hermitian_check",
@@ -143,7 +132,6 @@ __all__ = [
     "mix_field",
     "parse",
     "projector_apply",
-    "psd_check",
     "riemann_stieltjes_apply",
     "sample_field",
     "sample_kernel",

@@ -21,7 +21,7 @@ from . import expr
 from .errors import GridMismatch, InvalidMesh
 from .fiber import FiberDecomposition
 from .grid import OmegaGrid, ScalarField, Section, SQuadrature, same_rule
-from .kernel import KernelSpec, SampledKernel, SeparableKernel
+from .kernel import KernelSpec, SeparableKernel
 
 DEFAULT_TIE_TOL = 1e-12
 DEFAULT_EPSILON = 1e-6
@@ -141,6 +141,25 @@ def functional_calculus(
     return Section(d.ogrid, d.squad, _multiply(d, f.values, h, values[2]))
 
 
+def _rs_cuts(d: FiberDecomposition, mesh: float, epsilon: float) -> np.ndarray:
+    """Cuts m* = c_0 < ... < c_K = M* + epsilon of the uniform
+    Riemann-Stieltjes partition, K = max(1, ceil((c_K - c_0) / mesh)).
+
+    Raises InvalidMesh for a mesh that is not a positive real or that gives
+    more than MAX_RS_CELLS cells.
+    """
+    if not (mesh > 0.0) or not math.isfinite(mesh):
+        raise InvalidMesh(f"mesh must be a positive real, got {mesh!r}")
+    m_star = float(np.min(d.m.values))
+    top = float(np.max(d.M.values)) + epsilon
+    cells = (top - m_star) / mesh
+    if cells > MAX_RS_CELLS:
+        raise InvalidMesh(
+            f"mesh {mesh!r} gives more than {MAX_RS_CELLS} partition cells"
+        )
+    return np.linspace(m_star, top, max(1, math.ceil(cells)) + 1)
+
+
 def riemann_stieltjes_apply(
     d: FiberDecomposition,
     g: expr.Expression,
@@ -163,44 +182,10 @@ def riemann_stieltjes_apply(
     cut, so a domain error anywhere on the partition raises.
     """
     _require_section_on(d, f)
-    if not (mesh > 0.0) or not math.isfinite(mesh):
-        raise InvalidMesh(f"mesh must be a positive real, got {mesh!r}")
-    m_star = float(np.min(d.m.values))
-    top = float(np.max(d.M.values)) + epsilon
-    cells = (top - m_star) / mesh
-    if cells > MAX_RS_CELLS:
-        raise InvalidMesh(
-            f"mesh {mesh!r} gives more than {MAX_RS_CELLS} partition cells"
-        )
-    steps = max(1, int(math.ceil(cells)))
-    cuts = np.linspace(m_star, top, steps + 1)
+    cuts = _rs_cuts(d, mesh, epsilon)
     g_cuts = expr.evaluate(g, {"lambda": cuts})
     reach = cuts + DEFAULT_TIE_TOL
     h = g_cuts[np.searchsorted(reach, d.eigenvalues, side="left")]
     h0 = g_cuts[np.searchsorted(reach, 0.0, side="left")]
     return Section(d.ogrid, d.squad, _multiply(d, f.values, h, h0))
 
-
-@dataclass(frozen=True)
-class Eigenspace:
-    """Per-fiber bases of an eigenvalue field's eigenspace.
-
-    bases[i] holds the quadrature-orthonormal eigenfunction rows whose
-    eigenvalue is within tol of lam(omega_i); multiplicity counts them.
-    """
-
-    bases: tuple
-    multiplicity: ScalarField
-
-
-def eigenspace(
-    d: FiberDecomposition, lam: ThresholdField, tol: float
-) -> Eigenspace:
-    """Collect the retained eigenfunctions with eigenvalue near lam(omega)."""
-    _require_field_on(d.ogrid, lam.field)
-    close = (np.abs(d.eigenvalues - lam.field.values[:, None]) <= tol) & (
-        d.labels >= 0
-    )
-    bases = tuple(funcs[hit] for funcs, hit in zip(d.functions, close))
-    counts = np.count_nonzero(close, axis=1).astype(float)
-    return Eigenspace(bases, ScalarField(d.ogrid, counts))

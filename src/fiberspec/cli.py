@@ -9,7 +9,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -17,6 +16,7 @@ import numpy as np
 
 from . import csvio, expr
 from .calculus import (
+    _rs_cuts,
     apply_quadrature,
     apply_spectral,
     functional_calculus,
@@ -108,9 +108,7 @@ def cmd_rs(cfg, args):
     csvio.write_section(_out_path(args, "rs.csv"), out)
     exact = functional_calculus(d, g, f, epsilon=cfg.epsilon)
     err = l22_norm(Section(f.ogrid, f.squad, out.values - exact.values))
-    lo = float(np.min(d.m.values))
-    hi = float(np.max(d.M.values)) + cfg.epsilon
-    steps = max(1, math.ceil((hi - lo) / args.mesh))
+    steps = len(_rs_cuts(d, args.mesh, cfg.epsilon)) - 1
     csvio.write_report(
         _out_path(args, "rs_report.csv"),
         [
@@ -262,10 +260,11 @@ def main(argv=None) -> int:
                 epsilon=args.epsilon,
             )
             return args.handler(cfg, args)
-        except FiberspecError as exc:
+        except (FiberspecError, MemoryError) as exc:
+            # a grid too large to allocate is a numerical failure too
             config = isinstance(exc, ConfigError)
             # config names may hold line breaks; the diagnostic stays one line
-            text = " ".join(str(exc).splitlines())
+            text = " ".join(str(exc).splitlines()) or "out of memory"
             print(f"{'config error' if config else 'error'}: {text}", file=sys.stderr)
             return 2 if config else 3
 

@@ -39,10 +39,6 @@ class GridMismatch(FiberspecError):
     """Operands live on different grids."""
 
 
-class IndexOutOfRange(FiberspecError):
-    """Node index outside the grid."""
-
-
 class InvalidKernel(FiberspecError):
     """Kernel declaration violates its variable constraints."""
 

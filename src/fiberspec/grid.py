@@ -204,12 +204,6 @@ def fiber_inner_product(x: Section, y: Section) -> ScalarField:
     return ScalarField(x.ogrid, _pairing(x.squad, x.values, y.values))
 
 
-def fiber_norm_field(x: Section) -> ScalarField:
-    """Square root of the fiberwise pairing of a section with itself."""
-    ip = fiber_inner_product(x, x)
-    return ScalarField(x.ogrid, np.sqrt(np.maximum(ip.values, 0.0)))
-
-
 def l22_norm(x: Section) -> float:
     """Norm that integrates the squared fiber norms over the parameter grid."""
     return float(_l22(x.ogrid, x.squad, x.values))

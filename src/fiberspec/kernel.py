@@ -146,16 +146,6 @@ def hermitian_check(k: KernelSpec) -> float:
     return float(np.max(np.abs(k.values - k.values.transpose(0, 2, 1)), initial=0.0))
 
 
-def psd_check(k: KernelSpec, decomposition, tol: float) -> tuple:
-    """Positivity check from the fiber eigenvalues of a decomposition.
-
-    Returns (ok, worst) where worst is the minimum over fibers of the
-    lower spectral bound m(omega) and ok means worst >= -tol.
-    """
-    worst = float(np.min(decomposition.m.values))
-    return worst >= -tol, worst
-
-
 def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:
     """Rebuild kernel samples from the top eigenpairs of every fiber.
 

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GridMismatch,
-    IncompletePartition,
-    IndexOutOfRange,
-    UnknownCurveLabel,
-)
+from .errors import GridMismatch, IncompletePartition, UnknownCurveLabel
 from .fiber import FiberDecomposition
 from .grid import OmegaGrid, ScalarField, same_rule
 
@@ -65,14 +60,6 @@ def _spectra(d: FiberDecomposition) -> np.ndarray:
     vals = np.where(d.labels >= 0, d.eigenvalues, -np.inf)
     vals = np.append(vals, np.zeros((d.n_fibers, 1)), axis=1)
     return np.sort(vals, axis=1)[:, ::-1]
-
-
-def fiber_spectrum(d: FiberDecomposition, i: int) -> np.ndarray:
-    """Spectrum of one fiber: retained eigenvalues and 0, descending."""
-    if not 0 <= i < d.n_fibers:
-        raise IndexOutOfRange(f"fiber index {i} outside range [0, {d.n_fibers})")
-    vals = np.append(d.eigenvalues[i, : d.ranks[i]], 0.0)
-    return np.sort(vals)[::-1]
 
 
 def mix_field(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fiberspec as fs
+from fiberspec.expr import parse
 
 CONFIG_PATH = os.path.join(os.path.dirname(__file__), "..", "configs", "trig_rank3.json")
 
@@ -22,6 +23,22 @@ def curve3(w):
 
 def phi(n, t):
     return np.sqrt(2.0) * np.sin(n * np.pi * t)
+
+
+def random_separable_kernel(rng, max_rank=5):
+    """Random trigonometric separable kernel with 1..max_rank terms."""
+    rank = int(rng.integers(1, max_rank + 1))
+    terms = []
+    for _ in range(rank):
+        a, b, c = (repr(float(x)) for x in rng.uniform(-1.0, 1.0, 3))
+        freq = int(rng.integers(1, 4))
+        curve = f"{a}+{b}*cos({freq}*pi*omega)+{c}*sin(pi*omega)"
+        u, v, z = (repr(float(x)) for x in rng.uniform(-1.0, 1.0, 3))
+        k1, k2 = (int(x) for x in rng.integers(1, 7, 2))
+        k3 = int(rng.integers(0, 4))
+        basis = f"{u}*sin({k1}*pi*t)+{v}*sin({k2}*pi*t)+{z}*cos({k3}*pi*t)"
+        terms.append((parse(curve), parse(basis)))
+    return fs.SeparableKernel(tuple(terms))
 
 
 def f_ref(w, t):

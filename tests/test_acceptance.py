@@ -13,7 +13,15 @@ from fiberspec import verify
 from fiberspec.cli import main
 from fiberspec.expr import parse
 
-from conftest import CONFIG_PATH, curve1, curve2, curve3, tf_ref, t2f_ref
+from conftest import (
+    CONFIG_PATH,
+    curve1,
+    curve2,
+    curve3,
+    random_separable_kernel,
+    t2f_ref,
+    tf_ref,
+)
 
 
 def report(num, name, ok, detail=""):
@@ -104,7 +112,7 @@ def test_criterion_05_projector_axiom_suite(cfg):
         "projector_identity_above_bounds",
     )
     kernels = [cfg.kernel] + [
-        verify.random_separable_kernel(rng, max_rank=5) for _ in range(5)
+        random_separable_kernel(rng, max_rank=5) for _ in range(5)
     ]
     worst = {name: 0.0 for name in checked}
     for k in kernels:

@@ -20,7 +20,9 @@ from fiberspec import errors
 from fiberspec.expr import parse
 from fiberspec.fiber import DEGENERACY_TOL, _align_labels
 from fiberspec.spectrum import Partition
-from fiberspec.verify import _random_node_partition, random_separable_kernel
+from fiberspec.verify import _random_node_partition
+
+from conftest import random_separable_kernel
 
 BRIDGE_PATH = os.path.join(
     os.path.dirname(__file__), "..", "perfbench", "bridge_sampled.json"
@@ -73,7 +75,7 @@ class TuplePartition:
             idx = tuple(int(i) for i in indices)
             for i in idx:
                 if not 0 <= i < n_nodes:
-                    raise errors.IndexOutOfRange(f"node index {i} outside the grid")
+                    raise IndexError(f"node index {i} outside the grid")
                 seen[i] += 1
             norm.append((label, idx))
         if np.any(seen > 1):

@@ -246,24 +246,6 @@ def test_rs_matches_projector_increments(
     assert np.max(np.abs(out.values - ref)) <= bound
 
 
-def test_eigenspace_multiplicity_and_closure(cfg, decomposition):
-    lam = fs.ThresholdField(fs.sample_field(parse("cos(pi*omega/2)^2"), cfg.ogrid))
-    space = fs.eigenspace(decomposition, lam, tol=1e-8)
-    assert np.all(space.multiplicity.values == 1.0)
-    # the basis row is the first sine mode up to quadrature error
-    t = cfg.squad.nodes
-    want = np.sqrt(2.0) * np.sin(np.pi * t)
-    for i in (0, 30, 63):
-        row = space.bases[i][0]
-        assert np.max(np.abs(row - want)) < 1e-6
-
-
-def test_eigenspace_empty_off_spectrum(cfg, decomposition):
-    lam = fs.ThresholdField.constant(cfg.ogrid, 0.77)
-    space = fs.eigenspace(decomposition, lam, tol=1e-10)
-    assert np.any(space.multiplicity.values == 0.0)
-
-
 def test_grid_mismatch_guard(cfg, decomposition, grids):
     other = fs.build_s_quadrature("gauss_legendre", 32)
     f = fs.sample_section(parse("t"), cfg.ogrid, other)

@@ -277,6 +277,25 @@ def test_eigensolver_failure_is_numerical_error(tmp_path, capsys, monkeypatch):
     assert "did not converge" in err
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--omega-n", "error: Unable to allocate "),
+        # leggauss first builds a Python list, whose MemoryError has no text
+        ("--quad-n", "error: out of memory\n"),
+    ],
+)
+def test_grid_too_large_to_allocate_is_numerical_error(tmp_path, capsys, flag, message):
+    # 10**15 nodes need petabytes, beyond the address space, so the
+    # allocation is refused at once instead of touching any memory
+    argv = ["decompose", "--config", CONFIG_PATH, "--out", str(tmp_path)]
+    rc = main(argv + [flag, str(10**15)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_partition_label_beyond_int64_is_config_error(tmp_path, capsys):
     with open(CONFIG_PATH, encoding="utf-8") as fh:
         raw = json.load(fh)

@@ -138,14 +138,6 @@ def test_l22_norm_rescales_only_overflowing_sections(grids):
     assert norms[1] == want
 
 
-def test_norm_field_matches_inner_product(grids):
-    ogrid, squad = grids
-    f = fs.sample_section(parse("omega+t"), ogrid, squad)
-    nf = fs.fiber_norm_field(f).values
-    ip = fs.fiber_inner_product(f, f).values
-    assert np.allclose(nf, np.sqrt(ip), atol=1e-15)
-
-
 def test_grid_mismatch_detected(grids):
     ogrid, squad = grids
     other = fs.build_s_quadrature("gauss_legendre", 23)

@@ -108,21 +108,6 @@ def test_hermitian_check_separable_is_exact(grids):
     assert fs.hermitian_check(separable_fixture()) == 0.0
 
 
-def test_psd_check(cfg, decomposition):
-    ok, worst = fs.psd_check(cfg.kernel, decomposition, 1e-12)
-    assert ok
-    assert worst >= -1e-12
-
-
-def test_psd_check_flags_negative_curve(grids):
-    ogrid, squad = grids
-    k = fs.SeparableKernel(((parse("0-1"), parse("sqrt(2)*sin(pi*t)")),))
-    d = fs.decompose_all_fibers(k, ogrid, squad)
-    ok, worst = fs.psd_check(k, d, 1e-12)
-    assert not ok
-    assert worst == pytest.approx(-1.0, abs=1e-10)
-
-
 def test_mercer_reconstruct_full_rank(cfg, decomposition):
     rebuilt = fs.mercer_reconstruct(decomposition, 3)
     orig = fs.kernel_matrices(cfg.kernel, cfg.ogrid, cfg.squad)

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberspec as fs
-from fiberspec import verify
 from fiberspec.expr import parse
+
+from conftest import random_separable_kernel
 
 
 def dense_oracle(k, ogrid, squad, rank_tol=1e-10):
@@ -57,7 +58,7 @@ def kernel(*terms):
 def test_random_separable_matches_dense(seed, n_omega, rule, n_s):
     # 1..5 terms with non-orthonormal trigonometric bases; R > n_s and
     # sign-indefinite fibers both occur
-    k = verify.random_separable_kernel(np.random.default_rng(seed), max_rank=5)
+    k = random_separable_kernel(np.random.default_rng(seed), max_rank=5)
     assert_matches_oracle(
         k, fs.build_omega_grid(n_omega), fs.build_s_quadrature(rule, n_s)
     )

@@ -36,15 +36,6 @@ def test_partition_bad_indices():
             Partition(labels)
 
 
-def test_fiber_spectrum_contains_zero(decomposition):
-    spec = fs.fiber_spectrum(decomposition, 10)
-    assert spec.shape == (4,)  # three curves plus the null eigenvalue
-    assert spec[-1] == 0.0
-    assert np.all(np.diff(spec) <= 0)
-    with pytest.raises(errors.IndexOutOfRange):
-        fs.fiber_spectrum(decomposition, 64)
-
-
 def test_mix_field_thirds_closed_form(cfg, decomposition):
     p = Partition.from_ranges(
         cfg.ogrid,

@@ -7,7 +7,7 @@ import fiberspec as fs
 from fiberspec import verify
 from fiberspec.cli import main
 
-from conftest import CONFIG_PATH
+from conftest import CONFIG_PATH, random_separable_kernel
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +113,12 @@ def test_non_psd_kernel_fails_verify(tmp_path, capsys):
     assert "[FAIL] kernel_psd" in captured.out
     assert captured.err.startswith("verify failed: ")
     assert len(captured.err.splitlines()) == 1
+    # the check's value is how far the lowest eigenvalue, -1, falls below 0
+    (psd,) = [
+        r for r in verify.run_suite(fs.load_config(str(path))) if r.name == "kernel_psd"
+    ]
+    assert psd.value == pytest.approx(1.0, abs=1e-10)
+    assert psd.note == "worst=-1.000e+00"
 
 
 def test_random_separable_kernels_are_valid():
@@ -120,7 +126,7 @@ def test_random_separable_kernels_are_valid():
     ogrid = fs.build_omega_grid(8)
     squad = fs.build_s_quadrature("gauss_legendre", 16)
     for _ in range(5):
-        k = verify.random_separable_kernel(rng)
+        k = random_separable_kernel(rng)
         assert 1 <= len(k.terms) <= 5
         assert fs.hermitian_check(k) == 0.0
         d = fs.decompose_all_fibers(k, ogrid, squad)
@@ -316,7 +322,7 @@ def test_axiom_residuals_on_random_kernel(cfg):
     rng = np.random.default_rng(21)
     ogrid = fs.build_omega_grid(12)
     squad = fs.build_s_quadrature("gauss_legendre", 24)
-    k = verify.random_separable_kernel(rng)
+    k = random_separable_kernel(rng)
     d = fs.decompose_all_fibers(k, ogrid, squad)
     thresholds = verify.random_threshold_fields(rng, d, 6, 1e-12)
     sections = verify.random_sections(rng, ogrid, squad, 2)
@@ -349,7 +355,7 @@ def test_stacked_axioms_match_loop_on_random_kernels(seed):
     ogrid = fs.build_omega_grid(int(rng.integers(1, 10)))
     rule = ("gauss_legendre", "trapezoid")[seed % 2]
     squad = fs.build_s_quadrature(rule, int(rng.integers(2, 16)))
-    k = verify.random_separable_kernel(rng)
+    k = random_separable_kernel(rng)
     d = fs.decompose_all_fibers(k, ogrid, squad)
     thresholds = verify.random_threshold_fields(rng, d, int(rng.integers(1, 6)), 1e-12)
     sections = verify.random_sections(rng, ogrid, squad, int(rng.integers(1, 5)))
