@@ -118,6 +118,11 @@ def projector_apply(d: FiberDecomposition, lam: ThresholdField, f: Section) -> S
     )
 
 
+def _interval(d: FiberDecomposition, epsilon: float) -> tuple:
+    """Spectral interval [min m, max M + epsilon] over the parameter grid."""
+    return float(np.min(d.m.values)), float(np.max(d.M.values)) + epsilon
+
+
 def functional_calculus(
     d: FiberDecomposition,
     g: expr.Expression,
@@ -133,8 +138,7 @@ def functional_calculus(
     error at any of these points raises.
     """
     _require_section_on(d, f)
-    lo = float(np.min(d.m.values))
-    hi = float(np.max(d.M.values)) + epsilon
+    lo, hi = _interval(d, epsilon)
     points = np.concatenate(([lo, hi, 0.0], d.eigenvalues.ravel()))
     values = expr.evaluate(g, {"lambda": points})
     h = values[3:].reshape(d.eigenvalues.shape)
@@ -150,8 +154,7 @@ def _rs_cuts(d: FiberDecomposition, mesh: float, epsilon: float) -> np.ndarray:
     """
     if not (mesh > 0.0) or not math.isfinite(mesh):
         raise InvalidMesh(f"mesh must be a positive real, got {mesh!r}")
-    m_star = float(np.min(d.m.values))
-    top = float(np.max(d.M.values)) + epsilon
+    m_star, top = _interval(d, epsilon)
     cells = (top - m_star) / mesh
     if cells > MAX_RS_CELLS:
         raise InvalidMesh(

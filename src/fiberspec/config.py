@@ -9,7 +9,8 @@ raised while loading or materializing is wrapped in ConfigError.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields
 
 from . import expr
 from .calculus import DEFAULT_EPSILON, DEFAULT_TIE_TOL, ThresholdField
@@ -89,8 +90,32 @@ def _real(raw, where):
 
 def _positive(raw, where):
     value = _real(raw, where)
-    _expect(value > 0.0, f"{where} must be positive, got {value!r}")
+    _expect(
+        value > 0.0 and math.isfinite(value),
+        f"{where} must be positive and finite, got {value!r}",
+    )
     return value
+
+
+def _object(raw, key):
+    """The object under key, an empty one when the key is absent."""
+    value = raw.setdefault(key, {})
+    _expect(isinstance(value, dict), f"{key} must be an object")
+    return value
+
+
+def _count(table, key, default):
+    n = table.get("n", default)
+    _expect(type(n) is int, f"{key}.n must be an integer")  # bool is refused
+    return n
+
+
+def _expressions(raw, key, variables):
+    """Parse the named expressions under key over the given variables."""
+    return {
+        str(name): _parse_named(text, f"{key}[{name}]", variables)
+        for name, text in _object(raw, key).items()
+    }
 
 
 def _build_kernel(raw, ogrid, squad):
@@ -136,7 +161,8 @@ def load_config(
     """Load and materialize a configuration file.
 
     Keyword arguments override the corresponding file entries; they mirror
-    the command line flags.
+    the command line flags.  An override replaces the file value before
+    anything is checked, so an invalid file value it replaces is ignored.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -146,23 +172,23 @@ def load_config(
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "config root must be an object")
+    for key, name, value in (
+        ("omega_grid", "n", omega_n),
+        ("s_quadrature", "n", quad_n),
+        ("tolerances", "rank_tol", rank_tol),
+        ("tolerances", "tie_tol", tie_tol),
+        ("tolerances", "member_tol", member_tol),
+    ):
+        if value is not None:
+            _object(raw, key)[name] = value
+    if epsilon is not None:
+        raw["epsilon"] = epsilon
 
-    grid_raw = raw.get("omega_grid", {})
-    _expect(isinstance(grid_raw, dict), "omega_grid must be an object")
-    n_omega = omega_n if omega_n is not None else grid_raw.get("n", DEFAULT_OMEGA_N)
-    _expect(
-        isinstance(n_omega, int) and not isinstance(n_omega, bool),
-        "omega_grid.n must be an integer",
-    )
-
-    squad_raw = raw.get("s_quadrature", {})
-    _expect(isinstance(squad_raw, dict), "s_quadrature must be an object")
+    grid_raw = _object(raw, "omega_grid")
+    n_omega = _count(grid_raw, "omega_grid", DEFAULT_OMEGA_N)
+    squad_raw = _object(raw, "s_quadrature")
     rule = squad_raw.get("rule", DEFAULT_S_RULE)
-    n_s = quad_n if quad_n is not None else squad_raw.get("n", DEFAULT_S_N)
-    _expect(
-        isinstance(n_s, int) and not isinstance(n_s, bool),
-        "s_quadrature.n must be an integer",
-    )
+    n_s = _count(squad_raw, "s_quadrature", DEFAULT_S_N)
 
     try:
         ogrid = build_omega_grid(n_omega)
@@ -173,26 +199,11 @@ def load_config(
     _expect("kernel" in raw, "config must declare a kernel")
     kspec = _build_kernel(raw["kernel"], ogrid, squad)
 
-    sections = {}
-    sections_raw = raw.get("sections", {})
-    _expect(isinstance(sections_raw, dict), "sections must be an object")
-    for name, text in sections_raw.items():
-        sections[str(name)] = _parse_named(
-            text, f"sections[{name}]", {"omega", "t"}
-        )
-
-    thresholds = {}
-    thresholds_raw = raw.get("thresholds", {})
-    _expect(isinstance(thresholds_raw, dict), "thresholds must be an object")
-    for name, text in thresholds_raw.items():
-        thresholds[str(name)] = _parse_named(
-            text, f"thresholds[{name}]", {"omega"}
-        )
+    sections = _expressions(raw, "sections", {"omega", "t"})
+    thresholds = _expressions(raw, "thresholds", {"omega"})
 
     partitions = {}
-    partitions_raw = raw.get("partitions", {})
-    _expect(isinstance(partitions_raw, dict), "partitions must be an object")
-    for name, entries in partitions_raw.items():
+    for name, entries in _object(raw, "partitions").items():
         _expect(
             isinstance(entries, list) and entries,
             f"partitions[{name}] must be a non-empty list",
@@ -223,31 +234,12 @@ def load_config(
             rows.append((label, lo, hi))
         partitions[str(name)] = tuple(rows)
 
-    tol_raw = raw.get("tolerances", {})
-    _expect(isinstance(tol_raw, dict), "tolerances must be an object")
-    known = {"rank_tol", "tie_tol", "eig_tol", "member_tol"}
+    tol_raw = _object(raw, "tolerances")
+    defaults = {f.name: f.default for f in fields(Tolerances)}
     for key in tol_raw:
-        _expect(key in known, f"unknown tolerance {key!r}")
+        _expect(key in defaults, f"unknown tolerance {key!r}")
     tolerances = Tolerances(
-        rank_tol=_positive(tol_raw.get("rank_tol", DEFAULT_RANK_TOL), "rank_tol"),
-        tie_tol=_positive(tol_raw.get("tie_tol", DEFAULT_TIE_TOL), "tie_tol"),
-        eig_tol=_positive(tol_raw.get("eig_tol", DEFAULT_EIG_TOL), "eig_tol"),
-        member_tol=_positive(
-            tol_raw.get("member_tol", DEFAULT_MEMBER_TOL), "member_tol"
-        ),
-    )
-    if rank_tol is not None:
-        tolerances = replace(tolerances, rank_tol=_positive(rank_tol, "rank_tol"))
-    if tie_tol is not None:
-        tolerances = replace(tolerances, tie_tol=_positive(tie_tol, "tie_tol"))
-    if member_tol is not None:
-        tolerances = replace(
-            tolerances, member_tol=_positive(member_tol, "member_tol")
-        )
-
-    eps = _positive(
-        epsilon if epsilon is not None else raw.get("epsilon", DEFAULT_EPSILON),
-        "epsilon",
+        **{name: _positive(tol_raw.get(name, d), name) for name, d in defaults.items()}
     )
 
     return Config(
@@ -258,7 +250,7 @@ def load_config(
         thresholds=thresholds,
         partitions=partitions,
         tolerances=tolerances,
-        epsilon=eps,
+        epsilon=_positive(raw.get("epsilon", DEFAULT_EPSILON), "epsilon"),
     )
 
 

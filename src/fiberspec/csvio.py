@@ -19,7 +19,7 @@ import numpy as np
 from .fiber import FiberDecomposition
 from .grid import ScalarField, Section
 from .kernel import SampledKernel
-from .spectrum import _spectra, membership_distances
+from .spectrum import _spectra
 
 
 def _reals(x):
@@ -125,12 +125,13 @@ def write_membership(path, d: FiberDecomposition, field: ScalarField):
     """Rows (omega, lambda, nearest_spectral_value, distance)."""
     spectra = _spectra(d)
     # the -inf padding is infinitely far from every value
-    nearest = np.argmin(np.abs(spectra - field.values[:, None]), axis=1)
+    slot = np.argmin(np.abs(spectra - field.values[:, None]), axis=1)
+    nearest = spectra[np.arange(d.n_fibers), slot]
     columns = (
         _reals(d.ogrid.nodes),
         _reals(field.values),
-        _reals(spectra[np.arange(d.n_fibers), nearest]),
-        _reals(membership_distances(d, field)),
+        _reals(nearest),
+        _reals(np.abs(nearest - field.values)),
     )
     header = ("omega", "lambda", "nearest_spectral_value", "distance")
     write_rows(path, header, zip(*columns))

@@ -22,6 +22,9 @@ from .errors import (
 )
 
 _WEIGHT_SUM_TOL = 1e-9
+# node counts whose float64 arrays numpy cannot index; they are refused
+# before any allocation, as numpy would raise ValueError or OverflowError
+_MAX_COUNT = np.iinfo(np.intp).max // 8
 
 
 def _require_finite(values, what):
@@ -84,10 +87,18 @@ class SQuadrature:
         return self.nodes.size
 
 
+def _require_count(n, least, what):
+    """Raise InvalidCount below least nodes and MemoryError above _MAX_COUNT."""
+    if n < least:
+        plural = "s" if least > 1 else ""
+        raise InvalidCount(f"{what} needs at least {least} node{plural}, got {n}")
+    if n > _MAX_COUNT:
+        raise MemoryError(f"{what} of {n} nodes is too large to allocate")
+
+
 def build_omega_grid(n: int) -> OmegaGrid:
     """Midpoint rule with n cells: nodes (i + 1/2)/n, weights 1/n."""
-    if n < 1:
-        raise InvalidCount(f"parameter grid needs at least 1 node, got {n}")
+    _require_count(n, 1, "parameter grid")
     nodes = (np.arange(n) + 0.5) / n
     weights = np.full(n, 1.0 / n)
     return OmegaGrid(nodes, weights)
@@ -101,8 +112,7 @@ def build_s_quadrature(rule: str, n: int) -> SQuadrature:
     affinely mapped from [-1, 1] to [0, 1].
     """
     if rule == "trapezoid":
-        if n < 2:
-            raise InvalidCount(f"trapezoid rule needs at least 2 nodes, got {n}")
+        _require_count(n, 2, "trapezoid rule")
         nodes = np.linspace(0.0, 1.0, n)
         h = 1.0 / (n - 1)
         weights = np.full(n, h)
@@ -110,8 +120,7 @@ def build_s_quadrature(rule: str, n: int) -> SQuadrature:
         weights[-1] = h / 2
         return SQuadrature(rule, nodes, weights)
     if rule == "gauss_legendre":
-        if n < 1:
-            raise InvalidCount(f"gauss_legendre rule needs at least 1 node, got {n}")
+        _require_count(n, 1, "gauss_legendre rule")
         x, w = np.polynomial.legendre.leggauss(n)
         return SQuadrature(rule, (x + 1.0) / 2.0, w / 2.0)
     raise InvalidQuadratureRule(f"unknown quadrature rule {rule!r}")

@@ -65,7 +65,8 @@ class SeparableKernel:
 
 @dataclass(frozen=True)
 class SampledKernel:
-    """Dense kernel samples, shape (n_omega, n_s, n_s)."""
+    """Dense kernel samples, shape (n_omega, n_s, n_s), averaged with their
+    fiberwise transpose; an asymmetry above SYMMETRIZE_TOL is NotSymmetric."""
 
     ogrid: OmegaGrid
     squad: SQuadrature
@@ -80,6 +81,19 @@ class SampledKernel:
             )
         if not np.all(np.isfinite(values)):
             raise DomainError("sampled kernel contains non-finite values")
+        swapped = values.transpose(0, 2, 1)
+        asymmetry = float(np.max(np.abs(values - swapped), initial=0.0))
+        if asymmetry > SYMMETRIZE_TOL:
+            raise NotSymmetric(
+                f"sampled kernel asymmetry {asymmetry:.3e} exceeds {SYMMETRIZE_TOL:.0e}"
+            )
+        # the sum is exact for subnormals; halving first only where the sum
+        # overflows keeps the largest finite samples
+        with np.errstate(over="ignore"):
+            total = values + swapped
+        values = np.where(
+            np.isfinite(total), 0.5 * total, 0.5 * values + 0.5 * swapped
+        )
         object.__setattr__(self, "values", values)
 
 
@@ -89,11 +103,7 @@ KernelSpec = Union[SeparableKernel, SampledKernel]
 def sample_kernel(
     e: expr.Expression, ogrid: OmegaGrid, squad: SQuadrature
 ) -> SampledKernel:
-    """Sample an expression of omega, t, s on the product grid.
-
-    The tensor is averaged with its fiberwise transpose when the asymmetry
-    is at most SYMMETRIZE_TOL and rejected with NotSymmetric otherwise.
-    """
+    """Sample an expression of omega, t, s on the product grid."""
     nodes = squad.nodes
     values = expr.evaluate(
         e,
@@ -103,17 +113,6 @@ def sample_kernel(
             "s": nodes[None, None, :],
         },
     )
-    swapped = values.transpose(0, 2, 1)
-    asymmetry = float(np.max(np.abs(values - swapped), initial=0.0))
-    if asymmetry > SYMMETRIZE_TOL:
-        raise NotSymmetric(
-            f"sampled kernel asymmetry {asymmetry:.3e} exceeds {SYMMETRIZE_TOL:.0e}"
-        )
-    # the sum is exact for subnormals; halving first only where the sum
-    # overflows keeps the largest finite samples
-    with np.errstate(over="ignore"):
-        total = values + swapped
-    values = np.where(np.isfinite(total), 0.5 * total, 0.5 * values + 0.5 * swapped)
     return SampledKernel(ogrid, squad, values)
 
 
@@ -163,5 +162,7 @@ def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:
         )
     funcs = d.functions[:, :rank]
     block = (funcs.transpose(0, 2, 1) * d.eigenvalues[:, None, :rank]) @ funcs
+    # exact symmetrization: the constructor's gate is absolute, which large
+    # reconstructions could trip on rounding alone
     values = 0.5 * (block + block.transpose(0, 2, 1))
     return SampledKernel(d.ogrid, d.squad, values)

@@ -15,6 +15,7 @@ import numpy as np
 from . import expr
 from .calculus import (
     ThresholdField,
+    _interval,
     _multiply,
     _project,
     _quadrature,
@@ -40,7 +41,7 @@ from .grid import (
     _require_finite,
     build_s_quadrature,
 )
-from .kernel import SeparableKernel, hermitian_check
+from .kernel import hermitian_check, kernel_matrices
 from .spectrum import (
     Partition,
     _spectra,
@@ -89,8 +90,7 @@ def random_sections(rng, ogrid: OmegaGrid, squad: SQuadrature, count: int):
 
 def random_threshold_fields(rng, d: FiberDecomposition, count: int, tie_tol: float):
     """Piecewise trigonometric thresholds spanning the spectral range."""
-    lo = float(np.min(d.m.values))
-    hi = float(np.max(d.M.values))
+    lo, hi = _interval(d, 0.0)
     span = max(hi - lo, 1e-3)
     nodes = d.ogrid.nodes
     fields = []
@@ -268,10 +268,8 @@ def run_suite(cfg: Config) -> list:
     results.append(_check("kernel_symmetry", hermitian_check(cfg.kernel), 1e-12))
 
     d = decompose(cfg)
-    worst_eig = float(np.min(d.m.values))
-    results.append(
-        _check("kernel_psd", max(0.0, -worst_eig), 1e-12, note=f"worst={worst_eig:.3e}")
-    )
+    lo, hi = _interval(d, cfg.epsilon)
+    results.append(_check("kernel_psd", max(0.0, -lo), 1e-12, note=f"worst={lo:.3e}"))
 
     # eigensolver quality on the assembled fibers; padded slots have zero
     # rows, so they leave the residual at 0 and the Gram matrix is compared
@@ -315,17 +313,13 @@ def run_suite(cfg: Config) -> list:
     # the (F, n_s, n_s) stack is not needed past this point
     del A
 
-    # grid refinement stability of the eigenvalues: a separable kernel is
-    # compared with the doubled rule, so the drift is the error of this
-    # rule; a sampled kernel is compared with the halved rule
+    # grid refinement stability of the eigenvalues: the kernel is compared
+    # with the doubled rule, so the drift is the error of this rule
     if squad.rule == "gauss_legendre" and len(squad) >= 8:
-        n_ref = len(squad) // 2
-        if isinstance(cfg.kernel, SeparableKernel):
-            n_ref = 2 * len(squad)
         d_ref = decompose_all_fibers(
             cfg.kernel,
             ogrid,
-            build_s_quadrature("gauss_legendre", n_ref),
+            build_s_quadrature("gauss_legendre", 2 * len(squad)),
             rank_tol=tol.rank_tol,
         )
         r = min(d.eigenvalues.shape[1], d_ref.eigenvalues.shape[1])
@@ -392,8 +386,6 @@ def run_suite(cfg: Config) -> list:
         )
     )
     g_bound = expr.parse("sin(3*lambda)+lambda/4")
-    lo = float(np.min(d.m.values))
-    hi = float(np.max(d.M.values)) + cfg.epsilon
     grid_l = np.linspace(lo, hi, 2001)
     sup_g = float(np.max(np.abs(expr.evaluate(g_bound, {"lambda": grid_l}))))
     gout = functional_calculus(d, g_bound, f0, cfg.epsilon)
@@ -458,20 +450,12 @@ def run_suite(cfg: Config) -> list:
     )
     results.append(_check("eigenspace_module_closure", closure, 1e-8))
 
-    # kernel reconstruction from the retained eigenpairs (finite-rank route)
-    if isinstance(cfg.kernel, SeparableKernel):
-        # sum_n lambda_n x_n x_n^T - sum_r c_r b_r b_r^T is one product of
-        # the stacked rows (x_n, b_r), so only one (F, n_s, n_s) array is built
-        basis = cfg.kernel.basis_matrix(squad)
-        rows = np.concatenate(
-            [funcs, np.broadcast_to(basis, (d.n_fibers,) + basis.shape)], axis=1
-        )
-        coeffs = np.concatenate(
-            [d.eigenvalues, -cfg.kernel.curve_matrix(ogrid)], axis=1
-        )
-        err = (rows.transpose(0, 2, 1) * coeffs[:, None, :]) @ rows
-        sup_err = np.max(np.abs(err, out=err))
-        results.append(_check("mercer_reconstruction", sup_err, 1e-8))
+    # kernel reconstruction sum_n lambda_n x_n x_n^T from the retained
+    # eigenpairs; padded slots have zero rows, so they add nothing
+    err = (funcs.transpose(0, 2, 1) * d.eigenvalues[:, None, :]) @ funcs
+    err -= kernel_matrices(cfg.kernel, ogrid, squad)
+    sup_err = np.max(np.abs(err, out=err))
+    results.append(_check("mercer_reconstruction", sup_err, 1e-8))
 
     # mixings of the eigenvalue curves stay inside the spectrum
     mix_worst = 0.0

@@ -278,22 +278,59 @@ def test_eigensolver_failure_is_numerical_error(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag, message",
+    "flag, count, message",
     [
-        ("--omega-n", "error: Unable to allocate "),
+        # 10**15 nodes need petabytes, beyond the address space, so the
+        # allocation is refused at once instead of touching any memory
+        pytest.param(
+            "--omega-n",
+            10**15,
+            "error: Unable to allocate ",
+            id="--omega-n-error: Unable to allocate ",
+        ),
         # leggauss first builds a Python list, whose MemoryError has no text
-        ("--quad-n", "error: out of memory\n"),
+        pytest.param(
+            "--quad-n",
+            10**15,
+            "error: out of memory\n",
+            id="--quad-n-error: out of memory\n",
+        ),
+        # counts numpy cannot index are refused before numpy is called
+        pytest.param(
+            "--omega-n",
+            10**19,
+            "error: parameter grid of 10000000000000000000 nodes is too large",
+            id="--omega-n-beyond-intp",
+        ),
+        pytest.param(
+            "--quad-n",
+            10**20,
+            "error: gauss_legendre rule of 100000000000000000000 nodes is too large",
+            id="--quad-n-beyond-intp",
+        ),
     ],
 )
-def test_grid_too_large_to_allocate_is_numerical_error(tmp_path, capsys, flag, message):
-    # 10**15 nodes need petabytes, beyond the address space, so the
-    # allocation is refused at once instead of touching any memory
+def test_grid_too_large_to_allocate_is_numerical_error(
+    tmp_path, capsys, flag, count, message
+):
     argv = ["decompose", "--config", CONFIG_PATH, "--out", str(tmp_path)]
-    rc = main(argv + [flag, str(10**15)])
+    rc = main(argv + [flag, str(count)])
     assert rc == 3
     err = capsys.readouterr().err
     assert err.startswith(message) and len(err.splitlines()) == 1
     assert os.listdir(tmp_path) == []
+
+
+def test_verify_on_sampled_kernel_stops_at_grid_check(capsys):
+    # eigenvalue_grid_stability resamples on the doubled rule, which a
+    # sampled kernel cannot give; perfbench counts this exit as the known
+    # defect
+    root = os.path.dirname(os.path.dirname(CONFIG_PATH))
+    bridge = os.path.join(root, "perfbench", "bridge_sampled.json")
+    assert main(["verify", "--config", bridge]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "sampled kernel was sampled on different grids" in err
 
 
 def test_partition_label_beyond_int64_is_config_error(tmp_path, capsys):
@@ -474,6 +511,28 @@ def test_flag_overrides(tmp_path):
     assert rc == 0
     _, rows = read_csv(tmp_path / "eigencurves.csv")
     assert len(rows) == 8 * 3
+
+
+def test_non_finite_tolerance_is_config_error(tmp_path, capsys):
+    # an infinite tolerance would give silently wrong numbers; a flag and a
+    # JSON Infinity meet the same check
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["tolerances"]["tie_tol"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = str(tmp_path / "out")
+    for config, flags, name in (
+        (CONFIG_PATH, ["--rank-tol", "inf"], "rank_tol"),
+        (str(path), [], "tie_tol"),
+    ):
+        assert main(["decompose", "--config", config, "--out", out] + flags) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {name} must be positive and finite, got inf\n"
+    assert not os.path.exists(out)
+    # a flag replaces the file value before the file value is checked
+    argv = ["decompose", "--config", str(path), "--tie-tol", "1e-12", "--out", out]
+    assert main(argv) == 0
 
 
 def test_missing_required_flag_is_config_error(tmp_path):

@@ -140,3 +140,28 @@ def test_sampled_kernel_grid_guard(grids):
     text = "^sampled kernel was sampled on different grids$"
     with pytest.raises(errors.GridMismatch, match=text):
         fs.kernel_matrices(k, ogrid, other)
+
+
+def test_sampled_kernel_rejects_asymmetric_values():
+    # the constructor holds the same gate as sample_kernel: raw values this
+    # asymmetric would give a quadrature route that disagrees with the
+    # spectral one
+    ogrid, squad = fs.build_omega_grid(4), fs.build_s_quadrature("gauss_legendre", 6)
+    values = np.random.default_rng(0).standard_normal((4, 6, 6))
+    with pytest.raises(errors.NotSymmetric):
+        fs.SampledKernel(ogrid, squad, values)
+
+
+def test_sampled_kernel_averages_mild_asymmetry():
+    ogrid, squad = fs.build_omega_grid(4), fs.build_s_quadrature("gauss_legendre", 6)
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal((4, 6, 6))
+    values += values.transpose(0, 2, 1)
+    # entries in [-0.5e-9, 0.5e-9] keep the asymmetry below the 1e-9 gate
+    values += rng.uniform(-0.5e-9, 0.5e-9, values.shape)
+    k = fs.SampledKernel(ogrid, squad, values)
+    assert fs.hermitian_check(k) == 0.0
+    f = fs.sample_section(parse("omega*sin(pi*t)+t"), ogrid, squad)
+    d = fs.decompose_all_fibers(k, ogrid, squad)
+    gap = fs.apply_quadrature(k, f).values - fs.apply_spectral(d, f).values
+    assert np.max(np.abs(gap)) < 1e-12

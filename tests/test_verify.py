@@ -411,8 +411,9 @@ def test_grid_stability_uses_doubled_rule(tmp_path):
     assert by_name["eigenvalues_match_jacobi"].passed
 
 
-def test_lowrank_check_only_for_separable(tmp_path):
-    # the Jacobi oracle covers both kernel kinds
+def test_jacobi_and_mercer_checks_cover_both_kernel_kinds(tmp_path):
+    # the Jacobi oracle and the Mercer reconstruction check run on both
+    # kernel kinds
     path = tmp_path / "sampled.json"
     path.write_text(
         json.dumps(
@@ -432,3 +433,4 @@ def test_lowrank_check_only_for_separable(tmp_path):
     for results in (sampled, separable):
         by_name = {r.name: r for r in results}
         assert by_name["eigenvalues_match_jacobi"].passed
+        assert by_name["mercer_reconstruction"].passed
