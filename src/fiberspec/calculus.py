@@ -21,7 +21,7 @@ from . import expr
 from .errors import GridMismatch, InvalidMesh
 from .fiber import FiberDecomposition
 from .grid import OmegaGrid, ScalarField, Section, SQuadrature, same_rule
-from .kernel import KernelSpec, SeparableKernel
+from .kernel import KernelSpec, SeparableKernel, kernel_matrices
 
 DEFAULT_TIE_TOL = 1e-12
 DEFAULT_EPSILON = 1e-6
@@ -64,9 +64,7 @@ def _quadrature(k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, values):
         basis = k.basis_matrix(squad)
         coeff = (values * w) @ basis.T
         return (k.curve_matrix(ogrid) * coeff) @ basis
-    if not (same_rule(k.ogrid, ogrid) and same_rule(k.squad, squad)):
-        raise GridMismatch("section does not live on the sampled kernel grids")
-    return np.einsum("ijl,...il->...ij", k.values, values * w)
+    return np.einsum("ijl,...il->...ij", kernel_matrices(k, ogrid, squad), values * w)
 
 
 def apply_quadrature(k: KernelSpec, f: Section) -> Section:
@@ -120,7 +118,8 @@ def projector_apply(d: FiberDecomposition, lam: ThresholdField, f: Section) -> S
 
 def _interval(d: FiberDecomposition, epsilon: float) -> tuple:
     """Spectral interval [min m, max M + epsilon] over the parameter grid."""
-    return float(np.min(d.m.values)), float(np.max(d.M.values)) + epsilon
+    lo, hi = d._extreme_bounds
+    return lo, hi + epsilon
 
 
 def functional_calculus(

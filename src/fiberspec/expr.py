@@ -19,13 +19,15 @@ Evaluation is element-wise: variables bind to floats or numpy arrays that
 broadcast together, and one walk of the tree combines whole arrays with
 numpy ufuncs.  Every domain check (division by zero, zero to a negative
 power, a negative base with a non-integer exponent, log and sqrt out of
-their domain, overflow in exp and pow) runs on every element, and a
-result that is not finite is a DomainError too.
+their domain, overflow in exp and pow) runs on every element, except
+the checks of '/' and '^' that a constant right operand cannot trip, and
+a result that is not finite is a DomainError too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -302,41 +304,69 @@ def evaluate(e: Expression, bindings: dict):
     """
     with np.errstate(all="ignore"):
         value = _walk(e, bindings)
-    bad = ~np.isfinite(value)
-    if np.any(bad):
-        raise DomainError(f"non-finite value {_first(value, bad)!r}")
-    shape = np.broadcast_shapes(*(np.shape(v) for v in bindings.values()))
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise DomainError(f"non-finite value {_first(value, ~finite)!r}")
+    shape = np.broadcast(*bindings.values()).shape
     if not shape:
         return float(value)
+    # every node but a variable computes a new array of its own
+    if np.shape(value) == shape and type(e) is not Var:
+        return value
     return np.broadcast_to(value, shape).copy()
 
 
 def _walk(e, bindings):
-    match e:
-        case Num(value):
-            return value
-        case Pi():
-            return math.pi
-        case Var(name):
-            try:
-                return np.asarray(bindings[name], dtype=float)
-            except KeyError:
-                raise MissingBinding(f"no binding for variable {name!r}") from None
-        case Neg(operand):
-            return -_walk(operand, bindings)
-        case BinOp("+", left, right):
-            return _walk(left, bindings) + _walk(right, bindings)
-        case BinOp("-", left, right):
-            return _walk(left, bindings) - _walk(right, bindings)
-        case BinOp("*", left, right):
-            return _walk(left, bindings) * _walk(right, bindings)
-        case BinOp("/", left, right):
-            return _safe_div(_walk(left, bindings), _walk(right, bindings))
-        case BinOp("^", left, right):
-            return _safe_pow(_walk(left, bindings), _walk(right, bindings))
-        case Call(func, args):
-            return FUNCTIONS[func][1](*(_walk(a, bindings) for a in args))
-    raise TypeError(f"not an expression node: {e!r}")
+    try:
+        walker = _WALKERS[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression node: {e!r}") from None
+    return walker(e, bindings)
+
+
+def _walk_var(e, bindings):
+    try:
+        return np.asarray(bindings[e.name], dtype=float)
+    except KeyError:
+        raise MissingBinding(f"no binding for variable {e.name!r}") from None
+
+
+def _walk_binop(e, bindings):
+    op, right = e.op, e.right
+    left = _walk(e.left, bindings)
+    if type(right) is Num:
+        # a constant right operand is checked once here instead of per
+        # element: a nonzero divisor cannot divide by zero, and a finite,
+        # non-negative integer exponent can only overflow
+        c = right.value
+        if op == "/" and c != 0.0:
+            return left / c
+        if op == "^" and 0.0 <= c < math.inf and c == math.floor(c):
+            out = np.power(left, c)
+            _require(np.isinf(out) & np.isfinite(left), "overflow in pow")
+            return out
+        return _BINARY[op](left, c)
+    return _BINARY[op](left, _walk(right, bindings))
+
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _safe_div,
+    "^": _safe_pow,
+}
+
+_WALKERS = {
+    Num: lambda e, bindings: e.value,
+    Pi: lambda e, bindings: math.pi,
+    Var: _walk_var,
+    Neg: lambda e, bindings: -_walk(e.operand, bindings),
+    BinOp: _walk_binop,
+    Call: lambda e, bindings: FUNCTIONS[e.func][1](
+        *[_walk(a, bindings) for a in e.args]
+    ),
+}
 
 
 def free_variables(e: Expression) -> frozenset:

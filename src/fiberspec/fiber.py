@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,8 +152,7 @@ def _finish(vals, vecs, exponent, lead):
     order = np.argsort(-vals, axis=1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=1)
     vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    n = vals.shape[1]
-    return vals.reshape(lead + (n,)), vecs.reshape(lead + (n, n))
+    return vals.reshape(lead + vals.shape[1:]), vecs.reshape(lead + vecs.shape[1:])
 
 
 def _eigh(a):
@@ -190,12 +190,22 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     eigenvalue is not finite, NotSymmetric when a matrix is asymmetric
     beyond 1e-12 and NoConvergence when any matrix runs out of sweeps.
     """
+    return _jacobi(a, tol, max_sweeps, vectors=True)
+
+
+def _jacobi(a, tol, max_sweeps, vectors):
+    """jacobi_eigh, with or without the eigenvectors.
+
+    Without them the rotation accumulator V has no rows, so _sweep's
+    updates of V act on empty arrays, and the eigenvectors come back with
+    shape (..., 0, n).  The eigenvalues are bitwise the same either way.
+    """
     A, exponent, lead = _prepare(a)
     n = A.shape[-1]
     vals = np.empty(A.shape[:-1])
-    vecs = np.empty(A.shape)
+    vecs = np.empty((len(A), n if vectors else 0, n))
     live = np.arange(len(A))
-    V = np.broadcast_to(np.eye(n), A.shape).copy()
+    V = np.broadcast_to(np.eye(n)[: vecs.shape[1]], vecs.shape).copy()
     anorm = _frobenius(A)
     limit = tol * anorm
     skip_below = (tol * anorm * 1e-2 / max(1, n * n))[:, None]
@@ -272,6 +282,15 @@ class FiberDecomposition:
     m: ScalarField
     M: ScalarField
 
+    @cached_property
+    def _extreme_bounds(self) -> tuple:
+        """(min m, max M) over the parameter grid, as floats.
+
+        Computed on first use and kept, so every query that needs the
+        spectral interval reads it without reducing m and M again.
+        """
+        return float(np.min(self.m.values)), float(np.max(self.M.values))
+
     @property
     def n_fibers(self) -> int:
         return len(self.ogrid)
@@ -339,12 +358,18 @@ def _align_labels(eigenvalues, functions, ranks, weights):
         if r_prev and r:
             prev = labels[i - 1].tolist()
             used_prev = [False] * r_prev
+            # once min(r_prev, r) pairs are matched, every later entry
+            # would be skipped
+            unmatched = min(r_prev, r)
             for flat in order[i - 1].tolist():
                 n, m = divmod(flat, r_max)
                 if n >= r_prev or m >= r or used_prev[n] or assigned[m] >= 0:
                     continue
                 used_prev[n] = True
                 assigned[m] = prev[n]
+                unmatched -= 1
+                if not unmatched:
+                    break
         for m in range(r):
             if assigned[m] < 0:
                 assigned[m] = next_id

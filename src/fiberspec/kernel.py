@@ -122,8 +122,9 @@ def kernel_matrices(
     """Kernel values K[i][j][l] = k(omega_i, t_j, t_l) of every fiber.
 
     Returns shape (n_omega, n_s, n_s).  A sampled kernel must have been
-    sampled on these grids and returns its own tensor; a separable kernel
-    samples each curve and basis expression once.
+    sampled on these grids and returns its own tensor (this is the one grid
+    check of sampled kernels, the quadrature route included); a separable
+    kernel samples each curve and basis expression once.
     """
     if isinstance(k, SampledKernel):
         if not (same_rule(k.ogrid, ogrid) and same_rule(k.squad, squad)):

@@ -26,10 +26,11 @@ from .calculus import (
 )
 from .config import Config, decompose, sample_section
 from .fiber import (
+    MAX_SWEEPS,
     FiberDecomposition,
+    _jacobi,
     decompose_all_fibers,
     fiber_matrices,
-    jacobi_eigh,
 )
 from .grid import (
     OmegaGrid,
@@ -303,7 +304,7 @@ def run_suite(cfg: Config) -> list:
     # assembled fibers, agree with the independent Jacobi solver on the
     # assembled matrices; truncated and padded slots compare as zeros
     picked = sorted({0, d.n_fibers // 2, d.n_fibers - 1})
-    oracle, _ = jacobi_eigh(A[picked], tol=tol.eig_tol)
+    oracle, _ = _jacobi(A[picked], tol.eig_tol, MAX_SWEEPS, vectors=False)
     produced = np.zeros(oracle.shape)
     produced[:, : d.eigenvalues.shape[1]] = d.eigenvalues[picked]
     produced = np.sort(produced, axis=1)[:, ::-1]
@@ -484,7 +485,7 @@ def run_suite(cfg: Config) -> list:
         np.max(membership_distances(d, ScalarField.constant(ogrid, 0.0)))
     )
     results.append(_check("zero_field_membership", zero_dist, tol.member_tol))
-    outside = ScalarField.constant(ogrid, float(np.max(d.M.values)) + 1.0)
+    outside = ScalarField.constant(ogrid, _interval(d, 1.0)[1])
     results.append(
         _check(
             "membership_rejects_outside",

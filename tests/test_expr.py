@@ -395,3 +395,56 @@ def test_inexact_functions_within_one_ulp(text, ts, s):
     for x, w in zip(ts, want):
         expect(e, {"t": x, "s": s}, w, within_one_ulp)
     expect(e, {"t": t, "s": s}, want, within_one_ulp)
+
+
+# A constant right operand of '/' or '^' skips the domain checks it cannot
+# trip.  Neg(Neg(Num(c))) evaluates to c bit for bit but is not a Num, so
+# it takes every check; both forms must agree on the value, or on the
+# error class and message, and with the oracle.
+CONSTANT_RIGHT_OPERANDS = [("/", c) for c in (0.0, -0.0, 4.0)] + [
+    ("^", c) for c in (0.0, -0.0, 0.5, -1.0, 2.0, 3.0, 1e300, math.inf)
+]
+
+
+@st.composite
+def constant_right_operand(draw):
+    op, c = draw(st.sampled_from(CONSTANT_RIGHT_OPERANDS))
+    left = draw(EXACT_TREES)
+    return BinOp(op, left, Num(c)), BinOp(op, left, Neg(Neg(Num(c))))
+
+
+def result_bits(e, bindings):
+    try:
+        value = expr.evaluate(e, bindings)
+    except (DomainError, MissingBinding) as exc:
+        return type(exc), str(exc)
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(constant_right_operand(), SCALAR_BINDINGS)
+def test_constant_right_operand_matches_oracle_on_scalars(pair, bindings):
+    fast, checked = pair
+    assert result_bits(fast, bindings) == result_bits(checked, bindings)
+    want = outcome(fast, bindings)
+    expect(fast, bindings, want, within_one_ulp)
+    if want is DomainError:
+        with pytest.raises(DomainError) as info:
+            oracle(fast, bindings)
+        assert result_bits(fast, bindings) == (DomainError, str(info.value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(constant_right_operand(), array_bindings())
+def test_constant_right_operand_matches_checked_path_on_arrays(pair, bindings):
+    fast, checked = pair
+    assert result_bits(fast, bindings) == result_bits(checked, bindings)
+
+
+@pytest.mark.parametrize("text", ["lambda", "-lambda", "abs(lambda)", "lambda^1"])
+def test_result_never_shares_memory_with_a_binding(text):
+    for points in (np.array([0.5, -1.0, 2.0]), np.array([[0.5], [2.0]])):
+        before = points.copy()
+        out = expr.evaluate(expr.parse(text), {"lambda": points})
+        out[...] = 7.0
+        assert np.array_equal(points, before)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import fiberspec as fs
 from fiberspec import errors
 from fiberspec.expr import parse
-from fiberspec.fiber import _eigh
+from fiberspec.fiber import DEFAULT_EIG_TOL, MAX_SWEEPS, _eigh, _jacobi
 
 from conftest import curve1, curve2, curve3
 
@@ -176,6 +176,10 @@ def test_stacked_solve_bitwise_equal(cfg):
             alone_vals, alone_vecs = solve(A)
             assert alone_vals.tobytes() == v.tobytes()
             assert alone_vecs.tobytes() == V.tobytes()
+    # verify's oracle skips the eigenvector updates and keeps the values
+    vals, vecs = _jacobi(stack, DEFAULT_EIG_TOL, MAX_SWEEPS, vectors=False)
+    assert vals.tobytes() == fs.jacobi_eigh(stack)[0].tobytes()
+    assert vecs.shape == (len(stack), 0, n)
 
 
 @settings(max_examples=40, deadline=None)
