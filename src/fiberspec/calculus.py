@@ -13,11 +13,11 @@ operator acts as 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
+from ._record import Record
 from .errors import GridMismatch, InvalidMesh
 from .fiber import FiberDecomposition
 from .grid import OmegaGrid, ScalarField, Section, SQuadrature, same_rule
@@ -30,8 +30,7 @@ DEFAULT_EPSILON = 1e-6
 MAX_RS_CELLS = 10**6
 
 
-@dataclass(frozen=True)
-class ThresholdField:
+class ThresholdField(Record):
     """Measurable threshold lambda(omega) with its tie tolerance.
 
     An eigenvalue lambda_n(omega) counts as below the threshold when
@@ -39,8 +38,11 @@ class ThresholdField:
     included when 0 <= lambda(omega) + tie_tol.
     """
 
-    field: ScalarField
-    tie_tol: float = DEFAULT_TIE_TOL
+    __slots__ = ("field", "tie_tol")
+
+    def __init__(self, field: ScalarField, tie_tol: float = DEFAULT_TIE_TOL):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "tie_tol", tie_tol)
 
     @staticmethod
     def constant(grid: OmegaGrid, value: float, tie_tol: float = DEFAULT_TIE_TOL):

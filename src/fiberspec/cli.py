@@ -2,8 +2,8 @@
 
 Every subcommand loads a JSON config, runs one library operation, and
 writes CSV files into the output directory.  Exit codes: 0 success,
-2 configuration or parse error, 3 numerical failure, 4 verification
-failure.
+2 configuration or parse error (an output that cannot be written
+included), 3 numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import ConfigError, ExpressionSyntaxError, FiberspecError
 from .grid import Section, l22_norm
 from .kernel import kernel_matrices, mercer_reconstruct
 from .spectrum import mix_field, spm_membership
-from .verify import run_suite
 
 
 class _Parser(argparse.ArgumentParser):
@@ -162,6 +161,9 @@ def cmd_reconstruct(cfg, args):
 
 
 def cmd_verify(cfg, args):
+    # imported here, so that no other subcommand pays for loading the suite
+    from .verify import run_suite
+
     results = run_suite(cfg)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -260,13 +262,18 @@ def main(argv=None) -> int:
                 epsilon=args.epsilon,
             )
             return args.handler(cfg, args)
+        except OSError as exc:
+            # load_config turns an unreadable config into a ConfigError, so
+            # this is an output: --out names a file, or a CSV path a directory
+            error = ConfigError(f"cannot write output: {exc}")
         except (FiberspecError, MemoryError) as exc:
             # a grid too large to allocate is a numerical failure too
-            config = isinstance(exc, ConfigError)
-            # config names may hold line breaks; the diagnostic stays one line
-            text = " ".join(str(exc).splitlines()) or "out of memory"
-            print(f"{'config error' if config else 'error'}: {text}", file=sys.stderr)
-            return 2 if config else 3
+            error = exc
+    config = isinstance(error, ConfigError)
+    # config names may hold line breaks; the diagnostic stays one line
+    text = " ".join(str(error).splitlines()) or "out of memory"
+    print(f"{'config error' if config else 'error'}: {text}", file=sys.stderr)
+    return 2 if config else 3
 
 
 if __name__ == "__main__":

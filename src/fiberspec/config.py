@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
 
 from . import expr
+from ._record import Record
 from .calculus import DEFAULT_EPSILON, DEFAULT_TIE_TOL, ThresholdField
 from .errors import ConfigError, FiberspecError
 from .fiber import (
@@ -39,25 +39,58 @@ DEFAULT_S_RULE = "gauss_legendre"
 DEFAULT_MEMBER_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    rank_tol: float = DEFAULT_RANK_TOL
-    tie_tol: float = DEFAULT_TIE_TOL
-    # stopping tolerance of verify's Jacobi oracle; decompose uses LAPACK
-    eig_tol: float = DEFAULT_EIG_TOL
-    member_tol: float = DEFAULT_MEMBER_TOL
+class Tolerances(Record):
+    """The config's tolerances; __slots__ names the keys a config may set."""
+
+    __slots__ = ("rank_tol", "tie_tol", "eig_tol", "member_tol")
+
+    def __init__(
+        self,
+        rank_tol: float = DEFAULT_RANK_TOL,
+        tie_tol: float = DEFAULT_TIE_TOL,
+        # stopping tolerance of verify's Jacobi oracle; decompose uses LAPACK
+        eig_tol: float = DEFAULT_EIG_TOL,
+        member_tol: float = DEFAULT_MEMBER_TOL,
+    ):
+        object.__setattr__(self, "rank_tol", rank_tol)
+        object.__setattr__(self, "tie_tol", tie_tol)
+        object.__setattr__(self, "eig_tol", eig_tol)
+        object.__setattr__(self, "member_tol", member_tol)
 
 
-@dataclass(frozen=True)
-class Config:
-    ogrid: OmegaGrid
-    squad: SQuadrature
-    kernel: KernelSpec
-    sections: dict
-    thresholds: dict
-    partitions: dict  # name -> tuple of (label, lo, hi)
-    tolerances: Tolerances = field(default_factory=Tolerances)
-    epsilon: float = DEFAULT_EPSILON
+class Config(Record):
+    __slots__ = (
+        "ogrid",
+        "squad",
+        "kernel",
+        "sections",
+        "thresholds",
+        "partitions",
+        "tolerances",
+        "epsilon",
+    )
+
+    def __init__(
+        self,
+        ogrid: OmegaGrid,
+        squad: SQuadrature,
+        kernel: KernelSpec,
+        sections: dict,
+        thresholds: dict,
+        partitions: dict,  # name -> tuple of (label, lo, hi)
+        tolerances: Tolerances | None = None,  # None: a fresh Tolerances()
+        epsilon: float = DEFAULT_EPSILON,
+    ):
+        object.__setattr__(self, "ogrid", ogrid)
+        object.__setattr__(self, "squad", squad)
+        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "sections", sections)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "partitions", partitions)
+        if tolerances is None:
+            tolerances = Tolerances()
+        object.__setattr__(self, "tolerances", tolerances)
+        object.__setattr__(self, "epsilon", epsilon)
 
 
 def _expect(condition, message):
@@ -235,11 +268,15 @@ def load_config(
         partitions[str(name)] = tuple(rows)
 
     tol_raw = _object(raw, "tolerances")
-    defaults = {f.name: f.default for f in fields(Tolerances)}
     for key in tol_raw:
-        _expect(key in defaults, f"unknown tolerance {key!r}")
+        _expect(key in Tolerances.__slots__, f"unknown tolerance {key!r}")
+    # an absent key keeps the default of Tolerances.__init__
     tolerances = Tolerances(
-        **{name: _positive(tol_raw.get(name, d), name) for name, d in defaults.items()}
+        **{
+            name: _positive(tol_raw[name], name)
+            for name in Tolerances.__slots__
+            if name in tol_raw
+        }
     )
 
     return Config(

@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     DomainError,
     ExpressionSyntaxError,
@@ -44,37 +44,70 @@ from .errors import (
 VARIABLES = ("omega", "t", "s", "lambda")
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Node(Record):
+    """An AST node: equal, hashed and printed by its type and fields, which
+    __match_args__ lists in order."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__match_args__
+        )
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Num(_Node):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: float):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Pi:
-    pass
+class Var(_Node):
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expression"
+class Pi(_Node):
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Expression"
-    right: "Expression"
+class Neg(_Node):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: "Expression"):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
+class BinOp(_Node):
+    __slots__ = __match_args__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expression", right: "Expression"):
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+
+class Call(_Node):
+    __slots__ = __match_args__ = ("func", "args")
+
+    def __init__(self, func: str, args: tuple):
+        object.__setattr__(self, "func", func)
+        object.__setattr__(self, "args", args)
 
 
 Expression = Union[Num, Var, Pi, Neg, BinOp, Call]
@@ -148,11 +181,13 @@ _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _OPS = set("+-*/^(),")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "ident" | "op" | "end"
-    text: str
-    pos: int
+class _Token(Record):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        object.__setattr__(self, "kind", kind)  # "number" | "ident" | "op" | "end"
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
 def _tokenize(text):

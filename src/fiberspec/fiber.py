@@ -19,11 +19,11 @@ instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._record import Record
 from .errors import DomainError, NoConvergence, NotSymmetric
 from .grid import OmegaGrid, ScalarField, SQuadrature
 from .kernel import KernelSpec, SeparableKernel, kernel_matrices
@@ -254,8 +254,7 @@ def extract_eigenfunctions(vectors: np.ndarray, squad: SQuadrature) -> np.ndarra
     return np.swapaxes(vectors / sw[:, None], -1, -2)
 
 
-@dataclass(frozen=True)
-class FiberDecomposition:
+class FiberDecomposition(Record):
     """Retained eigenpairs of every fiber plus alignment and bounds.
 
     The eigenpairs are stored as zero-padded arrays over F fibers and
@@ -271,16 +270,31 @@ class FiberDecomposition:
     bounds min(0, lambda_min) and max(0, lambda_max).
     """
 
-    ogrid: OmegaGrid
-    squad: SQuadrature
-    eigenvalues: np.ndarray
-    functions: np.ndarray
-    labels: np.ndarray
-    ranks: np.ndarray
-    traces: np.ndarray
-    eigensums: np.ndarray
-    m: ScalarField
-    M: ScalarField
+    # no __slots__: cached_property keeps its value in the instance __dict__
+
+    def __init__(
+        self,
+        ogrid: OmegaGrid,
+        squad: SQuadrature,
+        eigenvalues: np.ndarray,
+        functions: np.ndarray,
+        labels: np.ndarray,
+        ranks: np.ndarray,
+        traces: np.ndarray,
+        eigensums: np.ndarray,
+        m: ScalarField,
+        M: ScalarField,
+    ):
+        object.__setattr__(self, "ogrid", ogrid)
+        object.__setattr__(self, "squad", squad)
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "traces", traces)
+        object.__setattr__(self, "eigensums", eigensums)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "M", M)
 
     @cached_property
     def _extreme_bounds(self) -> tuple:

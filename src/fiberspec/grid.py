@@ -9,11 +9,10 @@ built by integrating it over the parameter grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr
+from ._record import Record
 from .errors import (
     DomainError,
     GridMismatch,
@@ -40,10 +39,10 @@ def _require_1d_float(values, name):
     return arr
 
 
-def _set_rule(rule):
+def _set_rule(rule, nodes, weights):
     """Check and store the nodes and weights of a grid or quadrature."""
-    nodes = _require_1d_float(rule.nodes, "nodes")
-    weights = _require_1d_float(rule.weights, "weights")
+    nodes = _require_1d_float(nodes, "nodes")
+    weights = _require_1d_float(weights, "weights")
     if nodes.size == 0 or nodes.size != weights.size:
         raise ValueError("nodes and weights must be non-empty and equal length")
     if np.any(np.diff(nodes) <= 0):
@@ -58,30 +57,26 @@ def _set_rule(rule):
     object.__setattr__(rule, "weights", weights)
 
 
-@dataclass(frozen=True)
-class OmegaGrid:
+class OmegaGrid(Record):
     """Nodes and weights over the parameter interval; weights sum to one."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("nodes", "weights")
 
-    def __post_init__(self):
-        _set_rule(self)
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        _set_rule(self, nodes, weights)
 
     def __len__(self):
         return self.nodes.size
 
 
-@dataclass(frozen=True)
-class SQuadrature:
+class SQuadrature(Record):
     """Quadrature over the integration interval; weights sum to one."""
 
-    rule: str
-    nodes: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("rule", "nodes", "weights")
 
-    def __post_init__(self):
-        _set_rule(self)
+    def __init__(self, rule: str, nodes: np.ndarray, weights: np.ndarray):
+        object.__setattr__(self, "rule", rule)
+        _set_rule(self, nodes, weights)
 
     def __len__(self):
         return self.nodes.size
@@ -126,16 +121,15 @@ def build_s_quadrature(rule: str, n: int) -> SQuadrature:
     raise InvalidQuadratureRule(f"unknown quadrature rule {rule!r}")
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(Record):
     """Real values attached to the parameter grid nodes."""
 
-    grid: OmegaGrid
-    values: np.ndarray
+    __slots__ = ("grid", "values")
 
-    def __post_init__(self):
-        values = _require_1d_float(self.values, "values")
-        if values.size != len(self.grid):
+    def __init__(self, grid: OmegaGrid, values: np.ndarray):
+        object.__setattr__(self, "grid", grid)
+        values = _require_1d_float(values, "values")
+        if values.size != len(grid):
             raise ValueError("field length must match the grid")
         object.__setattr__(self, "values", _require_finite(values, "field"))
 
@@ -144,20 +138,19 @@ class ScalarField:
         return ScalarField(grid, np.full(len(grid), float(value)))
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Record):
     """Node values of a function on the product grid, one row per fiber."""
 
-    ogrid: OmegaGrid
-    squad: SQuadrature
-    values: np.ndarray
+    __slots__ = ("ogrid", "squad", "values")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.ogrid), len(self.squad)):
+    def __init__(self, ogrid: OmegaGrid, squad: SQuadrature, values: np.ndarray):
+        object.__setattr__(self, "ogrid", ogrid)
+        object.__setattr__(self, "squad", squad)
+        values = np.asarray(values, dtype=float)
+        if values.shape != (len(ogrid), len(squad)):
             raise ValueError(
                 f"section shape {values.shape} does not match grids "
-                f"({len(self.ogrid)}, {len(self.squad)})"
+                f"({len(ogrid)}, {len(squad)})"
             )
         object.__setattr__(self, "values", _require_finite(values, "section"))
 

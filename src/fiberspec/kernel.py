@@ -9,12 +9,12 @@ downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import expr
+from ._record import Record
 from .errors import (
     DomainError,
     GridMismatch,
@@ -29,14 +29,13 @@ from .grid import OmegaGrid, SQuadrature, same_rule
 SYMMETRIZE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SeparableKernel:
+class SeparableKernel(Record):
     """Finite sum of separable terms (curve in omega, basis in t)."""
 
-    terms: tuple
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        terms = tuple((curve, basis) for curve, basis in self.terms)
+    def __init__(self, terms: tuple):
+        terms = tuple((curve, basis) for curve, basis in terms)
         if not terms:
             raise InvalidKernel("a separable kernel needs at least one term")
         for idx, (curve, basis) in enumerate(terms):
@@ -63,19 +62,18 @@ class SeparableKernel:
         return np.stack([expr.evaluate(b, {"t": squad.nodes}) for _, b in self.terms])
 
 
-@dataclass(frozen=True)
-class SampledKernel:
+class SampledKernel(Record):
     """Dense kernel samples, shape (n_omega, n_s, n_s), averaged with their
     fiberwise transpose; an asymmetry above SYMMETRIZE_TOL is NotSymmetric."""
 
-    ogrid: OmegaGrid
-    squad: SQuadrature
-    values: np.ndarray
+    __slots__ = ("ogrid", "squad", "values")
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        n_s = len(self.squad)
-        if values.shape != (len(self.ogrid), n_s, n_s):
+    def __init__(self, ogrid: OmegaGrid, squad: SQuadrature, values: np.ndarray):
+        object.__setattr__(self, "ogrid", ogrid)
+        object.__setattr__(self, "squad", squad)
+        values = np.asarray(values, dtype=float)
+        n_s = len(squad)
+        if values.shape != (len(ogrid), n_s, n_s):
             raise ValueError(
                 f"sampled kernel shape {values.shape} does not match grids"
             )

@@ -9,23 +9,21 @@ the retained eigenvalues together with 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from .errors import GridMismatch, IncompletePartition, UnknownCurveLabel
 from .fiber import FiberDecomposition
 from .grid import OmegaGrid, ScalarField, same_rule
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """One non-negative curve label per parameter node."""
 
-    labels: np.ndarray
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        labels = np.asarray(self.labels)
+    def __init__(self, labels: np.ndarray):
+        labels = np.asarray(labels)
         if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
             raise ValueError("labels must be a one dimensional integer array")
         if np.any(labels < 0):

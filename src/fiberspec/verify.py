@@ -8,11 +8,10 @@ kernel and decomposition pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr
+from ._record import Record
 from .calculus import (
     ThresholdField,
     _interval,
@@ -68,14 +67,24 @@ AXIOM_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    value: float
-    bound: float
-    relation: str  # "<=" or ">="
-    passed: bool
-    note: str = ""
+class CheckResult(Record):
+    __slots__ = ("name", "value", "bound", "relation", "passed", "note")
+
+    def __init__(
+        self,
+        name: str,
+        value: float,
+        bound: float,
+        relation: str,  # "<=" or ">="
+        passed: bool,
+        note: str = "",
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "note", note)
 
 
 def _check(name, value, bound, relation="<=", note=""):

@@ -345,6 +345,24 @@ def test_partition_label_beyond_int64_is_config_error(tmp_path, capsys):
     assert err == "config error: partitions[big][0].label must be below 2^63\n"
 
 
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("", encoding="utf-8")
+    assert main(["decompose", "--config", CONFIG_PATH, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ")
+    assert err.endswith(f"File exists: {str(out)!r}\n") and err.count("\n") == 1
+
+
+def test_output_csv_path_that_is_a_directory_is_config_error(tmp_path, capsys):
+    (tmp_path / "bounds.csv").mkdir()
+    assert main(["decompose", "--config", CONFIG_PATH, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    path = str(tmp_path / "bounds.csv")
+    assert err.startswith("config error: cannot write output: ")
+    assert err.endswith(f"Is a directory: {path!r}\n") and err.count("\n") == 1
+
+
 def test_config_error_exit_codes(tmp_path):
     rc = main(["decompose", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert rc == 2
@@ -603,3 +621,22 @@ def test_decompose_bytes_do_not_depend_on_blas_threads(tmp_path):
     for name in ("bounds", "eigencurves", "eigenfunctions"):
         default = (tmp_path / "threads_None" / f"{name}.csv").read_bytes()
         assert default == (tmp_path / "threads_2" / f"{name}.csv").read_bytes(), name
+
+
+FOOTPRINT = """
+import sys
+import fiberspec
+print("dataclasses" in sys.modules)
+from fiberspec import cli
+assert cli.main(["decompose", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("fiberspec.verify" in sys.modules)
+assert cli.main(["verify", "--config", sys.argv[1]]) == 0
+"""
+
+
+def test_import_footprint(tmp_path):
+    # the records are plain classes, and only the verify subcommand loads
+    # the invariant suite
+    out = run_python(["-c", FOOTPRINT, CONFIG_PATH, str(tmp_path)]).splitlines()
+    assert out[:3] == ["False", "decomposed 64 fibers, 3 curves", "False"]
+    assert out[-1] == "37/37 checks passed"
