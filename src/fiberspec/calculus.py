@@ -81,11 +81,16 @@ def _multiply(d: FiberDecomposition, values, h, h0) -> np.ndarray:
     (..., F, r_max) and h0 the multiplier on the null component, of shape
     (..., F) or a scalar; the leading axes broadcast.  Padded slots have
     zero eigenfunction rows, so they add nothing whatever h holds there.
+    The pairings <f, x_n> and the synthesis are two batched matrix
+    products, against d._weighted_functions (built once per decomposition)
+    and against d.functions.
     """
     h0 = np.asarray(h0, dtype=float)[..., None]
-    coeff = np.einsum("irj,...ij->...ir", d.functions, d.squad.weights * values)
-    out = np.einsum("...ir,irj->...ij", (h - h0) * coeff, d.functions)
-    return out + h0 * values
+    coeff = (d._weighted_functions @ values[..., None])[..., 0]
+    out = (((h - h0) * coeff)[..., None, :] @ d.functions)[..., 0, :]
+    # out already has the broadcast shape of every operand
+    out += h0 * values
+    return out
 
 
 def apply_spectral(d: FiberDecomposition, f: Section) -> Section:

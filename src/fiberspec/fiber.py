@@ -66,11 +66,11 @@ def _round_robin(n):
 def _sweep(A, V, skip_below, rounds):
     """One sweep of Jacobi rotations over a stack of matrices, in place.
 
-    A and V have shape (F, n, n) and skip_below shape (F, 1); rounds is
-    _round_robin(n).  Every round rotates its disjoint pairs of every
-    matrix at once: columns, then rows, then the exact 2 x 2 block, then
-    the columns of V.  A pair with |a_pq| <= skip_below gets t = 0, which
-    leaves its entries as they are.
+    A has shape (F, n, n), V (F, n, n) or (F, 0, n) and skip_below
+    (F, 1); rounds is _round_robin(n).  Every round rotates its disjoint
+    pairs of every matrix at once: columns, then rows, then the exact
+    2 x 2 block, then the columns of V, unless V has no rows.  A pair with
+    |a_pq| <= skip_below gets t = 0, which leaves its entries as they are.
     """
     for p, q in rounds:
         apq = A[:, p, q]
@@ -97,9 +97,10 @@ def _sweep(A, V, skip_below, rounds):
         A[:, p, q] = A[:, q, p] = np.where(rotate, 0.0, apq)
         A[:, p, p] = np.where(rotate, app - t * apq, app)
         A[:, q, q] = np.where(rotate, aqq + t * apq, aqq)
-        vcol_p, vcol_q = V[:, :, p], V[:, :, q]
-        V[:, :, p] = cc * vcol_p - sc * vcol_q
-        V[:, :, q] = sc * vcol_p + cc * vcol_q
+        if V.shape[1]:
+            vcol_p, vcol_q = V[:, :, p], V[:, :, q]
+            V[:, :, p] = cc * vcol_p - sc * vcol_q
+            V[:, :, q] = sc * vcol_p + cc * vcol_q
 
 
 def _frobenius(A, off_diagonal=False):
@@ -196,9 +197,9 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
 def _jacobi(a, tol, max_sweeps, vectors):
     """jacobi_eigh, with or without the eigenvectors.
 
-    Without them the rotation accumulator V has no rows, so _sweep's
-    updates of V act on empty arrays, and the eigenvectors come back with
-    shape (..., 0, n).  The eigenvalues are bitwise the same either way.
+    Without them the rotation accumulator V has no rows, so _sweep skips
+    its updates of V, and the eigenvectors come back with shape
+    (..., 0, n).  The eigenvalues are bitwise the same either way.
     """
     A, exponent, lead = _prepare(a)
     n = A.shape[-1]
@@ -305,6 +306,15 @@ class FiberDecomposition(Record):
         """
         return float(np.min(self.m.values)), float(np.max(self.M.values))
 
+    @cached_property
+    def _weighted_functions(self) -> np.ndarray:
+        """functions * squad.weights, shape (F, r_max, n_s).
+
+        Row n of fiber i pairs a section with x_n: (W @ f)[n] = <f, x_n>.
+        Built on the first spectral query and kept, like _extreme_bounds.
+        """
+        return self.functions * self.squad.weights
+
     @property
     def n_fibers(self) -> int:
         return len(self.ogrid)
@@ -319,7 +329,7 @@ class FiberDecomposition(Record):
         curve_ids is one id or one per fiber; a row is empty where the
         curve is absent or the id is negative.
         """
-        ids = np.broadcast_to(curve_ids, (self.n_fibers,))[:, None]
+        ids = np.reshape(curve_ids, (-1, 1))
         return (self.labels == ids) & (ids >= 0)
 
     def aligned_curve(self, curve_id: int) -> np.ndarray:

@@ -27,7 +27,7 @@ _MAX_COUNT = np.iinfo(np.intp).max // 8
 
 
 def _require_finite(values, what):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise DomainError(f"{what} contains non-finite values")
     return values
 

@@ -145,11 +145,14 @@ def hermitian_check(k: KernelSpec) -> float:
 
 
 def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:
-    """Rebuild kernel samples from the top eigenpairs of every fiber.
+    """Rebuild kernel samples from the dominant eigenpairs of every fiber.
 
-    values[i] = sum_{n < rank} lambda_n(omega_i) x_n(omega_i) x_n(omega_i)^T
-    in the descending eigenvalue order.  rank must not exceed the retained
-    rank of any fiber; rank 0 gives the zero kernel.
+    values[i] = sum_n lambda_n(omega_i) x_n(omega_i) x_n(omega_i)^T over the
+    rank retained slots of fiber i with the largest |lambda_n|, ties going
+    to the lower slot.  For a symmetric operator that is the best rank-r
+    approximation (Eckart-Young-Mirsky); a positive kernel keeps its top
+    rank slots.  rank must not exceed the retained rank of any fiber;
+    rank 0 gives the zero kernel.
     """
     d = decomposition
     if rank < 0:
@@ -159,8 +162,13 @@ def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:
         raise RankTooLarge(
             f"rank {rank} exceeds the minimum retained rank {min_rank}"
         )
-    funcs = d.functions[:, :rank]
-    block = (funcs.transpose(0, 2, 1) * d.eigenvalues[:, None, :rank]) @ funcs
+    # padded slots hold 0, below every retained |lambda|; the chosen slots
+    # keep their stored order
+    slots = np.argsort(-np.abs(d.eigenvalues), axis=1, kind="stable")[:, :rank]
+    slots.sort(axis=1)
+    funcs = np.take_along_axis(d.functions, slots[..., None], axis=1)
+    vals = np.take_along_axis(d.eigenvalues, slots, axis=1)
+    block = (funcs.transpose(0, 2, 1) * vals[:, None, :]) @ funcs
     # exact symmetrization: the constructor's gate is absolute, which large
     # reconstructions could trip on rounding alone
     values = 0.5 * (block + block.transpose(0, 2, 1))

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 import fiberspec as fs
 from fiberspec import errors
-from fiberspec.calculus import _interval
+from fiberspec.calculus import DEFAULT_TIE_TOL, _interval, _multiply, _project
+from fiberspec.fiber import FiberDecomposition
 from fiberspec.expr import parse
 
-from conftest import curve1, curve2, tf_ref, t2f_ref
+from conftest import curve1, curve2, random_separable_kernel, tf_ref, t2f_ref
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +272,123 @@ def test_spectral_interval_is_computed_once(decomposition):
     assert (lo, hi) == (float(np.min(d.m.values)), float(np.max(d.M.values)))
     assert d._extreme_bounds is d._extreme_bounds
     assert _interval(d, 1e-6) == (lo, hi + 1e-6)
+
+
+def _dense_multiply(d, values, h, h0):
+    """Reference multiplier from explicit matrices: fiber i applies
+    sum_n (h_n - h0) x_n x_n^T diag(w) + h0 I to its section row.  values
+    (..., F, n_s), h (..., F, r_max) and h0 (..., F) broadcast."""
+    F, n_s = values.shape[-2:]
+    lead = np.broadcast_shapes(values.shape[:-2], h.shape[:-2], h0.shape[:-1])
+    values = np.broadcast_to(values, lead + (F, n_s))
+    h = np.broadcast_to(h, lead + h.shape[-2:])
+    h0 = np.broadcast_to(h0, lead + (F,))
+    out = np.empty(lead + (F, n_s))
+    for idx in np.ndindex(*lead, F):
+        X = d.functions[idx[-1]]
+        M = X.T @ np.diag(h[idx] - h0[idx]) @ X @ np.diag(d.squad.weights)
+        out[idx] = M @ values[idx] + h0[idx] * values[idx]
+    return out
+
+
+def _random_decomposition(rng, sampled):
+    ogrid = fs.build_omega_grid(int(rng.integers(1, 7)))
+    squad = fs.build_s_quadrature("gauss_legendre", int(rng.integers(1, 13)))
+    if sampled:
+        a = rng.standard_normal((len(ogrid), len(squad), len(squad)))
+        kernel = fs.SampledKernel(ogrid, squad, a + a.transpose(0, 2, 1))
+    else:
+        kernel = random_separable_kernel(rng)
+    return fs.decompose_all_fibers(kernel, ogrid, squad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sampled=st.booleans(),
+    stack=st.integers(0, 3),
+    layers=st.integers(0, 3),
+)
+def test_multiply_matches_dense_reference(seed, sampled, stack, layers):
+    rng = np.random.default_rng(seed)
+    d = _random_decomposition(rng, sampled)
+    F, r_max, n_s = d.functions.shape
+    # sections (S, F, n_s) against multipliers (L, 1, F, r_max), as verify
+    # stacks probe sections against threshold layers
+    values = rng.standard_normal((stack, F, n_s) if stack else (F, n_s))
+    lead = (layers, 1) if layers else ()
+    h = rng.uniform(-3.0, 3.0, lead + (F, r_max))
+    h0 = rng.uniform(-3.0, 3.0, lead + (F,))
+    scale = max(1.0, np.max(np.abs(values)), np.max(np.abs(h0)))
+    scale = max(scale, np.max(np.abs(h), initial=0.0))
+    got = _multiply(d, values, h, h0)
+    want = _dense_multiply(d, values, h, h0)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
+    # the projector path: thresholds (L, 1, F) broadcast against the stack
+    lam = rng.uniform(-2.0, 2.0, lead + (F,))
+    cut = lam + DEFAULT_TIE_TOL
+    got = _project(d, values, lam, DEFAULT_TIE_TOL)
+    want = _dense_multiply(
+        d, values, (d.eigenvalues <= cut[..., None]) * 1.0, (0.0 <= cut) * 1.0
+    )
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * max(
+        1.0, np.max(np.abs(values))
+    )
+
+
+def test_multiply_exact_cases(cfg, decomposition, f_section):
+    d, f = decomposition, f_section
+    # g = 1 and a threshold above every bound give f back bit for bit
+    one = fs.functional_calculus(d, parse("1"), f)
+    assert one.values.tobytes() == f.values.tobytes()
+    top = float(np.max(d.M.values)) + 1.0
+    above = fs.projector_apply(d, fs.ThresholdField.constant(cfg.ogrid, top), f)
+    assert above.values.tobytes() == f.values.tobytes()
+    # a threshold below every bound and below 0 gives exact zeros
+    bottom = float(np.min(d.m.values)) - 1.0
+    below = fs.projector_apply(d, fs.ThresholdField.constant(cfg.ogrid, bottom), f)
+    assert np.all(below.values == 0.0)
+
+
+@pytest.mark.parametrize("sampled", [False, True])
+def test_multiply_rank_zero_is_null_multiplier(grids, sampled):
+    # the zero kernel retains no slot: T f = 0 and the multiplier is h0 f
+    ogrid, squad = grids
+    if sampled:
+        zeros = np.zeros((len(ogrid), len(squad), len(squad)))
+        kernel = fs.SampledKernel(ogrid, squad, zeros)
+    else:
+        kernel = fs.SeparableKernel(((parse("0"), parse("sin(pi*t)")),))
+    d = fs.decompose_all_fibers(kernel, ogrid, squad)
+    assert d.functions.shape == (len(ogrid), 0, len(squad))
+    f = fs.sample_section(parse("omega*sin(pi*t)+sin(2*pi*t)"), ogrid, squad)
+    got = _multiply(d, f.values, d.eigenvalues, 2.5)
+    assert got.tobytes() == (2.5 * f.values).tobytes()
+    assert np.all(fs.apply_spectral(d, f).values == 0.0)
+    g = fs.functional_calculus(d, parse("exp(-lambda)"), f)
+    assert g.values.tobytes() == f.values.tobytes()
+
+
+def test_weighted_factor_is_built_once(cfg, f_section, monkeypatch):
+    prop = FiberDecomposition.__dict__["_weighted_functions"]
+    build = prop.func
+    builds = []
+
+    def counting(d):
+        builds.append(d)
+        return build(d)
+
+    monkeypatch.setattr(prop, "func", counting)
+    d = fs.decompose(cfg)
+    # lazy: decomposing does not build it
+    assert builds == []
+    lam = fs.ThresholdField.constant(cfg.ogrid, 0.4)
+    fs.apply_spectral(d, f_section)
+    fs.projector_apply(d, lam, f_section)
+    fs.functional_calculus(d, parse("exp(-lambda)"), f_section)
+    fs.riemann_stieltjes_apply(d, parse("lambda"), f_section, 0.02)
+    assert builds == [d]
+    factor = d._weighted_functions
+    assert factor is d._weighted_functions
+    assert factor.tobytes() == (d.functions * d.squad.weights).tobytes()

@@ -131,6 +131,42 @@ def test_mercer_rank_zero_is_zero_kernel(decomposition):
     assert np.all(rebuilt.values == 0.0)
 
 
+def test_mercer_reconstruct_keeps_largest_magnitudes(cfg):
+    # trig_rank3 with its second curve negated, -sin^2(pi w)/2: at rank 2
+    # every fiber keeps its two largest |lambda|, so the error is the
+    # dropped eigenpair, |lambda| <= 0.1734 against |x(t) x(s)| <= 2
+    terms = list(separable_fixture().terms)
+    # unary minus binds tighter than ^, so the square is parenthesized
+    terms[1] = (parse("-(sin(pi*omega)^2)/2"), terms[1][1])
+    kernel = fs.SeparableKernel(tuple(terms))
+    d = fs.decompose_all_fibers(kernel, cfg.ogrid, cfg.squad)
+    rebuilt = fs.mercer_reconstruct(d, 2)
+    orig = fs.kernel_matrices(kernel, cfg.ogrid, cfg.squad)
+    err = float(np.max(np.abs(orig - rebuilt.values)))
+    dropped = np.sort(np.abs(d.eigenvalues), axis=1)[:, 0]
+    assert abs(float(dropped.max()) - 0.1734) < 1e-3
+    # keeping the two largest values instead drops -sin^2(pi w)/2: 0.998
+    assert 0.345 < err <= 2.0 * float(dropped.max())
+    # the kept slots are summed in their stored (descending) order
+    full = fs.mercer_reconstruct(d, 3).values
+    assert full.tobytes() == _leading_slots_sum(d, 3).tobytes()
+
+
+def _leading_slots_sum(d, rank):
+    funcs = d.functions[:, :rank]
+    block = (funcs.transpose(0, 2, 1) * d.eigenvalues[:, None, :rank]) @ funcs
+    return 0.5 * (block + block.transpose(0, 2, 1))
+
+
+def test_mercer_reconstruct_positive_kernel_keeps_leading_slots(decomposition):
+    # every retained eigenvalue of trig_rank3 is positive, so the largest
+    # |lambda| are the leading slots, summed in the same order as before
+    d = decomposition
+    for rank in (1, 2, 3):
+        rebuilt = fs.mercer_reconstruct(d, rank).values
+        assert rebuilt.tobytes() == _leading_slots_sum(d, rank).tobytes()
+
+
 def test_sampled_kernel_grid_guard(grids):
     ogrid, squad = grids
     k = fs.sample_kernel(parse("t*s"), ogrid, squad)
