@@ -230,18 +230,24 @@ def _jacobi(a, tol, max_sweeps, vectors):
     return _finish(vals, vecs, exponent, lead)
 
 
+def _assemble(K, squad: SQuadrature) -> np.ndarray:
+    """Symmetrized collocation matrices 0.5 (A + A^T), A = sqrt(w) K sqrt(w),
+    of kernel values K of shape (F, n_s, n_s), for any F fibers.
+
+    The scaled copy of K is scaled in place, so next to K at most three
+    arrays of its size are alive at a time.
+    """
+    sw = np.sqrt(squad.weights)
+    A = sw[:, None] * K
+    A *= sw
+    return 0.5 * (A + A.transpose(0, 2, 1))
+
+
 def fiber_matrices(
     k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature
 ) -> np.ndarray:
-    """Symmetrized collocation matrices of every fiber, (n_omega, n_s, n_s).
-
-    The kernel stack is scaled in place once copied, so at most two
-    (n_omega, n_s, n_s) arrays are alive at a time.
-    """
-    sw = np.sqrt(squad.weights)
-    A = sw[:, None] * kernel_matrices(k, ogrid, squad)
-    A *= sw
-    return 0.5 * (A + A.transpose(0, 2, 1))
+    """Symmetrized collocation matrices of every fiber, (n_omega, n_s, n_s)."""
+    return _assemble(kernel_matrices(k, ogrid, squad), squad)
 
 
 def extract_eigenfunctions(vectors: np.ndarray, squad: SQuadrature) -> np.ndarray:

@@ -99,6 +99,43 @@ def build_omega_grid(n: int) -> OmegaGrid:
     return OmegaGrid(nodes, weights)
 
 
+def _legval(x, c):
+    """Legendre series sum_k c[k] P_k(x) by legval's Clenshaw recurrence."""
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _leggauss(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    The Golub-Welsch construction (Math. Comp. 23, 1969) in the steps of
+    numpy.polynomial.legendre.leggauss, so the rule is bitwise the same
+    without importing numpy.polynomial: the eigenvalues of the symmetric
+    companion matrix of P_n, one Newton step, then weights from P_n' and
+    P_{n-1}, symmetrized about 0 and normalized to sum to 2.
+    """
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    k = np.arange(n)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # P_n' = sum of (2k + 1) P_k over k = n - 1, n - 3, ...
+    der = np.where((n - 1 - k) % 2 == 0, 2.0 * k + 1.0, 0.0)
+    df = _legval(x, der)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def build_s_quadrature(rule: str, n: int) -> SQuadrature:
     """Construct a quadrature over [0, 1].
 
@@ -116,7 +153,7 @@ def build_s_quadrature(rule: str, n: int) -> SQuadrature:
         return SQuadrature(rule, nodes, weights)
     if rule == "gauss_legendre":
         _require_count(n, 1, "gauss_legendre rule")
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _leggauss(n)
         return SQuadrature(rule, (x + 1.0) / 2.0, w / 2.0)
     raise InvalidQuadratureRule(f"unknown quadrature rule {rule!r}")
 

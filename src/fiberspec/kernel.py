@@ -64,9 +64,11 @@ class SeparableKernel(Record):
 
 class SampledKernel(Record):
     """Dense kernel samples, shape (n_omega, n_s, n_s), averaged with their
-    fiberwise transpose; an asymmetry above SYMMETRIZE_TOL is NotSymmetric."""
+    fiberwise transpose; an asymmetry above SYMMETRIZE_TOL is NotSymmetric.
+    asymmetry keeps max |k(omega,t,s) - k(omega,s,t)| of the input, before
+    the averaging."""
 
-    __slots__ = ("ogrid", "squad", "values")
+    __slots__ = ("ogrid", "squad", "values", "asymmetry")
 
     def __init__(self, ogrid: OmegaGrid, squad: SQuadrature, values: np.ndarray):
         object.__setattr__(self, "ogrid", ogrid)
@@ -93,6 +95,7 @@ class SampledKernel(Record):
             np.isfinite(total), 0.5 * total, 0.5 * values + 0.5 * swapped
         )
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "asymmetry", asymmetry)
 
 
 KernelSpec = Union[SeparableKernel, SampledKernel]
@@ -137,11 +140,12 @@ def hermitian_check(k: KernelSpec) -> float:
     """Worst asymmetry |k(omega,t,s) - k(omega,s,t)| over grid triples.
 
     Separable kernels are symmetric by construction, so the result is
-    exactly zero without iterating.
+    exactly zero.  A sampled kernel reports the asymmetry of the values it
+    was given, which its stored, averaged values no longer show.
     """
     if isinstance(k, SeparableKernel):
         return 0.0
-    return float(np.max(np.abs(k.values - k.values.transpose(0, 2, 1)), initial=0.0))
+    return k.asymmetry
 
 
 def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:

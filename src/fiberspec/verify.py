@@ -27,9 +27,9 @@ from .config import Config, decompose, sample_section
 from .fiber import (
     MAX_SWEEPS,
     FiberDecomposition,
+    _assemble,
     _jacobi,
     decompose_all_fibers,
-    fiber_matrices,
 )
 from .grid import (
     OmegaGrid,
@@ -51,6 +51,10 @@ from .spectrum import (
 )
 
 SEED = 1347
+# fibers (or random probes) per chunk of the checks that would otherwise
+# hold an (F, n_s, n_s) stack besides the kernel's: a chunk's temporaries
+# stay a small part of the one kernel stack the suite keeps
+_CHUNK = 8
 
 AXIOM_BOUNDS = {
     "projector_idempotence": 1e-10,
@@ -232,6 +236,12 @@ def projector_axiom_residuals(
     return res
 
 
+def _chunks(count):
+    """Consecutive slices of _CHUNK indices that cover range(count); the
+    last one may be shorter."""
+    return [slice(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
+
+
 def _random_node_partition(rng, d: FiberDecomposition) -> Partition:
     """Random partition: node i draws label 0 or one more than one of its
     ranks[i] retained curve ids."""
@@ -240,12 +250,22 @@ def _random_node_partition(rng, d: FiberDecomposition) -> Partition:
     return Partition(options[np.arange(d.n_fibers), picks])
 
 
+def _legendre_rows(x, deg):
+    """P_k(x) for k = 0..deg, one row per k, by legvander's recurrence."""
+    v = np.empty((deg + 1,) + x.shape)
+    v[0] = 1.0
+    if deg > 0:
+        v[1] = x
+        for i in range(2, deg + 1):
+            v[i] = (v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i
+    return v
+
+
 def _moment_error(squad: SQuadrature) -> float:
     """Worst error of an n-point rule on P_k(2t - 1), k < 2n, which integrate
     to 1 (k = 0) and 0; monomials t^k amplify node rounding by about k."""
     n = len(squad)
-    basis = np.polynomial.legendre.legvander(2.0 * squad.nodes - 1.0, 2 * n - 1)
-    moments = basis.T @ squad.weights
+    moments = _legendre_rows(2.0 * squad.nodes - 1.0, 2 * n - 1) @ squad.weights
     moments[0] -= 1.0
     return float(np.max(np.abs(moments)))
 
@@ -281,18 +301,23 @@ def run_suite(cfg: Config) -> list:
     lo, hi = _interval(d, cfg.epsilon)
     results.append(_check("kernel_psd", max(0.0, -lo), 1e-12, note=f"worst={lo:.3e}"))
 
-    # eigensolver quality on the assembled fibers; padded slots have zero
-    # rows, so they leave the residual at 0 and the Gram matrix is compared
-    # with the identity on the retained slots only
-    A = fiber_matrices(cfg.kernel, ogrid, squad)
+    # eigensolver quality on the assembled fibers, a chunk of fibers at a
+    # time; padded slots have zero rows, so they leave the residual at 0
+    # and the Gram matrix is compared with the identity on the retained
+    # slots only
+    K = kernel_matrices(cfg.kernel, ogrid, squad)
     funcs = d.functions
-    vecs = (funcs * np.sqrt(squad.weights)).transpose(0, 2, 1)
     scale = np.maximum(1.0, np.max(np.abs(d.eigenvalues), axis=1, initial=0.0))
-    err = np.abs(A @ vecs - vecs * d.eigenvalues[:, None, :])
-    resid = float(np.max(err.max(axis=(1, 2), initial=0.0) / scale))
-    gram = funcs @ (funcs * squad.weights).transpose(0, 2, 1)
-    eye = np.eye(funcs.shape[1]) * (d.labels >= 0)[:, None, :]
-    ortho = float(np.max(np.abs(gram - eye), initial=0.0))
+    resid = ortho = 0.0
+    for b in _chunks(d.n_fibers):
+        f, lam = funcs[b], d.eigenvalues[b]
+        vecs = (f * np.sqrt(squad.weights)).transpose(0, 2, 1)
+        err = np.abs(_assemble(K[b], squad) @ vecs - vecs * lam[:, None, :])
+        worst = np.max(err.max(axis=(1, 2), initial=0.0) / scale[b])
+        resid = np.maximum(resid, worst)
+        gram = f @ (f * squad.weights).transpose(0, 2, 1)
+        eye = np.eye(f.shape[1]) * (d.labels[b] >= 0)[:, None, :]
+        ortho = np.maximum(ortho, np.max(np.abs(gram - eye), initial=0.0))
     results.append(_check("eigen_residual", resid, 1e-10))
     results.append(_check("eigen_orthonormality", ortho, 1e-10))
     results.append(
@@ -313,15 +338,16 @@ def run_suite(cfg: Config) -> list:
     # assembled fibers, agree with the independent Jacobi solver on the
     # assembled matrices; truncated and padded slots compare as zeros
     picked = sorted({0, d.n_fibers // 2, d.n_fibers - 1})
-    oracle, _ = _jacobi(A[picked], tol.eig_tol, MAX_SWEEPS, vectors=False)
+    A = _assemble(K[picked], squad)
+    oracle, _ = _jacobi(A, tol.eig_tol, MAX_SWEEPS, vectors=False)
+    # the kernel stack is not needed past this point
+    del A, K
     produced = np.zeros(oracle.shape)
     produced[:, : d.eigenvalues.shape[1]] = d.eigenvalues[picked]
     produced = np.sort(produced, axis=1)[:, ::-1]
     scale = np.maximum(1.0, np.max(np.abs(oracle), axis=1))
     worst = np.max(np.abs(produced - oracle) / scale[:, None])
     results.append(_check("eigenvalues_match_jacobi", worst, 1e-10))
-    # the (F, n_s, n_s) stack is not needed past this point
-    del A
 
     # grid refinement stability of the eigenvalues: the kernel is compared
     # with the doubled rule, so the drift is the error of this rule
@@ -338,16 +364,19 @@ def run_suite(cfg: Config) -> list:
         drift = float(np.max(gap, where=both, initial=0.0))
         results.append(_check("eigenvalue_grid_stability", drift, 1e-10))
 
-    # Rayleigh quotients stay inside the spectral bounds
-    x = rng.standard_normal((50, len(ogrid), len(squad)))
-    den = _pairing(squad, x, x)
-    # the products of <Tx, x> are formed in place, so at most two
-    # (50, F, n_s) stacks are alive at a time
-    num = _quadrature(cfg.kernel, ogrid, squad, x)
-    num *= x
-    quot = _require_finite(num @ squad.weights, "field") / den
-    del x, num
-    rayleigh = np.max(np.maximum(d.m.values - quot, quot - d.M.values), initial=0.0)
+    # Rayleigh quotients stay inside the spectral bounds; the 50 probes are
+    # drawn and applied a chunk at a time, and standard_normal fills in C
+    # order, so they are the numbers of one (50, F, n_s) draw
+    rayleigh = 0.0
+    for b in _chunks(50):
+        x = rng.standard_normal((b.stop - b.start, len(ogrid), len(squad)))
+        den = _pairing(squad, x, x)
+        # the products of <Tx, x> are formed in place
+        num = _quadrature(cfg.kernel, ogrid, squad, x)
+        num *= x
+        quot = _require_finite(num @ squad.weights, "field") / den
+        outside = np.maximum(d.m.values - quot, quot - d.M.values)
+        rayleigh = np.maximum(rayleigh, np.max(outside, initial=0.0))
     results.append(_check("rayleigh_bounds", rayleigh, 1e-10))
 
     # two representations of the operator agree
@@ -461,10 +490,16 @@ def run_suite(cfg: Config) -> list:
     results.append(_check("eigenspace_module_closure", closure, 1e-8))
 
     # kernel reconstruction sum_n lambda_n x_n x_n^T from the retained
-    # eigenpairs; padded slots have zero rows, so they add nothing
-    err = (funcs.transpose(0, 2, 1) * d.eigenvalues[:, None, :]) @ funcs
-    err -= kernel_matrices(cfg.kernel, ogrid, squad)
-    sup_err = np.max(np.abs(err, out=err))
+    # eigenpairs, a chunk of fibers at a time; padded slots have zero rows,
+    # so they add nothing
+    K = kernel_matrices(cfg.kernel, ogrid, squad)
+    sup_err = 0.0
+    for b in _chunks(d.n_fibers):
+        f = funcs[b]
+        err = (f.transpose(0, 2, 1) * d.eigenvalues[b, None, :]) @ f
+        err -= K[b]
+        sup_err = np.maximum(sup_err, np.max(np.abs(err, out=err)))
+    del K
     results.append(_check("mercer_reconstruction", sup_err, 1e-8))
 
     # mixings of the eigenvalue curves stay inside the spectrum

@@ -37,6 +37,18 @@ def test_gauss_legendre_polynomial_exactness(n):
         assert approx == pytest.approx(1.0 / (k + 1), abs=1e-14)
 
 
+def test_gauss_legendre_rule_is_numpy_leggauss():
+    # the in-package rule follows leggauss step for step, so it is the
+    # same rule to the last bit
+    from numpy.polynomial.legendre import leggauss
+
+    for n in range(1, 201):
+        x, w = leggauss(n)
+        q = fs.build_s_quadrature("gauss_legendre", n)
+        assert q.nodes.tobytes() == ((x + 1.0) / 2.0).tobytes(), n
+        assert q.weights.tobytes() == (w / 2.0).tobytes(), n
+
+
 def test_gauss_legendre_not_exact_past_order():
     q = fs.build_s_quadrature("gauss_legendre", 2)
     k = 4  # 2n = 4 is the first degree the rule misses

@@ -79,9 +79,22 @@ def test_sample_kernel_rejects_asymmetric(grids):
 
 def test_sample_kernel_mild_asymmetry_averaged(grids):
     ogrid, squad = grids
-    # asymmetry below the 1e-9 gate is averaged away
-    k = fs.sample_kernel(parse("t*s+1e-12*(t-s)"), ogrid, squad)
-    assert fs.hermitian_check(k) == 0.0
+    # asymmetry below the 1e-9 gate is averaged away from the stored
+    # values; the check reports the asymmetry of the samples
+    e = parse("t*s+1e-12*(t-s)")
+    raw = fs.evaluate(
+        e,
+        {
+            "omega": ogrid.nodes[:, None, None],
+            "t": squad.nodes[None, :, None],
+            "s": squad.nodes[None, None, :],
+        },
+    )
+    k = fs.sample_kernel(e, ogrid, squad)
+    assert k.values.tobytes() == k.values.transpose(0, 2, 1).copy().tobytes()
+    asymmetry = np.max(np.abs(raw - raw.transpose(0, 2, 1)))
+    assert 1e-12 < asymmetry < 2e-12
+    assert fs.hermitian_check(k) == asymmetry
 
 
 def test_sample_kernel_keeps_symmetric_samples_exactly(grids):
@@ -196,8 +209,15 @@ def test_sampled_kernel_averages_mild_asymmetry():
     # entries in [-0.5e-9, 0.5e-9] keep the asymmetry below the 1e-9 gate
     values += rng.uniform(-0.5e-9, 0.5e-9, values.shape)
     k = fs.SampledKernel(ogrid, squad, values)
-    assert fs.hermitian_check(k) == 0.0
+    assert k.values.tobytes() == k.values.transpose(0, 2, 1).copy().tobytes()
+    asymmetry = np.max(np.abs(values - values.transpose(0, 2, 1)))
+    assert 0.0 < asymmetry <= 1e-9
+    assert fs.hermitian_check(k) == asymmetry
     f = fs.sample_section(parse("omega*sin(pi*t)+t"), ogrid, squad)
     d = fs.decompose_all_fibers(k, ogrid, squad)
     gap = fs.apply_quadrature(k, f).values - fs.apply_spectral(d, f).values
     assert np.max(np.abs(gap)) < 1e-12
+
+
+def test_mercer_reconstruct_records_no_asymmetry(decomposition):
+    assert fs.mercer_reconstruct(decomposition, 3).asymmetry == 0.0

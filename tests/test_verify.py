@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fiberspec as fs
 from fiberspec import verify
+from fiberspec.calculus import _quadrature
 from fiberspec.cli import main
 
 from conftest import CONFIG_PATH, random_separable_kernel
@@ -49,6 +51,15 @@ def test_moment_check_accepts_gauss_legendre_and_catches_one_weight(n):
     weights[n // 3] += 1e-10
     off = fs.SQuadrature("gauss_legendre", squad.nodes, weights)
     assert verify._moment_error(off) > 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 100])
+def test_moment_basis_is_numpy_legvander(n):
+    from numpy.polynomial.legendre import legvander
+
+    x = 2.0 * fs.build_s_quadrature("gauss_legendre", n).nodes - 1.0
+    want = legvander(x, 2 * n - 1).T
+    assert verify._legendre_rows(x, 2 * n - 1).tobytes() == want.tobytes()
 
 
 def test_verify_passes_at_48_nodes(tmp_path, capsys):
@@ -434,3 +445,110 @@ def test_jacobi_and_mercer_checks_cover_both_kernel_kinds(tmp_path):
         by_name = {r.name: r for r in results}
         assert by_name["eigenvalues_match_jacobi"].passed
         assert by_name["mercer_reconstruction"].passed
+
+
+def test_kernel_symmetry_check_fails_on_asymmetric_input():
+    # the bridge min(t,s) - ts vanishes on the t = 0 row and column, so one
+    # raised entry there makes the input asymmetry exactly 5e-11, which the
+    # averaged values alone would hide
+    ogrid, squad = fs.build_omega_grid(4), fs.build_s_quadrature("trapezoid", 9)
+    t, s = squad.nodes[:, None], squad.nodes[None, :]
+    values = np.broadcast_to(np.minimum(t, s) - t * s, (4, 9, 9)).copy()
+    values[1, 0, 4] += 5e-11
+    k = fs.SampledKernel(ogrid, squad, values)
+    assert k.asymmetry == 5e-11
+    cfg = fs.Config(ogrid, squad, k, {}, {}, {})
+    by_name = {r.name: r for r in verify.run_suite(cfg)}
+    check = by_name["kernel_symmetry"]
+    assert check.value == 5e-11 and not check.passed
+
+
+# The checks that run_suite runs a chunk of fibers or probes at a time, as
+# they were first written: one array expression over the whole (F, n_s,
+# n_s) stack and all 50 Rayleigh probes.  They are the oracle for the
+# chunked checks, which must give the same values to the last bit.
+def full_stack_checks(cfg):
+    ogrid, squad, k = cfg.ogrid, cfg.squad, cfg.kernel
+    d = fs.decompose(cfg)
+    out = {}
+    A = fs.fiber_matrices(k, ogrid, squad)
+    funcs = d.functions
+    vecs = (funcs * np.sqrt(squad.weights)).transpose(0, 2, 1)
+    scale = np.maximum(1.0, np.max(np.abs(d.eigenvalues), axis=1, initial=0.0))
+    err = np.abs(A @ vecs - vecs * d.eigenvalues[:, None, :])
+    out["eigen_residual"] = np.max(err.max(axis=(1, 2), initial=0.0) / scale)
+    gram = funcs @ (funcs * squad.weights).transpose(0, 2, 1)
+    eye = np.eye(funcs.shape[1]) * (d.labels >= 0)[:, None, :]
+    out["eigen_orthonormality"] = np.max(np.abs(gram - eye), initial=0.0)
+    picked = sorted({0, d.n_fibers // 2, d.n_fibers - 1})
+    oracle, _ = fs.jacobi_eigh(A[picked], cfg.tolerances.eig_tol)
+    produced = np.zeros(oracle.shape)
+    produced[:, : d.eigenvalues.shape[1]] = d.eigenvalues[picked]
+    produced = np.sort(produced, axis=1)[:, ::-1]
+    scale = np.maximum(1.0, np.max(np.abs(oracle), axis=1))
+    out["eigenvalues_match_jacobi"] = np.max(
+        np.abs(produced - oracle) / scale[:, None]
+    )
+    x = np.random.default_rng(verify.SEED).standard_normal((50, len(ogrid), len(squad)))
+    quot = (_quadrature(k, ogrid, squad, x) * x) @ squad.weights
+    quot /= (x * x) @ squad.weights
+    out["rayleigh_bounds"] = np.max(
+        np.maximum(d.m.values - quot, quot - d.M.values), initial=0.0
+    )
+    err = (funcs.transpose(0, 2, 1) * d.eigenvalues[:, None, :]) @ funcs
+    err -= fs.kernel_matrices(k, ogrid, squad)
+    out["mercer_reconstruction"] = np.max(np.abs(err))
+    return out
+
+
+def write_truncated_sampled(tmp_path):
+    # rank_tol drops every eigenvalue of the fibers with omega <= 1/2, whose
+    # kernel is the small bridge term alone, so there the Rayleigh quotients
+    # exceed M = 0 and rayleigh_bounds reads above 0; a trapezoid rule keeps
+    # eigenvalue_grid_stability, which a sampled kernel cannot pass yet, out
+    # of the suite
+    path = tmp_path / "truncated_sampled.json"
+    path.write_text(
+        json.dumps(
+            {
+                "omega_grid": {"n": 8},
+                "s_quadrature": {"rule": "trapezoid", "n": 11},
+                "kernel": {
+                    "type": "sampled",
+                    "expression": "max(0,omega-1/2)*2*sin(pi*t)*sin(pi*s)"
+                    "+1e-3*(min(t,s)-t*s)",
+                },
+                "tolerances": {"rank_tol": 1e-2},
+            }
+        ),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("n_fibers", [1, 7, 8, 9, 13])
+def test_chunked_checks_match_full_stack(tmp_path, n_fibers):
+    # with 8 fibers a chunk, 1 and 7 fibers make one partial chunk, 8 one
+    # full chunk, and 9 and 13 a full chunk and a partial one
+    sampled = write_truncated_sampled(tmp_path)
+    for path, quad_n in ((CONFIG_PATH, 16), (sampled, None)):
+        cfg = fs.load_config(path, omega_n=n_fibers, quad_n=quad_n)
+        by_name = {r.name: r.value for r in verify.run_suite(cfg)}
+        for name, want in full_stack_checks(cfg).items():
+            assert by_name[name] == float(want), (path, name)
+    # the drawn probes are compared through a value above 0
+    assert by_name["rayleigh_bounds"] > 0.0
+
+
+def test_suite_holds_one_kernel_stack():
+    # the chunked checks keep the kernel stack and a few small chunks
+    # alive, where whole-stack checks held about 2.5 stacks at this grid
+    small = fs.load_config(CONFIG_PATH, omega_n=32, quad_n=128)
+    verify.run_suite(small)  # lazy imports and caches are not the suite's
+    tracemalloc.start()
+    try:
+        verify.run_suite(small)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 32 * 128 * 128 * 8
