@@ -117,23 +117,35 @@ def sample_kernel(
     return SampledKernel(ogrid, squad, values)
 
 
+def _fiber_kernels(k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature):
+    """Kernel values of any chunk of fibers.
+
+    Returns a function of a fiber index (a slice or a list of fibers) that
+    gives K[index], shape (len, n_s, n_s), with K[i][j][l] = k(omega_i, t_j,
+    t_l).  A sampled kernel must have been sampled on these grids (this is
+    the one grid check of sampled kernels, the quadrature route included)
+    and gives views of its own tensor for slices; a separable kernel samples
+    each curve and basis expression once, here, and forms each chunk from
+    those samples.
+    """
+    if isinstance(k, SampledKernel):
+        if not (same_rule(k.ogrid, ogrid) and same_rule(k.squad, squad)):
+            raise GridMismatch("sampled kernel was sampled on different grids")
+        return k.values.__getitem__
+    basis = k.basis_matrix(squad)
+    curves = k.curve_matrix(ogrid)
+    return lambda fibers: (basis.T * curves[fibers, None, :]) @ basis
+
+
 def kernel_matrices(
     k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature
 ) -> np.ndarray:
     """Kernel values K[i][j][l] = k(omega_i, t_j, t_l) of every fiber.
 
-    Returns shape (n_omega, n_s, n_s).  A sampled kernel must have been
-    sampled on these grids and returns its own tensor (this is the one grid
-    check of sampled kernels, the quadrature route included); a separable
-    kernel samples each curve and basis expression once.
+    Returns shape (n_omega, n_s, n_s): the chunk of all fibers, so a sampled
+    kernel gives a view of its own tensor.
     """
-    if isinstance(k, SampledKernel):
-        if not (same_rule(k.ogrid, ogrid) and same_rule(k.squad, squad)):
-            raise GridMismatch("sampled kernel was sampled on different grids")
-        return k.values
-    basis = k.basis_matrix(squad)
-    curves = k.curve_matrix(ogrid)
-    return (basis.T * curves[:, None, :]) @ basis
+    return _fiber_kernels(k, ogrid, squad)(slice(None))
 
 
 def hermitian_check(k: KernelSpec) -> float:

@@ -2,17 +2,24 @@
 
 Each check measures a residual and compares it against a fixed bound; the
 whole suite is deterministic because the randomized probes come from a
-seeded generator.  The projector axiom block is reusable against any
-kernel and decomposition pair.
+seeded in-package SplitMix64 stream, so verify never loads numpy.random.
+The checks that need the kernel values sample them a chunk of fibers at a
+time, so the suite never holds the whole (F, n_s, n_s) kernel stack.  The
+Riemann-Stieltjes sums for g = lambda are compared with the error the
+spectral theorem predicts for them.  The projector axiom block is reusable
+against any kernel and decomposition pair.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from . import expr
 from ._record import Record
 from .calculus import (
+    DEFAULT_TIE_TOL,
     ThresholdField,
     _interval,
     _multiply,
@@ -41,7 +48,7 @@ from .grid import (
     _require_finite,
     build_s_quadrature,
 )
-from .kernel import hermitian_check, kernel_matrices
+from .kernel import _fiber_kernels, hermitian_check
 from .spectrum import (
     Partition,
     _spectra,
@@ -51,9 +58,15 @@ from .spectrum import (
 )
 
 SEED = 1347
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): word i of a stream is a
+# mix of seed + i * _GAMMA, so the stream is a counter
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_WORD = (1 << 64) - 1
 # fibers (or random probes) per chunk of the checks that would otherwise
-# hold an (F, n_s, n_s) stack besides the kernel's: a chunk's temporaries
-# stay a small part of the one kernel stack the suite keeps
+# hold (F, n_s, n_s) stacks: a chunk's kernel values and temporaries stay
+# a small part of one stack
 _CHUNK = 8
 
 AXIOM_BOUNDS = {
@@ -89,6 +102,74 @@ class CheckResult(Record):
         object.__setattr__(self, "relation", relation)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "note", note)
+
+
+class _SplitMix64:
+    """Seeded probe stream with the numpy Generator methods the suite
+    calls: standard_normal(shape), uniform(low, high[, size]) and
+    integers(low, high).
+
+    Every number takes the next 64-bit word, so any split of a draw gives
+    the numbers of one whole draw, and a scalar draw the number an array
+    draw would give in its place.
+    """
+
+    def __init__(self, seed: int):
+        self._seed = seed & _WORD
+        self._drawn = 0
+
+    def _word(self) -> int:
+        """The next word, on Python ints."""
+        self._drawn += 1
+        z = (self._seed + self._drawn * _GAMMA) & _WORD
+        z = ((z ^ (z >> 30)) * _MIX1) & _WORD
+        z = ((z ^ (z >> 27)) * _MIX2) & _WORD
+        return z ^ (z >> 31)
+
+    def _words(self, count: int) -> np.ndarray:
+        """The next count words; uint64 array arithmetic wraps like the
+        masks of _word."""
+        z = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
+        self._drawn += count
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._seed)
+        t = z >> np.uint64(30)
+        z ^= t
+        z *= np.uint64(_MIX1)
+        z ^= np.right_shift(z, np.uint64(27), out=t)
+        z *= np.uint64(_MIX2)
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+        return z
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """Box-Muller on one word per number: the radius from its high 32
+        bits, as a uniform in (0, 1], the angle from its low 32 bits."""
+        z = self._words(int(np.prod(shape)))
+        r = (z >> np.uint64(32)).astype(float)
+        r += 1.0
+        r *= 2.0**-32
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        z &= np.uint64(0xFFFFFFFF)
+        angle = z.astype(float)
+        angle *= 2.0 * math.pi * 2.0**-32
+        r *= np.cos(angle, out=angle)
+        return r.reshape(shape)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """Uniforms in [low, high) from the top 53 bits of a word each."""
+        if size is None:
+            return low + (high - low) * ((self._word() >> 11) * 2.0**-53)
+        u = (self._words(int(np.prod(size))) >> np.uint64(11)).astype(float)
+        u *= 2.0**-53
+        return low + (high - low) * u.reshape(size)
+
+    def integers(self, low, high) -> int:
+        """An integer in [low, high) from the top 32 bits of a word, for
+        high - low up to 2**32."""
+        low = int(low)
+        return low + ((self._word() >> 32) * (int(high) - low) >> 32)
 
 
 def _check(name, value, bound, relation="<=", note=""):
@@ -242,6 +323,31 @@ def _chunks(count):
     return [slice(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
 
 
+def _rs_identity_error(d: FiberDecomposition, f, mesh: float, epsilon: float):
+    """What the Riemann-Stieltjes sum for g = lambda minus T f must be.
+
+    Each spectral value lambda moves to the right end c_{k(lambda)} of its
+    partition cell, the first cut with lambda <= c_k + tie, and the null
+    component to c_{k(0)}, so the difference of section values f (F, n_s)
+    is sum_n (c_{k(lambda_n)} - lambda_n) <f, x_n> x_n
+    + c_{k(0)} (f - sum_n <f, x_n> x_n).  The cuts, the cells and the
+    pairings are computed here, apart from the multiplier that both the
+    sum and T f use.
+    """
+    lo, hi = _interval(d, epsilon)
+    cuts = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / mesh)) + 1)
+    reach = cuts + DEFAULT_TIE_TOL
+
+    def right_end(lam):
+        return cuts[np.count_nonzero(reach < lam[..., None], axis=-1)]
+
+    lam = d.eigenvalues
+    coeff = _pairing(d.squad, f[:, None, :], d.functions)
+    kept = np.einsum("fn,fnj->fj", coeff, d.functions)
+    moved = np.einsum("fn,fnj->fj", (right_end(lam) - lam) * coeff, d.functions)
+    return moved + right_end(np.asarray(0.0)) * (f - kept)
+
+
 def _random_node_partition(rng, d: FiberDecomposition) -> Partition:
     """Random partition: node i draws label 0 or one more than one of its
     ranks[i] retained curve ids."""
@@ -272,7 +378,7 @@ def _moment_error(squad: SQuadrature) -> float:
 
 def run_suite(cfg: Config) -> list:
     """Run every invariant check against a configuration."""
-    rng = np.random.default_rng(SEED)
+    rng = _SplitMix64(SEED)
     results = []
     ogrid, squad = cfg.ogrid, cfg.squad
     tol = cfg.tolerances
@@ -301,23 +407,30 @@ def run_suite(cfg: Config) -> list:
     lo, hi = _interval(d, cfg.epsilon)
     results.append(_check("kernel_psd", max(0.0, -lo), 1e-12, note=f"worst={lo:.3e}"))
 
-    # eigensolver quality on the assembled fibers, a chunk of fibers at a
-    # time; padded slots have zero rows, so they leave the residual at 0
-    # and the Gram matrix is compared with the identity on the retained
-    # slots only
-    K = kernel_matrices(cfg.kernel, ogrid, squad)
+    # the checks on kernel values sample them a chunk of fibers at a time,
+    # so no whole kernel stack is ever held.  Eigensolver quality on the
+    # assembled fibers: padded slots have zero rows, so they leave the
+    # residual at 0 and the Gram matrix is compared with the identity on
+    # the retained slots only.  The kernel reconstruction
+    # sum_n lambda_n x_n x_n^T from the retained eigenpairs, whose check is
+    # reported further down, uses the same chunks; padded slots add nothing
+    kernel = _fiber_kernels(cfg.kernel, ogrid, squad)
     funcs = d.functions
     scale = np.maximum(1.0, np.max(np.abs(d.eigenvalues), axis=1, initial=0.0))
-    resid = ortho = 0.0
+    resid = ortho = sup_err = 0.0
     for b in _chunks(d.n_fibers):
-        f, lam = funcs[b], d.eigenvalues[b]
+        K, f, lam = kernel(b), funcs[b], d.eigenvalues[b]
         vecs = (f * np.sqrt(squad.weights)).transpose(0, 2, 1)
-        err = np.abs(_assemble(K[b], squad) @ vecs - vecs * lam[:, None, :])
+        err = np.abs(_assemble(K, squad) @ vecs - vecs * lam[:, None, :])
         worst = np.max(err.max(axis=(1, 2), initial=0.0) / scale[b])
         resid = np.maximum(resid, worst)
         gram = f @ (f * squad.weights).transpose(0, 2, 1)
         eye = np.eye(f.shape[1]) * (d.labels[b] >= 0)[:, None, :]
         ortho = np.maximum(ortho, np.max(np.abs(gram - eye), initial=0.0))
+        err = (f.transpose(0, 2, 1) * lam[:, None, :]) @ f
+        err -= K
+        sup_err = np.maximum(sup_err, np.max(np.abs(err, out=err)))
+    del K, err
     results.append(_check("eigen_residual", resid, 1e-10))
     results.append(_check("eigen_orthonormality", ortho, 1e-10))
     results.append(
@@ -338,10 +451,9 @@ def run_suite(cfg: Config) -> list:
     # assembled fibers, agree with the independent Jacobi solver on the
     # assembled matrices; truncated and padded slots compare as zeros
     picked = sorted({0, d.n_fibers // 2, d.n_fibers - 1})
-    A = _assemble(K[picked], squad)
+    A = _assemble(kernel(picked), squad)
     oracle, _ = _jacobi(A, tol.eig_tol, MAX_SWEEPS, vectors=False)
-    # the kernel stack is not needed past this point
-    del A, K
+    del A
     produced = np.zeros(oracle.shape)
     produced[:, : d.eigenvalues.shape[1]] = d.eigenvalues[picked]
     produced = np.sort(produced, axis=1)[:, ::-1]
@@ -366,7 +478,8 @@ def run_suite(cfg: Config) -> list:
 
     # Rayleigh quotients stay inside the spectral bounds; the 50 probes are
     # drawn and applied a chunk at a time, and standard_normal fills in C
-    # order, so they are the numbers of one (50, F, n_s) draw
+    # order, so they are the numbers of one (50, F, n_s) draw from the
+    # same stream
     rayleigh = 0.0
     for b in _chunks(50):
         x = rng.standard_normal((b.stop - b.start, len(ogrid), len(squad)))
@@ -451,33 +564,23 @@ def run_suite(cfg: Config) -> list:
     )
     tf0 = apply_quadrature(cfg.kernel, f0)
     nf0 = _l22(ogrid, squad, f0.values)
-    errs = {}
+    mismatch = 0.0
     for mesh in (0.04, 0.02):
         rs = riemann_stieltjes_apply(
             d, expr.parse("lambda"), f0, mesh=mesh, epsilon=cfg.epsilon
         )
-        errs[mesh] = _l22(ogrid, squad, rs.values - tf0.values)
-        results.append(
-            _check(f"rs_mesh_bound_{mesh:g}", errs[mesh], mesh * nf0 + 1e-12)
-        )
-    if errs[0.02] == 0.0:
+        err = rs.values - tf0.values
         results.append(
             _check(
-                "rs_halving_ratio",
-                float("inf") if errs[0.04] == 0.0 else 0.0,
-                1.6,
-                relation=">=",
-                note="degenerate: zero error at both meshes"
-                if errs[0.04] == 0.0
-                else "",
+                f"rs_mesh_bound_{mesh:g}",
+                _l22(ogrid, squad, err),
+                mesh * nf0 + 1e-12,
             )
         )
-    else:
-        results.append(
-            _check(
-                "rs_halving_ratio", errs[0.04] / errs[0.02], 1.6, relation=">="
-            )
-        )
+        predicted = _rs_identity_error(d, f0.values, mesh, cfg.epsilon)
+        mismatch = max(mismatch, float(_l22(ogrid, squad, err - predicted)))
+    # the two routes to T f0 differ by at most the two-path bound
+    results.append(_check("rs_error_matches_prediction", mismatch, 1e-9))
 
     # eigenspace sections generate closed submodules
     lam1, psi = _first_curve_data(d)
@@ -489,17 +592,7 @@ def run_suite(cfg: Config) -> list:
     )
     results.append(_check("eigenspace_module_closure", closure, 1e-8))
 
-    # kernel reconstruction sum_n lambda_n x_n x_n^T from the retained
-    # eigenpairs, a chunk of fibers at a time; padded slots have zero rows,
-    # so they add nothing
-    K = kernel_matrices(cfg.kernel, ogrid, squad)
-    sup_err = 0.0
-    for b in _chunks(d.n_fibers):
-        f = funcs[b]
-        err = (f.transpose(0, 2, 1) * d.eigenvalues[b, None, :]) @ f
-        err -= K[b]
-        sup_err = np.maximum(sup_err, np.max(np.abs(err, out=err)))
-    del K
+    # kernel reconstruction, measured with the eigensolver checks above
     results.append(_check("mercer_reconstruction", sup_err, 1e-8))
 
     # mixings of the eigenvalue curves stay inside the spectrum

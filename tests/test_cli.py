@@ -630,14 +630,15 @@ from fiberspec import cli
 assert cli.main(["decompose", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
 print("fiberspec.verify" in sys.modules, "numpy.polynomial" in sys.modules)
 assert cli.main(["verify", "--config", sys.argv[1]]) == 0
-print("numpy.polynomial" in sys.modules)
+print("numpy.polynomial" in sys.modules, "numpy.random" in sys.modules)
 """
 
 
 def test_import_footprint(tmp_path):
     # the records are plain classes, only the verify subcommand loads the
-    # invariant suite, and the Gauss-Legendre rule and verify's Legendre
-    # moments are built without numpy.polynomial
+    # invariant suite, the Gauss-Legendre rule and verify's Legendre
+    # moments are built without numpy.polynomial, and verify draws its
+    # probes without numpy.random
     out = run_python(["-c", FOOTPRINT, CONFIG_PATH, str(tmp_path)]).splitlines()
     assert out[:3] == ["False", "decomposed 64 fibers, 3 curves", "False False"]
-    assert out[-2:] == ["37/37 checks passed", "False"]
+    assert out[-2:] == ["37/37 checks passed", "False False"]

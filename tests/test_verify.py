@@ -6,7 +6,7 @@ import pytest
 
 import fiberspec as fs
 from fiberspec import verify
-from fiberspec.calculus import _quadrature
+from fiberspec.calculus import DEFAULT_TIE_TOL, _multiply, _quadrature, _rs_cuts
 from fiberspec.cli import main
 
 from conftest import CONFIG_PATH, random_separable_kernel
@@ -37,7 +37,7 @@ def test_suite_passes_on_fixture(small_cfg):
         "eigen_residual",
         "projector_idempotence",
         "projector_monotone",
-        "rs_halving_ratio",
+        "rs_error_matches_prediction",
         "mercer_reconstruction",
     ):
         assert expected in names
@@ -151,6 +151,79 @@ def test_random_thresholds_span_spectrum(cfg, decomposition):
     for lam in fields:
         assert lam.field.values.shape == (64,)
         assert np.all(np.isfinite(lam.field.values))
+
+
+def test_stream_is_splitmix64():
+    # the first words for seed 1234567 in the reference implementation of
+    # SplitMix64 (Vigna's splitmix64.c), on both paths
+    want = [
+        6457827717110365317,
+        3203168211198807973,
+        9817491932198370423,
+        4593380528125082431,
+        16408922859458223821,
+    ]
+    stream = verify._SplitMix64(1234567)
+    assert [stream._word() for _ in range(5)] == want
+    assert verify._SplitMix64(1234567)._words(5).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "sizes", [[8] * 6 + [2], [1, 7, 13, 3, 26], [50]], ids=["chunks", "odd", "whole"]
+)
+def test_stream_splits_give_one_whole_draw(sizes):
+    shape = (16, 24)
+    whole = verify._SplitMix64(verify.SEED).standard_normal((50,) + shape)
+    stream = verify._SplitMix64(verify.SEED)
+    parts = [stream.standard_normal((n,) + shape) for n in sizes]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    # the stream goes on where the whole draw stopped
+    again = verify._SplitMix64(verify.SEED)
+    again.standard_normal((50,) + shape)
+    assert stream.uniform(0.0, 1.0, 5).tobytes() == again.uniform(0.0, 1.0, 5).tobytes()
+
+
+def test_stream_normal_moments():
+    x = verify._SplitMix64(verify.SEED).standard_normal(10**5)
+    assert x.shape == (10**5,) and np.all(np.isfinite(x))
+    assert abs(x.mean()) <= 0.02
+    assert abs(x.var() - 1.0) <= 0.02
+
+
+def test_stream_uniforms_and_integers_stay_in_range():
+    u = verify._SplitMix64(3).uniform(-2.0, 5.0, (100, 100))
+    assert u.shape == (100, 100)
+    assert u.min() >= -2.0 and u.max() < 5.0
+    stream = verify._SplitMix64(4)
+    ints = [stream.integers(1, 4) for _ in range(3000)]
+    assert set(ints) == {1, 2, 3}
+    assert all(type(i) is int for i in ints)
+
+
+def test_stream_scalar_draws_match_array_draws():
+    scalars = verify._SplitMix64(5)
+    array = verify._SplitMix64(5).uniform(0.25, 7.5, 200)
+    got = np.array([scalars.uniform(0.25, 7.5) for _ in range(200)])
+    assert got.tobytes() == array.tobytes()
+    # an integer draw takes one word, like a uniform
+    a, b = verify._SplitMix64(6), verify._SplitMix64(6)
+    a.integers(0, 10)
+    b.uniform()
+    assert a.uniform() == b.uniform()
+
+
+@pytest.mark.parametrize(
+    "rng",
+    [verify._SplitMix64(verify.SEED), np.random.default_rng(verify.SEED)],
+    ids=["stream", "numpy"],
+)
+def test_probe_helpers_accept_either_generator(decomposition, rng):
+    d = decomposition
+    sections = verify.random_sections(rng, d.ogrid, d.squad, 3)
+    assert [f.values.shape for f in sections] == [(64, 64)] * 3
+    fields = verify.random_threshold_fields(rng, d, 5, 1e-12)
+    assert len(fields) == 5
+    assert all(np.all(np.isfinite(lam.field.values)) for lam in fields)
 
 
 # The projector axioms as they were first written, one threshold, section
@@ -489,7 +562,7 @@ def full_stack_checks(cfg):
     out["eigenvalues_match_jacobi"] = np.max(
         np.abs(produced - oracle) / scale[:, None]
     )
-    x = np.random.default_rng(verify.SEED).standard_normal((50, len(ogrid), len(squad)))
+    x = verify._SplitMix64(verify.SEED).standard_normal((50, len(ogrid), len(squad)))
     quot = (_quadrature(k, ogrid, squad, x) * x) @ squad.weights
     quot /= (x * x) @ squad.weights
     out["rayleigh_bounds"] = np.max(
@@ -541,8 +614,10 @@ def test_chunked_checks_match_full_stack(tmp_path, n_fibers):
 
 
 def test_suite_holds_one_kernel_stack():
-    # the chunked checks keep the kernel stack and a few small chunks
-    # alive, where whole-stack checks held about 2.5 stacks at this grid
+    # the checks sample the kernel a chunk of fibers at a time, so the
+    # suite holds less than one kernel stack of this grid: whole-stack
+    # checks held about 2.5 stacks, and a sampled stack next to its chunks
+    # about 2
     small = fs.load_config(CONFIG_PATH, omega_n=32, quad_n=128)
     verify.run_suite(small)  # lazy imports and caches are not the suite's
     tracemalloc.start()
@@ -551,4 +626,33 @@ def test_suite_holds_one_kernel_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 32 * 128 * 128 * 8
+    assert peak <= 1.25 * 32 * 128 * 128 * 8
+
+
+def left_end_rs(d, g, f, mesh, epsilon):
+    """riemann_stieltjes_apply with every value one cell too low: g at the
+    left end of its cell.  Its error is still at most mesh * |f|."""
+    cuts = _rs_cuts(d, mesh, epsilon)
+    g_cuts = fs.evaluate(g, {"lambda": cuts})
+    reach = cuts + DEFAULT_TIE_TOL
+    h = g_cuts[np.maximum(np.searchsorted(reach, d.eigenvalues) - 1, 0)]
+    h0 = g_cuts[max(int(np.searchsorted(reach, 0.0)) - 1, 0)]
+    return fs.Section(d.ogrid, d.squad, _multiply(d, f.values, h, h0))
+
+
+@pytest.mark.parametrize("config", ["trig", "mixed"])
+def test_rs_check_catches_a_shifted_cell(tmp_path, monkeypatch, config):
+    if config == "trig":
+        cfg = fs.load_config(CONFIG_PATH, omega_n=16, quad_n=24)
+    else:
+        # no sections, so the suite's f0 is a drawn probe
+        cfg = fs.load_config(write_separable(tmp_path, 24))
+    by_name = {r.name: r for r in verify.run_suite(cfg)}
+    assert by_name["rs_error_matches_prediction"].value <= 1e-15
+    monkeypatch.setattr(verify, "riemann_stieltjes_apply", left_end_rs)
+    by_name = {r.name: r for r in verify.run_suite(cfg)}
+    assert by_name["rs_error_matches_prediction"].value > 1e-3
+    assert not by_name["rs_error_matches_prediction"].passed
+    # the mesh bounds cannot tell a sum one cell off
+    assert by_name["rs_mesh_bound_0.04"].passed
+    assert by_name["rs_mesh_bound_0.02"].passed
