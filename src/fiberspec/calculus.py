@@ -3,11 +3,12 @@
 The operator acts fiberwise: (Tf)(omega, t) = integral of
 k(omega, t, s) f(omega, s) ds.  Two equivalent routes are kept side by
 side, direct quadrature against the kernel and the spectral series
-sum_n lambda_n(omega) <f, x_n>(omega) x_n(omega, t).  Thresholded
-projectors, the functional calculus, and the Riemann-Stieltjes sums all
-ride on the spectral route; every formula carries the complement term
-that accounts for the kernel (null space) of each fiber, where the
-operator acts as 0.
+sum_n lambda_n(omega) <f, x_n>(omega) x_n(omega, t).  The quadrature
+route is the action kernel._on_grid builds, so this module never looks at
+how a kernel is stored.  Thresholded projectors, the functional calculus,
+and the Riemann-Stieltjes sums all ride on the spectral route; every
+formula carries the complement term that accounts for the kernel (null
+space) of each fiber, where the operator acts as 0.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from . import expr
 from ._record import Record
 from .errors import GridMismatch, InvalidMesh
 from .fiber import FiberDecomposition
-from .grid import OmegaGrid, ScalarField, Section, SQuadrature, same_rule
-from .kernel import KernelSpec, SeparableKernel, kernel_matrices
+from .grid import OmegaGrid, ScalarField, Section, same_rule
+from .kernel import KernelSpec, _on_grid
 
 DEFAULT_TIE_TOL = 1e-12
 DEFAULT_EPSILON = 1e-6
@@ -59,19 +60,9 @@ def _require_field_on(grid: OmegaGrid, field: ScalarField):
         raise GridMismatch("threshold field lives on a different parameter grid")
 
 
-def _quadrature(k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature, values):
-    """Quadrature action on section values of shape (..., n_omega, n_s)."""
-    w = squad.weights
-    if isinstance(k, SeparableKernel):
-        basis = k.basis_matrix(squad)
-        coeff = (values * w) @ basis.T
-        return (k.curve_matrix(ogrid) * coeff) @ basis
-    return np.einsum("ijl,...il->...ij", kernel_matrices(k, ogrid, squad), values * w)
-
-
 def apply_quadrature(k: KernelSpec, f: Section) -> Section:
     """Apply the operator by direct quadrature against the kernel."""
-    return Section(f.ogrid, f.squad, _quadrature(k, f.ogrid, f.squad, f.values))
+    return Section(f.ogrid, f.squad, _on_grid(k, f.ogrid, f.squad)[1](f.values))
 
 
 def _multiply(d: FiberDecomposition, values, h, h0) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
 from . import expr
 from ._record import Record
@@ -291,32 +292,31 @@ def load_config(
     )
 
 
-def section_by_name(cfg: Config, name: str) -> Section:
-    if name not in cfg.sections:
-        raise ConfigError(f"unknown section {name!r}")
+def _by_name(kind: str, table: dict, name: str, build):
+    """build(entry) for the named entry of a config table.  An unknown name,
+    or an entry that fails to build, is a ConfigError that names it."""
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}")
     try:
-        return sample_section(cfg.sections[name], cfg.ogrid, cfg.squad)
+        return build(table[name])
     except FiberspecError as exc:
-        raise ConfigError(f"sections[{name}]: {exc}") from exc
+        raise ConfigError(f"{kind}s[{name}]: {exc}") from exc
+
+
+def section_by_name(cfg: Config, name: str) -> Section:
+    build = partial(sample_section, ogrid=cfg.ogrid, squad=cfg.squad)
+    return _by_name("section", cfg.sections, name, build)
 
 
 def threshold_by_name(cfg: Config, name: str) -> ThresholdField:
-    if name not in cfg.thresholds:
-        raise ConfigError(f"unknown threshold {name!r}")
-    try:
-        field_ = sample_field(cfg.thresholds[name], cfg.ogrid)
-    except FiberspecError as exc:
-        raise ConfigError(f"thresholds[{name}]: {exc}") from exc
+    build = partial(sample_field, grid=cfg.ogrid)
+    field_ = _by_name("threshold", cfg.thresholds, name, build)
     return ThresholdField(field_, cfg.tolerances.tie_tol)
 
 
 def partition_by_name(cfg: Config, name: str) -> Partition:
-    if name not in cfg.partitions:
-        raise ConfigError(f"unknown partition {name!r}")
-    try:
-        return Partition.from_ranges(cfg.ogrid, cfg.partitions[name])
-    except FiberspecError as exc:
-        raise ConfigError(f"partitions[{name}]: {exc}") from exc
+    build = partial(Partition.from_ranges, cfg.ogrid)
+    return _by_name("partition", cfg.partitions, name, build)
 
 
 def decompose(cfg: Config) -> FiberDecomposition:

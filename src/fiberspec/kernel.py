@@ -4,7 +4,8 @@ A kernel is either separable, a finite sum of curve(omega) * basis(t) *
 basis(s) terms declared through expressions, or sampled, a dense tensor of
 node values with one symmetric matrix per parameter node.  Basis terms do
 not have to be orthonormal; the per-fiber eigensolver is the ground truth
-downstream.
+downstream.  Only the private _on_grid knows how each kind is stored: it
+gives the fiber values and the quadrature action from one sampling.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ class SeparableKernel(Record):
     """Finite sum of separable terms (curve in omega, basis in t)."""
 
     __slots__ = ("terms",)
+    asymmetry = 0.0  # every term is symmetric in (t, s) by construction
 
     def __init__(self, terms: tuple):
         terms = tuple((curve, basis) for curve, basis in terms)
@@ -117,24 +119,29 @@ def sample_kernel(
     return SampledKernel(ogrid, squad, values)
 
 
-def _fiber_kernels(k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature):
-    """Kernel values of any chunk of fibers.
+def _on_grid(k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature):
+    """The kernel on these grids: (values, apply), both from one sampling.
 
-    Returns a function of a fiber index (a slice or a list of fibers) that
-    gives K[index], shape (len, n_s, n_s), with K[i][j][l] = k(omega_i, t_j,
-    t_l).  A sampled kernel must have been sampled on these grids (this is
-    the one grid check of sampled kernels, the quadrature route included)
-    and gives views of its own tensor for slices; a separable kernel samples
-    each curve and basis expression once, here, and forms each chunk from
-    those samples.
+    values(index) gives K[index], shape (len, n_s, n_s), with K[i][j][l] =
+    k(omega_i, t_j, t_l) for an index of fibers (a slice or a list).
+    apply(x) is the quadrature action sum_l K[i][j][l] w_l x[..., i, l] on
+    section values x of shape (..., n_omega, n_s).  A sampled kernel must
+    have been sampled on these grids (this is the one grid check of sampled
+    kernels) and gives views of its own tensor for slices; a separable
+    kernel samples each curve and basis expression once, here, and forms
+    both from those samples without the (n_omega, n_s, n_s) stack.
     """
+    w = squad.weights
     if isinstance(k, SampledKernel):
         if not (same_rule(k.ogrid, ogrid) and same_rule(k.squad, squad)):
             raise GridMismatch("sampled kernel was sampled on different grids")
-        return k.values.__getitem__
-    basis = k.basis_matrix(squad)
-    curves = k.curve_matrix(ogrid)
-    return lambda fibers: (basis.T * curves[fibers, None, :]) @ basis
+        K = k.values
+        return K.__getitem__, lambda x: np.einsum("ijl,...il->...ij", K, x * w)
+    basis, curves = k.basis_matrix(squad), k.curve_matrix(ogrid)
+    return (
+        lambda fibers: (basis.T * curves[fibers, None, :]) @ basis,
+        lambda x: (curves * ((x * w) @ basis.T)) @ basis,
+    )
 
 
 def kernel_matrices(
@@ -145,7 +152,7 @@ def kernel_matrices(
     Returns shape (n_omega, n_s, n_s): the chunk of all fibers, so a sampled
     kernel gives a view of its own tensor.
     """
-    return _fiber_kernels(k, ogrid, squad)(slice(None))
+    return _on_grid(k, ogrid, squad)[0](slice(None))
 
 
 def hermitian_check(k: KernelSpec) -> float:
@@ -155,8 +162,6 @@ def hermitian_check(k: KernelSpec) -> float:
     exactly zero.  A sampled kernel reports the asymmetry of the values it
     was given, which its stored, averaged values no longer show.
     """
-    if isinstance(k, SeparableKernel):
-        return 0.0
     return k.asymmetry
 
 

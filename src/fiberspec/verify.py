@@ -3,8 +3,9 @@
 Each check measures a residual and compares it against a fixed bound; the
 whole suite is deterministic because the randomized probes come from a
 seeded in-package SplitMix64 stream, so verify never loads numpy.random.
-The checks that need the kernel values sample them a chunk of fibers at a
-time, so the suite never holds the whole (F, n_s, n_s) kernel stack.  The
+A run puts the kernel on its grids once, and the checks that need its
+values take them a chunk of fibers at a time, so the suite never holds
+the whole (F, n_s, n_s) kernel stack.  The
 Riemann-Stieltjes sums for g = lambda are compared with the error the
 spectral theorem predicts for them.  The projector axiom block is reusable
 against any kernel and decomposition pair.
@@ -24,8 +25,6 @@ from .calculus import (
     _interval,
     _multiply,
     _project,
-    _quadrature,
-    apply_quadrature,
     apply_spectral,
     functional_calculus,
     riemann_stieltjes_apply,
@@ -48,7 +47,7 @@ from .grid import (
     _require_finite,
     build_s_quadrature,
 )
-from .kernel import _fiber_kernels, hermitian_check
+from .kernel import _on_grid, hermitian_check
 from .spectrum import (
     Partition,
     _spectra,
@@ -119,7 +118,10 @@ class _SplitMix64:
         self._drawn = 0
 
     def _word(self) -> int:
-        """The next word, on Python ints."""
+        """The next word, on Python ints.  _words(1) gives the same word,
+        but a scalar draw takes 1.0 us here against 22 us there (one Intel
+        Xeon core), and a trig_rank3 verify run makes 392 of them (threshold
+        pieces and partition picks): this saves about 8 ms per run."""
         self._drawn += 1
         z = (self._seed + self._drawn * _GAMMA) & _WORD
         z = ((z ^ (z >> 30)) * _MIX1) & _WORD
@@ -228,9 +230,9 @@ def projector_axiom_residuals(
     """Residuals of the projector family axioms over the given probes.
 
     Keys match AXIOM_BOUNDS.  The operator itself enters through the
-    quadrature route so the axioms exercise both representations.  The
-    sections are stacked, so each axiom is one array expression per
-    threshold.
+    quadrature route so the axioms exercise both representations; the
+    kernel is put on the grids once per call.  The sections are stacked,
+    so each axiom is one array expression per threshold.
     """
     res = {name: 0.0 for name in AXIOM_BOUNDS}
 
@@ -238,9 +240,10 @@ def projector_axiom_residuals(
         res[name] = max(res[name], float(np.max(values, initial=0.0)))
 
     ogrid, squad = d.ogrid, d.squad
+    apply_k = _on_grid(k, ogrid, squad)[1]
     tie = thresholds[0].tie_tol if thresholds else 1e-12
     x = np.stack([f.values for f in sections])
-    tx = _quadrature(k, ogrid, squad, x)
+    tx = apply_k(x)
     norms = _l22(ogrid, squad, x)
     self_ip = _pairing(squad, x, x)
     tf_ip = _pairing(squad, tx, x)
@@ -260,7 +263,7 @@ def projector_axiom_residuals(
             ),
         )
         bump("projector_contraction", _l22(ogrid, squad, ex) - norms)
-        tex = _quadrature(k, ogrid, squad, ex)
+        tex = apply_k(ex)
         bump("projector_commutes_with_op", _l22(ogrid, squad, etx - tex))
         ex_ip = _pairing(squad, ex, x)
         etx_ip = _pairing(squad, etx, x)
@@ -407,14 +410,15 @@ def run_suite(cfg: Config) -> list:
     lo, hi = _interval(d, cfg.epsilon)
     results.append(_check("kernel_psd", max(0.0, -lo), 1e-12, note=f"worst={lo:.3e}"))
 
-    # the checks on kernel values sample them a chunk of fibers at a time,
-    # so no whole kernel stack is ever held.  Eigensolver quality on the
-    # assembled fibers: padded slots have zero rows, so they leave the
-    # residual at 0 and the Gram matrix is compared with the identity on
-    # the retained slots only.  The kernel reconstruction
-    # sum_n lambda_n x_n x_n^T from the retained eigenpairs, whose check is
-    # reported further down, uses the same chunks; padded slots add nothing
-    kernel = _fiber_kernels(cfg.kernel, ogrid, squad)
+    # the kernel is put on the grids once for every check below; the ones
+    # on its values take a chunk of fibers at a time, so no whole kernel
+    # stack is ever held.  Eigensolver quality on the assembled fibers:
+    # padded slots have zero rows, so they leave the residual at 0 and the
+    # Gram matrix is compared with the identity on the retained slots only.
+    # The kernel reconstruction sum_n lambda_n x_n x_n^T from the retained
+    # eigenpairs, whose check is reported further down, uses the same
+    # chunks; padded slots add nothing
+    kernel, apply_k = _on_grid(cfg.kernel, ogrid, squad)
     funcs = d.functions
     scale = np.maximum(1.0, np.max(np.abs(d.eigenvalues), axis=1, initial=0.0))
     resid = ortho = sup_err = 0.0
@@ -485,7 +489,7 @@ def run_suite(cfg: Config) -> list:
         x = rng.standard_normal((b.stop - b.start, len(ogrid), len(squad)))
         den = _pairing(squad, x, x)
         # the products of <Tx, x> are formed in place
-        num = _quadrature(cfg.kernel, ogrid, squad, x)
+        num = apply_k(x)
         num *= x
         quot = _require_finite(num @ squad.weights, "field") / den
         outside = np.maximum(d.m.values - quot, quot - d.M.values)
@@ -496,7 +500,7 @@ def run_suite(cfg: Config) -> list:
     probes = [sample_section(e, ogrid, squad) for e in cfg.sections.values()]
     probes += random_sections(rng, ogrid, squad, 5)
     x = np.stack([f.values for f in probes])
-    quad = _quadrature(cfg.kernel, ogrid, squad, x)
+    quad = apply_k(x)
     gap = _l22(ogrid, squad, quad - _multiply(d, x, d.eigenvalues, 0.0))
     results.append(_check("two_path_equivalence", np.max(gap), 1e-9))
 
@@ -529,7 +533,8 @@ def run_suite(cfg: Config) -> list:
         )
     )
     square = functional_calculus(d, expr.parse("lambda^2"), f0, cfg.epsilon)
-    twice = apply_quadrature(cfg.kernel, apply_quadrature(cfg.kernel, f0))
+    # a non-finite T f0 leaves T T f0 non-finite, which Section refuses
+    twice = Section(ogrid, squad, apply_k(apply_k(f0.values)))
     results.append(
         _check(
             "funcalc_square_vs_double_apply",
@@ -562,7 +567,7 @@ def run_suite(cfg: Config) -> list:
             1e-12,
         )
     )
-    tf0 = apply_quadrature(cfg.kernel, f0)
+    tf0 = Section(ogrid, squad, apply_k(f0.values))
     nf0 = _l22(ogrid, squad, f0.values)
     mismatch = 0.0
     for mesh in (0.04, 0.02):
@@ -584,12 +589,9 @@ def run_suite(cfg: Config) -> list:
 
     # eigenspace sections generate closed submodules
     lam1, psi = _first_curve_data(d)
-    alpha = ogrid.nodes[:, None]
-    scaled = Section(ogrid, squad, alpha * psi.values)
-    t_scaled = apply_quadrature(cfg.kernel, scaled)
-    closure = _l22(
-        ogrid, squad, lam1.values[:, None] * scaled.values - t_scaled.values
-    )
+    scaled = ogrid.nodes[:, None] * psi.values
+    t_scaled = Section(ogrid, squad, apply_k(scaled))
+    closure = _l22(ogrid, squad, lam1.values[:, None] * scaled - t_scaled.values)
     results.append(_check("eigenspace_module_closure", closure, 1e-8))
 
     # kernel reconstruction, measured with the eigensolver checks above

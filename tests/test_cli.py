@@ -642,3 +642,36 @@ def test_import_footprint(tmp_path):
     out = run_python(["-c", FOOTPRINT, CONFIG_PATH, str(tmp_path)]).splitlines()
     assert out[:3] == ["False", "decomposed 64 fibers, 3 curves", "False False"]
     assert out[-2:] == ["37/37 checks passed", "False False"]
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["apply", "--section", "nope"], "unknown section 'nope'\n"),
+        (["project", "--threshold", "nope", "--section", "f"], "unknown threshold 'nope'\n"),
+        (["mix", "--partition", "nope"], "unknown partition 'nope'\n"),
+        (["apply", "--section", "bad"], "sections[bad]: sqrt of negative value "),
+        (
+            ["project", "--threshold", "bad", "--section", "f"],
+            "thresholds[bad]: log of non-positive value ",
+        ),
+        (["mix", "--partition", "gap"], "partitions[gap]: node 32 is not covered by any set\n"),
+    ],
+)
+def test_named_entry_errors(tmp_path, capsys, args, line):
+    # a missing name and an entry that fails to build are config errors that
+    # name the entry; the partition covers [0, 0.5) of the 64 nodes only.
+    # line is the whole diagnostic, or its start where a sampled value
+    # follows
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["sections"]["bad"] = "sqrt(t-2)"
+    raw["thresholds"]["bad"] = "log(omega-2)"
+    raw["partitions"]["gap"] = [{"label": 1, "omega_range": [0.0, 0.5]}]
+    config = tmp_path / "named.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    rc = main([*args, "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {line}")

@@ -6,8 +6,9 @@ import pytest
 
 import fiberspec as fs
 from fiberspec import verify
-from fiberspec.calculus import DEFAULT_TIE_TOL, _multiply, _quadrature, _rs_cuts
+from fiberspec.calculus import DEFAULT_TIE_TOL, _multiply, _rs_cuts
 from fiberspec.cli import main
+from fiberspec.kernel import _on_grid
 
 from conftest import CONFIG_PATH, random_separable_kernel
 
@@ -563,7 +564,7 @@ def full_stack_checks(cfg):
         np.abs(produced - oracle) / scale[:, None]
     )
     x = verify._SplitMix64(verify.SEED).standard_normal((50, len(ogrid), len(squad)))
-    quot = (_quadrature(k, ogrid, squad, x) * x) @ squad.weights
+    quot = (_on_grid(k, ogrid, squad)[1](x) * x) @ squad.weights
     quot /= (x * x) @ squad.weights
     out["rayleigh_bounds"] = np.max(
         np.maximum(d.m.values - quot, quot - d.M.values), initial=0.0
@@ -656,3 +657,22 @@ def test_rs_check_catches_a_shifted_cell(tmp_path, monkeypatch, config):
     # the mesh bounds cannot tell a sum one cell off
     assert by_name["rs_mesh_bound_0.04"].passed
     assert by_name["rs_mesh_bound_0.02"].passed
+
+
+def test_suite_samples_each_kernel_once(cfg, monkeypatch):
+    # the three curves and three bases of trig_rank3 are sampled four
+    # times: for the decomposition, the refined one, the suite's own checks
+    # and the projector axioms (24 calls).  The four sections and eight
+    # evaluations of functions of lambda make 36.  Sampling the kernel again
+    # for every quadrature call made 228
+    calls = []
+    evaluate = fs.expr.evaluate
+
+    def spy(e, env):
+        calls.append(e)
+        return evaluate(e, env)
+
+    monkeypatch.setattr(fs.expr, "evaluate", spy)
+    results = verify.run_suite(cfg)
+    assert all(r.passed for r in results)
+    assert len(calls) <= 40
