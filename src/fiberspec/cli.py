@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import csvio, expr
+from . import expr
 from .calculus import (
     _rs_cuts,
     apply_quadrature,
@@ -63,6 +63,10 @@ def _parse_function(text):
 
 def cmd_decompose(cfg, args):
     d = decompose(cfg)
+    # imported where a subcommand comes to write, after its work, so
+    # that verify, which writes no CSV, never compiles the writers
+    from . import csvio
+
     csvio.write_eigencurves(_out_path(args, "eigencurves.csv"), d)
     csvio.write_eigenfunctions(_out_path(args, "eigenfunctions.csv"), d)
     csvio.write_bounds(_out_path(args, "bounds.csv"), d)
@@ -76,6 +80,8 @@ def cmd_apply(cfg, args):
         out = apply_quadrature(cfg.kernel, f)
     else:
         out = apply_spectral(decompose(cfg), f)
+    from . import csvio
+
     csvio.write_section(_out_path(args, "applied.csv"), out)
     print(f"applied kernel to {args.section!r} via {args.mode}")
     return 0
@@ -85,6 +91,8 @@ def cmd_project(cfg, args):
     lam = threshold_by_name(cfg, args.threshold)
     f = section_by_name(cfg, args.section)
     out = projector_apply(decompose(cfg), lam, f)
+    from . import csvio
+
     csvio.write_section(_out_path(args, "projected.csv"), out)
     print(f"projected {args.section!r} at threshold {args.threshold!r}")
     return 0
@@ -94,6 +102,8 @@ def cmd_funcalc(cfg, args):
     g = _parse_function(args.function)
     f = section_by_name(cfg, args.section)
     out = functional_calculus(decompose(cfg), g, f, epsilon=cfg.epsilon)
+    from . import csvio
+
     csvio.write_section(_out_path(args, "funcalc.csv"), out)
     print(f"applied g(T) with g = {args.function}")
     return 0
@@ -104,6 +114,8 @@ def cmd_rs(cfg, args):
     f = section_by_name(cfg, args.section)
     d = decompose(cfg)
     out = riemann_stieltjes_apply(d, g, f, mesh=args.mesh, epsilon=cfg.epsilon)
+    from . import csvio
+
     csvio.write_section(_out_path(args, "rs.csv"), out)
     exact = functional_calculus(d, g, f, epsilon=cfg.epsilon)
     err = l22_norm(Section(f.ogrid, f.squad, out.values - exact.values))
@@ -123,6 +135,8 @@ def cmd_rs(cfg, args):
 
 def cmd_spectrum(cfg, args):
     d = decompose(cfg)
+    from . import csvio
+
     csvio.write_spectra(_out_path(args, "spectra.csv"), d)
     if args.partition is None:
         print(f"wrote fiber spectra for {d.n_fibers} fibers")
@@ -141,6 +155,8 @@ def cmd_mix(cfg, args):
     d = decompose(cfg)
     p = partition_by_name(cfg, args.partition)
     mixed = mix_field(d, p)
+    from . import csvio
+
     csvio.write_field(_out_path(args, "mixed.csv"), mixed)
     print(f"wrote mixed field for partition {args.partition!r}")
     return 0
@@ -149,6 +165,8 @@ def cmd_mix(cfg, args):
 def cmd_reconstruct(cfg, args):
     d = decompose(cfg)
     rebuilt = mercer_reconstruct(d, args.rank)
+    from . import csvio
+
     csvio.write_kernel(_out_path(args, "kernel.csv"), rebuilt)
     err = kernel_matrices(cfg.kernel, cfg.ogrid, cfg.squad) - rebuilt.values
     sup_err = float(np.max(np.abs(err)))

@@ -644,6 +644,20 @@ def test_import_footprint(tmp_path):
     assert out[-2:] == ["37/37 checks passed", "False False"]
 
 
+VERIFY_FOOTPRINT = """
+import sys
+from fiberspec import cli
+assert cli.main(["verify", "--config", sys.argv[1]]) == 0
+print("fiberspec.csvio" in sys.modules)
+"""
+
+
+def test_verify_does_not_load_the_writers():
+    # only the subcommands that write CSV files import csvio
+    out = run_python(["-c", VERIFY_FOOTPRINT, CONFIG_PATH]).splitlines()
+    assert out[-2:] == ["37/37 checks passed", "False"]
+
+
 @pytest.mark.parametrize(
     "args, line",
     [

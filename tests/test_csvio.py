@@ -1,18 +1,26 @@
-"""Column-built CSV writers against the row-loop writers they replaced.
+"""Column-built CSV writers against the row-loop writers they replaced,
+and the array formatter of reals against format(x, ".17g").
 
 The oracle below formats one value at a time with format(x, ".17g") and
 walks fibers, slots and nodes in nested loops.  Every writer of
-fiberspec.csvio must produce the same bytes on three inputs: the bundled
+fiberspec.csvio must produce the same bytes on four inputs: the bundled
 rank-3 kernel, a kernel whose rank changes across the grid (padded slots),
-and a small sampled kernel whose sections, fields and samples include
--0.0 and subnormal values.
+a small sampled kernel whose sections, fields and samples include -0.0 and
+subnormal values, and the zero kernel (no retained slot), in chunks of the
+default size and in small ones.
 """
+
+import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberspec as fs
 from fiberspec import csvio
+from fiberspec.cli import main
 from fiberspec.expr import parse
 
 
@@ -194,16 +202,29 @@ def sampled_case():
     return d, section, field, kernel
 
 
-@pytest.fixture(params=["trig_rank3", "mixed_rank", "sampled_tiny"])
+def zero_case():
+    kernel = fs.SeparableKernel(((parse("0"), parse("sin(pi*t)")),))
+    ogrid, squad = fs.build_omega_grid(8), fs.build_s_quadrature("gauss_legendre", 8)
+    d = fs.decompose_all_fibers(kernel, ogrid, squad)
+    # no retained slot: eigencurves.csv and eigenfunctions.csv are headers
+    assert not np.any(d.labels >= 0)
+    section = fs.Section(ogrid, squad, np.zeros((8, 8)))
+    field = fs.mix_field(d, fs.Partition(np.zeros(8, dtype=int)))
+    return d, section, field, fs.SampledKernel(ogrid, squad, np.zeros((8, 8, 8)))
+
+
+@pytest.fixture(params=["trig_rank3", "mixed_rank", "sampled_tiny", "zero_kernel"])
 def case(request, cfg, decomposition):
     if request.param == "trig_rank3":
         return trig_case(cfg, decomposition)
     if request.param == "mixed_rank":
         return mixed_rank_case()
+    if request.param == "zero_kernel":
+        return zero_case()
     return sampled_case()
 
 
-def test_writers_match_row_oracle(case, tmp_path):
+def assert_writers_match_oracle(case, tmp_path):
     d, section, field, kernel = case
     report = [("rank", 3.0), ("tiny", 5e-324), ("signed", -0.0), ("big", 1.79e308)]
     pairs = [
@@ -227,9 +248,146 @@ def test_writers_match_row_oracle(case, tmp_path):
     assert got.read_bytes() == want.read_bytes()
 
 
+def test_writers_match_row_oracle(case, tmp_path):
+    assert_writers_match_oracle(case, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "case", ["mixed_rank", "sampled_tiny", "zero_kernel"], indirect=True
+)
+def test_writers_match_row_oracle_in_small_chunks(case, tmp_path, monkeypatch):
+    # 37 lines: the one-row-per-line tables end on a partial chunk, and a
+    # grid with more nodes than that is written one row per chunk (trig_rank3
+    # spans chunks in test_grid_writer_spans_chunks)
+    monkeypatch.setattr(csvio, "CHUNK", 37)
+    assert_writers_match_oracle(case, tmp_path)
+
+
+def test_grid_writer_spans_chunks(decomposition, tmp_path, monkeypatch):
+    d = decomposition
+    n_s = len(d.squad.nodes)
+    rows = int(np.sum(d.labels >= 0))
+    monkeypatch.setattr(csvio, "CHUNK", 50 * n_s)
+    # several chunks of 50 eigenfunction rows each, the last one partial
+    assert rows > 50 and rows % 50 != 0
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    csvio.write_eigenfunctions(got, d)
+    oracle_eigenfunctions(want, d)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["eigencurves.csv", "eigenfunctions.csv"])
+def test_output_path_that_is_a_directory(name, tmp_path, capsys):
+    (tmp_path / name).mkdir()
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "trig_rank3.json")
+    assert main(["decompose", "--config", config, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ")
+    assert err.endswith(f"Is a directory: {str(tmp_path / name)!r}\n")
+    assert err.count("\n") == 1
+
+
 def test_sampled_case_has_signed_zeros_and_subnormals():
     d, section, field, kernel = sampled_case()
     for values in (section.values, field.values, kernel.values):
         assert np.any((values == 0.0) & np.signbit(values))
         assert np.any((values != 0.0) & (np.abs(values) < 2.2250738585072014e-308))
     assert np.any(d.ranks > 0)
+
+
+def formatted(x):
+    """What csvio writes for every value of x, as str."""
+    block = csvio._reals(np.asarray(x, dtype=float).ravel())
+    return [entry.tobytes().translate(None, b"\0").decode("ascii") for entry in block]
+
+
+def assert_formats_like_format(x):
+    x = np.asarray(x, dtype=float).ravel()
+    want = [format(v, ".17g") for v in x.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(x.tolist(), formatted(x), want) if g != w]
+    assert not bad, f"{len(bad)} of {x.size} differ, e.g. {bad[:5]}"
+
+
+def neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate(
+        [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_reals_match_format_on_hypothesis_floats(values):
+    assert_formats_like_format(values)
+
+
+def test_reals_match_format_on_bit_patterns():
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**63, 100_000, dtype=np.uint64).view(np.float64)
+    # both signs of every pattern, nan and inf patterns among them
+    assert_formats_like_format(np.concatenate([bits, -bits]))
+
+
+def test_reals_match_format_at_powers_of_ten():
+    powers = neighbours([float(f"1e{m}") for m in range(-320, 309)])
+    assert_formats_like_format(np.concatenate([powers, -powers]))
+
+
+def test_reals_match_format_on_integers_and_dyadics():
+    rng = np.random.default_rng(21)
+    integers = np.concatenate(
+        [rng.integers(0, 2**60, 20_000, endpoint=True), 2 ** np.arange(61)]
+    ).astype(float)
+    # k/64 has ties at the 18th digit for some k, which take the fallback
+    dyadics = np.arange(-64 * 200, 64 * 200) / 64
+    assert_formats_like_format(np.concatenate([integers, -integers, dyadics]))
+
+
+def test_reals_match_format_at_notation_switches_and_long_exponents():
+    rng = np.random.default_rng(22)
+    switches = neighbours([1e-5, 1e-4, 1e16, 1e17])
+    mantissas = rng.uniform(1.0, 10.0, 2000)
+    exponents = rng.integers(100, 308, 2000)
+    # exponents of three digits in a batch with values of two-digit ones
+    scales = 10.0 ** (exponents - 100)
+    long = np.concatenate([mantissas * scales * 1e100, mantissas / scales / 1e100])
+    mixed = np.concatenate([switches, long, rng.standard_normal(2000) * 1e-30])
+    assert_formats_like_format(np.concatenate([mixed, -mixed]))
+
+
+def needs_fallback(v):
+    """Whether csvio must leave v to format(): |v| outside [1e-270, 1e270],
+    or y = |v| * 10**(16 - E) within 1e-6 of 1e16 or 1e17 or with frac(y)
+    within 1e-9 of 1/2, y computed exactly here."""
+    if not 1e-270 <= abs(v) <= 1e270:
+        return True
+    x = Decimal(abs(v))
+    y = x.scaleb(16 - x.adjusted())
+    near = Decimal("1e-6")
+    return (
+        abs(y - 10**16) <= near
+        or abs(y - 10**17) <= near
+        or abs(y - int(y) - Decimal("0.5")) <= Decimal("1e-9")
+    )
+
+
+def test_format_only_in_the_fallback(monkeypatch):
+    calls = []
+
+    def counted(value, spec):
+        calls.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(csvio, "format", counted, raising=False)
+    rng = np.random.default_rng(23)
+    # values of 1e11 to 1e17 often tie at the 18th digit: 48681855045100.4375
+    scaled = rng.standard_normal(10_000) * 10.0 ** rng.integers(-30, 30, 10_000)
+    # zeros, a subnormal, inf, nan, |x| beyond 1e270, powers of ten and a
+    # tie at the 18th digit (26215 / 2**18 = 0.100002288818359375)
+    fallback = [0.0, -0.0, 5e-324, np.inf, np.nan, 1e300, 1.0, 1e16, 26215 / 2**18]
+    # log10 misses the decimal exponent of some neighbours of powers of ten
+    powers = neighbours([float(f"1e{m}") for m in range(-30, 31)])
+    x = np.concatenate([scaled, powers, fallback, [0.5, 0.25]])
+    assert formatted(x) == [format(v, ".17g") for v in x.tolist()]
+    assert [repr(v) for v in calls] == [repr(v) for v in x.tolist() if needs_fallback(v)]
+    assert len(calls) < 200
