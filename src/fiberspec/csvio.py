@@ -212,35 +212,46 @@ def _text(column):
     return text.view(np.uint8).reshape(text.shape + (-1,))
 
 
-def _write_table(path, header, *columns):
+def _write_table(path, header, *columns, rows=None):
     """Write the header and one line per element of the broadcast shape of
     the columns, the texts of the columns' elements joined by ','.
 
-    A column with fewer elements than there are lines (nodes, or a prefix
-    of a row of nodes) is formatted once, as a call of _reals costs about
-    0.3 ms however few values it is given; the others are formatted chunk
-    by chunk.  A chunk is CHUNK lines along the first axis, or one index of
-    it where that is more, laid out NUL-padded in file order and written
-    without its NULs.
+    rows, if given, is a tuple of k index arrays of one length, and the
+    table has lines only for the indices (rows[0][j], ..., rows[k-1][j])
+    of the first k axes, in the order of j; by default it is every index
+    of the first axis.  Each chunk gathers its own lines, so no column is
+    gathered whole.  A real column with fewer
+    elements than there are lines (nodes, or a prefix of a row of nodes)
+    is formatted once, as a call of _reals costs about 0.3 ms however few
+    values it is given; the others are formatted chunk by chunk.  A chunk
+    is CHUNK lines along the first axis, or one index of it where that is
+    more, laid out NUL-padded in file order and written without its NULs.
     """
     columns = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
-    lines = math.prod(shape)
     parts = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in columns]
-    parts = [(_text(c), True) if c.size < lines else (c, False) for c in parts]
+    if rows is None:
+        rows = (np.arange(shape[0]),)
+    shape = (len(rows[0]),) + shape[len(rows) :]
+    lines = math.prod(shape)
+    once = [c.size < lines and c.dtype.kind == "f" for c in parts]
+    parts = [(_text(c), True) if f else (c, False) for c, f in zip(parts, once)]
     inner = math.prod(shape[1:])
     step = max(1, CHUNK // max(1, inner))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         for start in range(0, shape[0], step):
-            rows = min(step, shape[0] - start)
+            take = slice(start, start + step)
             blocks = []
             for part, formatted in parts:
-                part = part[start : start + rows] if len(part) > 1 else part
+                # index 0 drops an axis of length 1, which broadcasts
+                lead = zip(rows, part.shape)
+                part = part[tuple(i[take] if n > 1 else 0 for i, n in lead)]
                 blocks.append(part if formatted else _text(part))
+            count = min(step, shape[0] - start)
             width = sum(b.shape[-1] for b in blocks) + len(blocks)
-            line = bytearray(width * rows * inner)
-            text = np.frombuffer(line, np.uint8).reshape((rows,) + shape[1:] + (width,))
+            line = bytearray(width * count * inner)
+            text = np.frombuffer(line, np.uint8).reshape((count,) + shape[1:] + (width,))
             pos = 0
             for block in blocks:
                 text[..., pos : pos + block.shape[-1]] = block
@@ -275,20 +286,23 @@ def _retained_by_curve(d: FiberDecomposition):
 
 def write_eigencurves(path, d: FiberDecomposition):
     """Rows (omega, curve_id, lambda) with 1-based aligned curve ids."""
-    fiber, slot = _retained_by_curve(d)
-    columns = (d.ogrid.nodes[fiber], d.labels[fiber, slot] + 1, d.eigenvalues[fiber, slot])
-    _write_table(path, ("omega", "curve_id", "lambda"), *columns)
+    columns = (d.ogrid.nodes[:, None], d.labels + 1, d.eigenvalues)
+    header = ("omega", "curve_id", "lambda")
+    _write_table(path, header, *columns, rows=_retained_by_curve(d))
 
 
 def write_eigenfunctions(path, d: FiberDecomposition):
-    fiber, slot = _retained_by_curve(d)
+    """Rows (omega, curve_id, t, value) of every retained eigenfunction,
+    fiber by fiber in curve id order; each chunk gathers its own rows of
+    d.functions."""
     columns = (
-        d.ogrid.nodes[fiber, None],
-        d.labels[fiber, slot, None] + 1,
+        d.ogrid.nodes[:, None, None],
+        d.labels[..., None] + 1,
         d.squad.nodes,
-        d.functions[fiber, slot],
+        d.functions,
     )
-    _write_table(path, ("omega", "curve_id", "t", "value"), *columns)
+    header = ("omega", "curve_id", "t", "value")
+    _write_table(path, header, *columns, rows=_retained_by_curve(d))
 
 
 def write_bounds(path, d: FiberDecomposition):

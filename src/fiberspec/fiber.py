@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -255,10 +256,11 @@ def extract_eigenfunctions(vectors: np.ndarray, squad: SQuadrature) -> np.ndarra
 
     Returns one row per mode: x_n(t_j) = v_n[j] / sqrt(w_j), which keeps
     the family orthonormal in the quadrature inner product.  vectors is
-    (n_s, r) or a stack (..., n_s, r); the rows come back as (..., r, n_s).
+    (n_s, r) or a stack (..., n_s, r); the rows come back as a C-ordered
+    (..., r, n_s) array.
     """
     sw = np.sqrt(squad.weights)
-    return np.swapaxes(vectors / sw[:, None], -1, -2)
+    return np.divide(np.swapaxes(vectors, -1, -2), sw, order="C")
 
 
 class FiberDecomposition(Record):
@@ -348,8 +350,8 @@ class FiberDecomposition(Record):
         return np.where(hit.any(axis=1), values, np.nan)
 
 
-def _sign_fix(functions: np.ndarray) -> np.ndarray:
-    """Make the first near-peak component of every row positive.
+def _sign_fix(functions: np.ndarray) -> None:
+    """Make the first near-peak component of every row positive, in place.
 
     A component is near-peak when |v_j| >= (1 - SIGN_TIE) * max|v|, so a
     row with two peaks of equal magnitude and opposite sign, like
@@ -360,54 +362,92 @@ def _sign_fix(functions: np.ndarray) -> np.ndarray:
     near_peak = mag >= (1.0 - SIGN_TIE) * mag.max(axis=-1, keepdims=True)
     lead = np.argmax(near_peak, axis=-1)[..., None]
     flip = np.take_along_axis(functions, lead, axis=-1) < 0
-    return np.where(flip, -functions, functions)
+    np.negative(functions, out=functions, where=flip)
+
+
+def _scan_free(overlap, match, rows, cols):
+    """The greedy scan over the rows and columns of one pair left free.
+
+    overlap is the pair's (r_max, r_max) overlap matrix, match the matched
+    row of every column (-1 where free), updated in place, and rows and
+    cols mask the retained rows and columns.  The free rows and columns
+    keep their ascending order, so a stable sort of the flattened block
+    keeps the scan's tie order.
+    """
+    rows = rows.copy()
+    rows[match[match >= 0]] = False
+    free_rows = np.flatnonzero(rows).tolist()
+    free_cols = np.flatnonzero(cols & (match < 0)).tolist()
+    block = overlap[np.ix_(free_rows, free_cols)]
+    used_row = [False] * len(free_rows)
+    used_col = [False] * len(free_cols)
+    # once this many pairs are matched, every later entry would be skipped
+    unmatched = min(len(free_rows), len(free_cols))
+    for flat in np.argsort(-block, axis=None, kind="stable").tolist():
+        a, b = divmod(flat, len(free_cols))
+        if used_row[a] or used_col[b]:
+            continue
+        used_row[a] = used_col[b] = True
+        match[free_cols[b]] = free_rows[a]
+        unmatched -= 1
+        if not unmatched:
+            break
 
 
 def _align_labels(eigenvalues, functions, ranks, weights):
     """Greedy eigenvector matching between consecutive fibers.
 
-    Pairs are taken in order of decreasing overlap magnitude with ties
-    broken by lower index; curves absent at a fiber keep their ids free,
-    and curves that appear get fresh ids.  Near-degenerate eigenvalues are
-    relabeled as a block, in descending order, because their individual
-    eigenvectors are arbitrary within the eigenspace.  Returns labels in
-    the padded layout of FiberDecomposition.
+    The greedy scan takes the overlaps |<x_n(omega_i), x_m(omega_i+1)>| of
+    two neighbouring fibers in decreasing order, ties broken by the lower
+    flat index n * r_max + m, and matches (n, m) when neither n nor m is
+    matched yet.  It must take every entry that comes first in this order
+    within both its row and its column, because nothing earlier shares its
+    row or its column (Preis, STACS 1999); and it takes no other entry of
+    that row or column, as they all come later.  np.argmax over rows and
+    over columns keeps the first of equal values, so it finds these mutual
+    best entries of every pair at once, without a sort.  Only the rows and
+    columns that they leave free are sorted and scanned, in the same
+    order.  Curves absent at a fiber keep their ids free, and curves that
+    appear get fresh ids.  Near-degenerate eigenvalues are relabeled as a
+    block, in descending order, because their individual eigenvectors are
+    arbitrary within the eigenspace.  Returns labels in the padded layout
+    of FiberDecomposition.
     """
     F, r_max = eigenvalues.shape
-    # every consecutive overlap at once; a stable sort of the flat index
-    # n * r_max + m breaks ties by lower (n, m)
+    if not r_max:
+        return np.full((F, 0), -1)
+    slots = np.arange(r_max)
+    retained = slots < ranks[:, None]
     overlap = np.abs(functions[:-1] @ (weights * functions[1:]).transpose(0, 2, 1))
-    order = np.argsort(-overlap.reshape(F - 1, r_max * r_max), axis=1, kind="stable")
-    gaps = eigenvalues[:, :-1] - eigenvalues[:, 1:] >= DEGENERACY_TOL
-    blocks = np.cumsum(np.pad(gaps, ((0, 0), (1, 0))), axis=1)
-    labels = np.full((F, r_max), -1, dtype=int)
+    # a padded slot has a zero row, so its overlaps are 0 and come after
+    # the retained slots', which have lower indices, in every row and column
+    col_best = np.argmax(overlap, axis=1)
+    row_best = np.argmax(overlap, axis=2)
+    mutual = np.take_along_axis(row_best, col_best, axis=1) == slots
+    mutual &= retained[1:] & (ranks[:-1, None] > 0)
+    # match[i, m] is the slot of fiber i matched to slot m of fiber i + 1
+    match = np.where(mutual, col_best, -1)
+    short = mutual.sum(axis=1) < np.minimum(ranks[:-1], ranks[1:])
+    for i in np.flatnonzero(short).tolist():
+        _scan_free(overlap[i], match[i], retained[i], retained[i + 1])
+    gaps = (eigenvalues[:, :-1] - eigenvalues[:, 1:] >= DEGENERACY_TOL).tolist()
+    rows = []
     next_id = 0
-    r_prev = 0
-    for i, r in enumerate(ranks.tolist()):
-        assigned = [-1] * r
-        if r_prev and r:
-            prev = labels[i - 1].tolist()
-            used_prev = [False] * r_prev
-            # once min(r_prev, r) pairs are matched, every later entry
-            # would be skipped
-            unmatched = min(r_prev, r)
-            for flat in order[i - 1].tolist():
-                n, m = divmod(flat, r_max)
-                if n >= r_prev or m >= r or used_prev[n] or assigned[m] >= 0:
-                    continue
-                used_prev[n] = True
-                assigned[m] = prev[n]
-                unmatched -= 1
-                if not unmatched:
-                    break
-        for m in range(r):
-            if assigned[m] < 0:
-                assigned[m] = next_id
+    ids = []
+    for r, pairs, gap in zip(ranks.tolist(), [[-1] * r_max] + match.tolist(), gaps):
+        prev, ids = ids, []
+        for n in pairs[:r]:
+            if n >= 0:
+                ids.append(prev[n])
+            else:
+                ids.append(next_id)
                 next_id += 1
-        ids = np.array(assigned, dtype=int)
-        labels[i, :r] = ids[np.lexsort((ids, blocks[i, :r]))]
-        r_prev = r
-    return labels
+        if r > 1 and not all(gap[: r - 1]):
+            # sorting (block, id) pairs sorts the ids inside every block
+            blocks = accumulate(gap[: r - 1], initial=0)
+            ids = [label for _, label in sorted(zip(blocks, ids))]
+        rows.append(ids + [-1] * (r_max - r))
+    return np.array(rows, dtype=int)
 
 
 def _solve_fibers(k: KernelSpec, ogrid, squad):
@@ -448,10 +488,13 @@ def _retain(vals, vecs, squad, rank_tol):
     order = np.argsort(~keep, axis=1, kind="stable")[:, : ranks.max(initial=0)]
     retained = np.take_along_axis(keep, order, axis=1)
     eigenvalues = np.where(retained, np.take_along_axis(vals, order, axis=1), 0.0)
-    rows = np.take_along_axis(
-        extract_eigenfunctions(vecs, squad), order[..., None], axis=1
-    )
-    functions = np.where(retained[..., None], _sign_fix(rows), 0.0)
+    # the kept columns are gathered, as rows, before they are scaled, and
+    # dropped before the sign fix, which needs two more arrays of that size
+    kept = vecs[np.arange(len(vecs))[:, None], :, order]
+    functions = extract_eigenfunctions(np.swapaxes(kept, 1, 2), squad)
+    del kept
+    _sign_fix(functions)
+    functions[~retained] = 0.0
     return eigenvalues, functions, ranks
 
 

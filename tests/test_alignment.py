@@ -2,7 +2,9 @@
 ragged implementations they replaced.
 
 loop_align_labels sorts every (n, m) pair of two consecutive fibers with a
-Python key and walks the degenerate blocks one slot at a time;
+Python key and walks the degenerate blocks one slot at a time, where
+_align_labels takes the mutual best overlaps without a sort and scans only
+the rows and columns they leave free;
 TuplePartition holds ((label, (node indices...)), ...) sets and checks
 them index by index.  Both are kept here as oracles: labels and error
 messages must agree exactly.
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberspec as fs
-from fiberspec import errors
+from fiberspec import errors, fiber
 from fiberspec.expr import parse
 from fiberspec.fiber import DEGENERACY_TOL, _align_labels
 from fiberspec.spectrum import Partition
@@ -134,10 +136,45 @@ def test_alignment_matches_loop_on_fixture(decomposition):
     assert_alignment_matches(decomposition)
 
 
-def test_alignment_matches_loop_on_sampled_kernel():
-    d = fs.decompose(fs.load_config(BRIDGE_PATH))
-    assert d.eigenvalues.shape[1] > 40
-    assert_alignment_matches(d)
+@pytest.fixture(scope="module")
+def bridge():
+    return fs.decompose(fs.load_config(BRIDGE_PATH))
+
+
+def test_alignment_matches_loop_on_sampled_kernel(bridge):
+    assert bridge.eigenvalues.shape[1] > 40
+    assert_alignment_matches(bridge)
+
+
+def test_alignment_sorts_nothing_when_every_slot_has_a_mutual_best(
+    decomposition, bridge, monkeypatch
+):
+    def scan(*args):
+        raise AssertionError("a pair of fibers was scanned")
+
+    monkeypatch.setattr(fiber, "_scan_free", scan)
+    for d in (decomposition, bridge):
+        args = (d.eigenvalues, d.functions, d.ranks, d.squad.weights)
+        assert np.array_equal(_align_labels(*args), d.labels)
+
+
+def test_alignment_scans_the_rows_left_free(monkeypatch):
+    # overlaps [[1, 3/4], [1/2, 1/4]]: (0, 0) is the one mutual best entry,
+    # and the scan matches (1, 1); a fresh id would give slot 1 label 2
+    scans = []
+    free = fiber._scan_free
+
+    def scan(*args):
+        scans.append(args)
+        return free(*args)
+
+    monkeypatch.setattr(fiber, "_scan_free", scan)
+    eigenvalues = np.array([[2.0, 1.0], [2.0, 1.0]])
+    functions = np.array([[[4.0, 0.0], [0.0, 4.0]], [[4.0, 2.0], [3.0, 1.0]]]) / 4
+    args = (eigenvalues, functions, np.array([2, 2]), np.ones(2))
+    assert _align_labels(*args).tolist() == [[0, 1], [0, 1]]
+    assert len(scans) == 1
+    assert np.array_equal(_align_labels(*args), loop_align_labels(*args))
 
 
 @pytest.mark.parametrize(
@@ -218,6 +255,57 @@ def tied_inputs(draw):
 @settings(max_examples=100, deadline=None)
 @given(args=tied_inputs())
 def test_alignment_breaks_ties_like_loop(args):
+    assert np.array_equal(_align_labels(*args), loop_align_labels(*args))
+
+
+@st.composite
+def ragged_inputs(draw):
+    """Padded alignment inputs with random overlap magnitudes, ragged ranks
+    of up to 12 slots and rows whose largest overlap is tied.  Entries are
+    multiples of 1/8 in [-2, 2] and the weights powers of two, so every
+    overlap is exact and a tie stays a tie however the products are
+    summed.  Some slots copy another slot of their fiber, with either sign,
+    which ties the largest overlap of the rows that pair with them.  Rows
+    and columns then lose their mutual best entry, so both the mutual
+    best pass and the scan over the rows and columns left free run."""
+    n_fibers = draw(st.integers(1, 6))
+    ranks = np.array(
+        draw(st.lists(st.integers(0, 12), min_size=n_fibers, max_size=n_fibers))
+    )
+    r_max = int(ranks.max())
+    n_s = 5
+    retained = np.arange(r_max) < ranks[:, None]
+    levels = draw(
+        st.lists(
+            st.floats(-1.0, 1.0) | st.sampled_from((0.5, 0.5 + 1e-11)),
+            min_size=n_fibers * r_max,
+            max_size=n_fibers * r_max,
+        )
+    )
+    vals = -np.sort(-np.array(levels).reshape(n_fibers, r_max), axis=1)
+    size = n_fibers * r_max * n_s
+    entries = draw(st.lists(st.integers(-16, 16), min_size=size, max_size=size))
+    funcs = np.array(entries, dtype=float).reshape(n_fibers, r_max, n_s) / 8
+    if r_max:
+        slot = st.integers(0, r_max - 1)
+        fiber_index = st.integers(0, n_fibers - 1)
+        copies = st.tuples(fiber_index, slot, slot, st.sampled_from((1, -1)))
+        for i, source, target, sign in draw(st.lists(copies, max_size=8)):
+            funcs[i, target] = sign * funcs[i, source]
+    weights = draw(
+        st.lists(st.sampled_from((0.5, 0.25, 0.125)), min_size=n_s, max_size=n_s)
+    )
+    return (
+        np.where(retained, vals, 0.0),
+        np.where(retained[..., None], funcs, 0.0),
+        ranks,
+        np.array(weights),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=ragged_inputs())
+def test_alignment_matches_loop_on_ragged_inputs(args):
     assert np.array_equal(_align_labels(*args), loop_align_labels(*args))
 
 

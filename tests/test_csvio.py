@@ -11,6 +11,7 @@ default size and in small ones.
 """
 
 import os
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
@@ -274,6 +275,29 @@ def test_grid_writer_spans_chunks(decomposition, tmp_path, monkeypatch):
     csvio.write_eigenfunctions(got, d)
     oracle_eigenfunctions(want, d)
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_eigenfunction_writer_does_not_hold_the_function_stack(tmp_path):
+    # twice the fibers of a full-rank sampled kernel make twice the
+    # (F, n_s, n_s) function stack; the writer gathers one chunk of rows at
+    # a time, so its peak grows only by the index of the retained rows
+    squad = fs.build_s_quadrature("gauss_legendre", 48)
+    peaks, stacks = [], []
+    for n in (16, 32):
+        ogrid = fs.build_omega_grid(n)
+        a = np.random.default_rng(n).standard_normal((n, 48, 48))
+        k = fs.SampledKernel(ogrid, squad, a + a.transpose(0, 2, 1))
+        d = fs.decompose_all_fibers(k, ogrid, squad)
+        assert np.all(d.ranks == 48)
+        csvio.write_eigenfunctions(tmp_path / "warm.csv", d)
+        tracemalloc.start()
+        try:
+            csvio.write_eigenfunctions(tmp_path / "eigenfunctions.csv", d)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        stacks.append(d.functions.nbytes)
+    assert peaks[1] - peaks[0] < (stacks[1] - stacks[0]) / 4
 
 
 @pytest.mark.parametrize("name", ["eigencurves.csv", "eigenfunctions.csv"])
