@@ -68,7 +68,6 @@ from .grid import (
 from .kernel import (
     SampledKernel,
     SeparableKernel,
-    hermitian_check,
     kernel_matrices,
     mercer_reconstruct,
     sample_kernel,
@@ -122,7 +121,6 @@ __all__ = [
     "fiber_matrices",
     "free_variables",
     "functional_calculus",
-    "hermitian_check",
     "jacobi_eigh",
     "kernel_matrices",
     "l22_norm",

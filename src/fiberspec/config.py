@@ -116,10 +116,13 @@ def _parse_named(raw, where, variables=None):
 
 
 def _real(raw, where):
+    # a bool is an int, and a JSON string is no number
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    _expect(number, f"{where} must be a real number, got {raw!r}")
     try:
         return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be a real number, got {raw!r}") from None
+    except OverflowError:
+        raise ConfigError(f"{where} is beyond the float range") from None
 
 
 def _positive(raw, where):

@@ -208,8 +208,12 @@ def _text(column):
     array: reals through _reals, integers in decimal, strings as they are."""
     if column.dtype.kind == "f":
         return _reals(column)
-    text = column.astype("S")
-    return text.view(np.uint8).reshape(text.shape + (-1,))
+    width = ""
+    if column.dtype.kind in "iu" and column.size:
+        # as wide as its longest value, not the 21 bytes astype("S") gives
+        width = max(len(str(column.min())), len(str(column.max())))
+    text = column.astype(f"S{width}")
+    return text.view(np.uint8).reshape(text.shape + (text.itemsize,))
 
 
 def _write_table(path, header, *columns, rows=None):

@@ -1,11 +1,13 @@
-"""Kernel declarations and kernel-level checks.
+"""Kernel declarations.
 
 A kernel is either separable, a finite sum of curve(omega) * basis(t) *
 basis(s) terms declared through expressions, or sampled, a dense tensor of
-node values with one symmetric matrix per parameter node.  Basis terms do
-not have to be orthonormal; the per-fiber eigensolver is the ground truth
-downstream.  Only the private _on_grid knows how each kind is stored: it
-gives the fiber values and the quadrature action from one sampling.
+node values with one symmetric matrix per parameter node.  Both carry
+asymmetry, the worst |k(omega,t,s) - k(omega,s,t)| of the values they were
+given: 0 for a separable kernel.  Basis terms do not have to be
+orthonormal; the per-fiber eigensolver is the ground truth downstream.
+Only the private _on_grid knows how each kind is stored: it gives the
+fiber values and the quadrature action from one sampling.
 """
 
 from __future__ import annotations
@@ -153,16 +155,6 @@ def kernel_matrices(
     kernel gives a view of its own tensor.
     """
     return _on_grid(k, ogrid, squad)[0](slice(None))
-
-
-def hermitian_check(k: KernelSpec) -> float:
-    """Worst asymmetry |k(omega,t,s) - k(omega,s,t)| over grid triples.
-
-    Separable kernels are symmetric by construction, so the result is
-    exactly zero.  A sampled kernel reports the asymmetry of the values it
-    was given, which its stored, averaged values no longer show.
-    """
-    return k.asymmetry
 
 
 def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:

@@ -12,6 +12,7 @@ import fiberspec as fs
 from fiberspec import verify
 from fiberspec.cli import main
 from fiberspec.expr import parse
+from fiberspec.kernel import _on_grid
 
 from conftest import (
     CONFIG_PATH,
@@ -119,7 +120,10 @@ def test_criterion_05_projector_axiom_suite(cfg):
         d = fs.decompose_all_fibers(k, cfg.ogrid, cfg.squad)
         thresholds = verify.random_threshold_fields(rng, d, 20, 1e-12)
         sections = verify.random_sections(rng, cfg.ogrid, cfg.squad, 2)
-        res = verify.projector_axiom_residuals(k, d, thresholds, sections, cfg.epsilon)
+        apply_k = _on_grid(k, cfg.ogrid, cfg.squad)[1]
+        res = verify.projector_axiom_residuals(
+            apply_k, d, thresholds, sections, cfg.epsilon
+        )
         for name in checked:
             worst[name] = max(worst[name], res[name])
     peak = max(worst.values())

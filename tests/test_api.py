@@ -19,6 +19,7 @@ REMOVED = (
     "eigenspace",
     "fiber_norm_field",
     "fiber_spectrum",
+    "hermitian_check",
     "psd_check",
 )
 

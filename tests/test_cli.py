@@ -552,6 +552,34 @@ def test_non_finite_tolerance_is_config_error(tmp_path, capsys):
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize(
+    "value", [True, "1e-3", 10**400], ids=["true", "string", "401_digits"]
+)
+@pytest.mark.parametrize("slot", ["rank_tol", "epsilon", "omega_range"])
+def test_number_slot_takes_only_json_numbers(tmp_path, capsys, slot, value):
+    # true would read as 1.0 and "1e-3" as 0.001, silently; a 401-digit
+    # integer overflowed float() into a traceback
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if slot == "rank_tol":
+        raw["tolerances"]["rank_tol"] = value
+        key = "rank_tol"
+    elif slot == "epsilon":
+        raw["epsilon"] = value
+        key = "epsilon"
+    else:
+        raw["partitions"]["thirds"][0]["omega_range"][1] = value
+        key = "partitions[thirds][0].omega_range[1]"
+    path = tmp_path / "number.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"config error: {key} ")
+    assert not out.exists()
+
+
 def test_missing_required_flag_is_config_error(tmp_path):
     assert main(["decompose"]) == 2
     assert main(["mix", "--config", CONFIG_PATH, "--out", str(tmp_path)]) == 2

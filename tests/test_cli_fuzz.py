@@ -2,13 +2,15 @@
 
 Each example takes configs/trig_rank3.json or a small sampled-kernel
 config, replaces, deletes or adds up to three entries (values of any JSON
-type, expression strings built from the grammar's tokens) and runs one
-subcommand on a small grid: decompose, verify, apply in both modes,
-project, funcalc or rs with a drawn g (and mesh), spectrum with or without
-a partition, mix or reconstruct with a drawn rank.  Whatever the input,
-main() must return 0, 2, 3 or 4 without raising or warning, write nothing
-to stderr on exit 0 and exactly one line otherwise, and every value in a
-CSV it wrote must be finite (the value column of a *_report.csv).
+type, expression strings built from the grammar's tokens, and numbers,
+booleans, numeric strings and integers beyond the float range in the
+number slots) and runs one subcommand on a small grid: decompose, verify,
+apply in both modes, project, funcalc or rs with a drawn g (and mesh),
+spectrum with or without a partition, mix or reconstruct with a drawn
+rank.  Whatever the input, main() must return 0, 2, 3 or 4 without
+raising or warning, write nothing to stderr on exit 0 and exactly one line
+otherwise, and every value in a CSV it wrote must be finite (the value
+column of a *_report.csv).
 """
 
 import csv
@@ -91,14 +93,17 @@ def _combine(inner):
 expressions = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12).map(
     "".join
 ) | st.recursive(st.sampled_from(ATOMS), _combine, max_leaves=4)
-scalars = (
-    st.none()
-    | st.booleans()
+# what a number slot may hold in JSON: booleans, strings and integers
+# beyond the float range, where float() overflows, are config errors
+numbers = (
+    st.booleans()
     | st.integers(-(10**6), 10**6)
+    | st.integers(2**1024, 2**1100)
+    | st.integers(-(2**1100), -(2**1024))
     | st.floats()
-    | st.text(max_size=8)
-    | expressions
+    | st.sampled_from(("1e-3", "1"))
 )
+scalars = st.none() | numbers | st.text(max_size=8) | expressions
 values = st.recursive(
     scalars,
     lambda inner: st.lists(inner, max_size=3)
@@ -147,6 +152,7 @@ commands = st.builds(
 def _mutations(base):
     paths = sorted(_paths(base), key=repr)
     expression_paths = [p for p in paths if isinstance(_leaf(base, p), str)]
+    number_paths = [p for p in paths if type(_leaf(base, p)) in (int, float)]
     return st.lists(
         st.tuples(
             st.sampled_from(("replace", "delete", "add")),
@@ -159,6 +165,9 @@ def _mutations(base):
             st.sampled_from(expression_paths),
             expressions,
             st.just(""),
+        )
+        | st.tuples(
+            st.just("replace"), st.sampled_from(number_paths), numbers, st.just("")
         ),
         max_size=3,
     )

@@ -319,6 +319,21 @@ def test_sampled_case_has_signed_zeros_and_subnormals():
     assert np.any(d.ranks > 0)
 
 
+@pytest.mark.parametrize(
+    "column",
+    [[0], [7, 12, 345], [-1, 0, 9], [2**63 - 1, -(2**63)], [], [[3, -40], [5, 6]]],
+)
+def test_integer_text_is_as_wide_as_its_longest_value(column):
+    column = np.array(column, dtype=np.int64)
+    text = csvio._text(column)
+    assert text.shape[:-1] == column.shape
+    if column.size:
+        assert text.shape[-1] == max(len(str(v)) for v in column.ravel().tolist())
+    entries = text.reshape(-1, text.shape[-1])
+    got = [e.tobytes().translate(None, b"\0").decode() for e in entries]
+    assert got == [str(v) for v in column.ravel().tolist()]
+
+
 def formatted(x):
     """What csvio writes for every value of x, as str."""
     block = csvio._reals(np.asarray(x, dtype=float).ravel())

@@ -68,7 +68,7 @@ def test_sample_kernel_symmetrizes(grids):
     # min(t,s) is symmetric; sampling keeps it bitwise symmetric
     k = fs.sample_kernel(parse("min(t,s)"), ogrid, squad)
     assert isinstance(k, fs.SampledKernel)
-    assert fs.hermitian_check(k) == 0.0
+    assert k.asymmetry == 0.0
 
 
 def test_sample_kernel_rejects_asymmetric(grids):
@@ -94,7 +94,7 @@ def test_sample_kernel_mild_asymmetry_averaged(grids):
     assert k.values.tobytes() == k.values.transpose(0, 2, 1).copy().tobytes()
     asymmetry = np.max(np.abs(raw - raw.transpose(0, 2, 1)))
     assert 1e-12 < asymmetry < 2e-12
-    assert fs.hermitian_check(k) == asymmetry
+    assert k.asymmetry == asymmetry
 
 
 def test_sample_kernel_keeps_symmetric_samples_exactly(grids):
@@ -117,8 +117,8 @@ def test_sample_kernel_keeps_symmetric_samples_exactly(grids):
         assert np.array_equal(values, raw), text
 
 
-def test_hermitian_check_separable_is_exact(grids):
-    assert fs.hermitian_check(separable_fixture()) == 0.0
+def test_separable_asymmetry_is_exact(grids):
+    assert separable_fixture().asymmetry == 0.0
 
 
 def test_mercer_reconstruct_full_rank(cfg, decomposition):
@@ -129,7 +129,7 @@ def test_mercer_reconstruct_full_rank(cfg, decomposition):
 
 def test_mercer_reconstruct_is_symmetric(decomposition):
     rebuilt = fs.mercer_reconstruct(decomposition, 2)
-    assert fs.hermitian_check(rebuilt) == 0.0
+    assert rebuilt.asymmetry == 0.0
 
 
 def test_mercer_rank_validation(decomposition):
@@ -213,7 +213,7 @@ def test_sampled_kernel_averages_mild_asymmetry():
     assert k.values.tobytes() == k.values.transpose(0, 2, 1).copy().tobytes()
     asymmetry = np.max(np.abs(values - values.transpose(0, 2, 1)))
     assert 0.0 < asymmetry <= 1e-9
-    assert fs.hermitian_check(k) == asymmetry
+    assert k.asymmetry == asymmetry
     f = fs.sample_section(parse("omega*sin(pi*t)+t"), ogrid, squad)
     d = fs.decompose_all_fibers(k, ogrid, squad)
     gap = fs.apply_quadrature(k, f).values - fs.apply_spectral(d, f).values

@@ -140,7 +140,7 @@ def test_random_separable_kernels_are_valid():
     for _ in range(5):
         k = random_separable_kernel(rng)
         assert 1 <= len(k.terms) <= 5
-        assert fs.hermitian_check(k) == 0.0
+        assert k.asymmetry == 0.0
         d = fs.decompose_all_fibers(k, ogrid, squad)
         assert d.n_fibers == 8
 
@@ -242,7 +242,7 @@ def loop_axiom_residuals(
     def bump(name, value):
         res[name] = max(res[name], float(value))
 
-    tie = thresholds[0].tie_tol if thresholds else 1e-12
+    tie = thresholds[0].tie_tol if thresholds else DEFAULT_TIE_TOL
     n_sections = len(sections)
     t_of = [fs.apply_quadrature(k, f) for f in sections]
     norms = [fs.l22_norm(f) for f in sections]
@@ -411,13 +411,15 @@ def test_axiom_residuals_on_random_kernel(cfg):
     d = fs.decompose_all_fibers(k, ogrid, squad)
     thresholds = verify.random_threshold_fields(rng, d, 6, 1e-12)
     sections = verify.random_sections(rng, ogrid, squad, 2)
-    res = verify.projector_axiom_residuals(k, d, thresholds, sections, 1e-6)
+    apply_k = _on_grid(k, ogrid, squad)[1]
+    res = verify.projector_axiom_residuals(apply_k, d, thresholds, sections, 1e-6)
     for name, bound in verify.AXIOM_BOUNDS.items():
         assert res[name] <= bound, (name, res[name])
 
 
 def assert_axioms_match_loop(k, d, thresholds, sections):
-    got = verify.projector_axiom_residuals(k, d, thresholds, sections, 1e-6)
+    apply_k = _on_grid(k, d.ogrid, d.squad)[1]
+    got = verify.projector_axiom_residuals(apply_k, d, thresholds, sections, 1e-6)
     want = loop_axiom_residuals(k, d, thresholds, sections, 1e-6)
     assert list(got) == list(want)
     for name in want:
@@ -660,11 +662,10 @@ def test_rs_check_catches_a_shifted_cell(tmp_path, monkeypatch, config):
 
 
 def test_suite_samples_each_kernel_once(cfg, monkeypatch):
-    # the three curves and three bases of trig_rank3 are sampled four
-    # times: for the decomposition, the refined one, the suite's own checks
-    # and the projector axioms (24 calls).  The four sections and eight
-    # evaluations of functions of lambda make 36.  Sampling the kernel again
-    # for every quadrature call made 228
+    # the three curves and three bases of trig_rank3 are sampled three
+    # times: for the decomposition, the refined one and the suite's own
+    # checks, the projector axioms included (18 calls).  The four sections
+    # and eight evaluations of functions of lambda make 30
     calls = []
     evaluate = fs.expr.evaluate
 
@@ -675,4 +676,23 @@ def test_suite_samples_each_kernel_once(cfg, monkeypatch):
     monkeypatch.setattr(fs.expr, "evaluate", spy)
     results = verify.run_suite(cfg)
     assert all(r.passed for r in results)
-    assert len(calls) <= 40
+    assert len(calls) <= 30
+
+
+@pytest.mark.parametrize("kind", ["separable", "sampled"])
+def test_suite_puts_the_kernel_on_its_grids_once(tmp_path, monkeypatch, kind):
+    # the projector axioms take the suite's quadrature action instead of
+    # placing the kernel again
+    if kind == "separable":
+        cfg = fs.load_config(write_separable(tmp_path, 24))
+    else:
+        cfg = fs.load_config(write_truncated_sampled(tmp_path))
+    calls = []
+
+    def spy(k, ogrid, squad):
+        calls.append(k)
+        return _on_grid(k, ogrid, squad)
+
+    monkeypatch.setattr(verify, "_on_grid", spy)
+    verify.run_suite(cfg)
+    assert len(calls) == 1 and calls[0] is cfg.kernel
