@@ -365,33 +365,16 @@ def _sign_fix(functions: np.ndarray) -> None:
     np.negative(functions, out=functions, where=flip)
 
 
-def _scan_free(overlap, match, rows, cols):
-    """The greedy scan over the rows and columns of one pair left free.
-
-    overlap is the pair's (r_max, r_max) overlap matrix, match the matched
-    row of every column (-1 where free), updated in place, and rows and
-    cols mask the retained rows and columns.  The free rows and columns
-    keep their ascending order, so a stable sort of the flattened block
-    keeps the scan's tie order.
+def _mutual_best(overlap, free):
+    """One step of the greedy scan of _align_labels on a stack of overlap
+    matrices: the row of every free column's largest entry where it is also
+    the largest of its row, else -1.
     """
-    rows = rows.copy()
-    rows[match[match >= 0]] = False
-    free_rows = np.flatnonzero(rows).tolist()
-    free_cols = np.flatnonzero(cols & (match < 0)).tolist()
-    block = overlap[np.ix_(free_rows, free_cols)]
-    used_row = [False] * len(free_rows)
-    used_col = [False] * len(free_cols)
-    # once this many pairs are matched, every later entry would be skipped
-    unmatched = min(len(free_rows), len(free_cols))
-    for flat in np.argsort(-block, axis=None, kind="stable").tolist():
-        a, b = divmod(flat, len(free_cols))
-        if used_row[a] or used_col[b]:
-            continue
-        used_row[a] = used_col[b] = True
-        match[free_cols[b]] = free_rows[a]
-        unmatched -= 1
-        if not unmatched:
-            break
+    col_best = np.argmax(overlap, axis=1)
+    row_best = np.argmax(overlap, axis=2)
+    slots = np.arange(overlap.shape[2])
+    mutual = np.take_along_axis(row_best, col_best, axis=1) == slots
+    return np.where(mutual & free, col_best, -1)
 
 
 def _align_labels(eigenvalues, functions, ranks, weights):
@@ -404,14 +387,18 @@ def _align_labels(eigenvalues, functions, ranks, weights):
     within both its row and its column, because nothing earlier shares its
     row or its column (Preis, STACS 1999); and it takes no other entry of
     that row or column, as they all come later.  np.argmax over rows and
-    over columns keeps the first of equal values, so it finds these mutual
-    best entries of every pair at once, without a sort.  Only the rows and
-    columns that they leave free are sorted and scanned, in the same
-    order.  Curves absent at a fiber keep their ids free, and curves that
-    appear get fresh ids.  Near-degenerate eigenvalues are relabeled as a
-    block, in descending order, because their individual eigenvectors are
-    arbitrary within the eigenspace.  Returns labels in the padded layout
-    of FiberDecomposition.
+    over columns keeps the first of equal values, so one step finds these
+    mutual best entries of every pair at once, without a sort.  The step
+    then repeats on the pairs still short of min(rank) matches, with every
+    row and column taken so far set to -1, below every overlap: the first
+    free entry in the scan's order is again first in its row and in its
+    column, since every earlier entry there lies in a taken row or column,
+    so each step takes the scan's next entries and matches at least one
+    more entry of every pair.  Curves absent at a fiber keep their ids
+    free, and curves that appear get fresh ids.  Near-degenerate
+    eigenvalues are relabeled as a block, in descending order, because
+    their individual eigenvectors are arbitrary within the eigenspace.
+    Returns labels in the padded layout of FiberDecomposition.
     """
     F, r_max = eigenvalues.shape
     if not r_max:
@@ -420,16 +407,24 @@ def _align_labels(eigenvalues, functions, ranks, weights):
     retained = slots < ranks[:, None]
     overlap = np.abs(functions[:-1] @ (weights * functions[1:]).transpose(0, 2, 1))
     # a padded slot has a zero row, so its overlaps are 0 and come after
-    # the retained slots', which have lower indices, in every row and column
-    col_best = np.argmax(overlap, axis=1)
-    row_best = np.argmax(overlap, axis=2)
-    mutual = np.take_along_axis(row_best, col_best, axis=1) == slots
-    mutual &= retained[1:] & (ranks[:-1, None] > 0)
+    # the retained slots', which have lower indices, in every row and
+    # column; only taken rows and columns need to be set below them
+    free = retained[1:] & (ranks[:-1, None] > 0)
     # match[i, m] is the slot of fiber i matched to slot m of fiber i + 1
-    match = np.where(mutual, col_best, -1)
-    short = mutual.sum(axis=1) < np.minimum(ranks[:-1], ranks[1:])
-    for i in np.flatnonzero(short).tolist():
-        _scan_free(overlap[i], match[i], retained[i], retained[i + 1])
+    match = _mutual_best(overlap, free)
+    need = np.minimum(ranks[:-1], ranks[1:])
+    todo = np.flatnonzero(np.sum(match >= 0, axis=1) < need)
+    while todo.size:
+        taken = match[todo]
+        i, m = np.nonzero(taken >= 0)
+        step = overlap[todo]
+        step[i, taken[i, m]] = -1.0
+        step[i, :, m] = -1.0
+        # the step matches free columns only, so it is -1 wherever taken
+        # is not
+        found = _mutual_best(step, free[todo] & (taken < 0))
+        match[todo] = np.maximum(taken, found)
+        todo = todo[np.sum(match[todo] >= 0, axis=1) < need[todo]]
     gaps = (eigenvalues[:, :-1] - eigenvalues[:, 1:] >= DEGENERACY_TOL).tolist()
     rows = []
     next_id = 0

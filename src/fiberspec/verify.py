@@ -29,7 +29,7 @@ from .calculus import (
     functional_calculus,
     riemann_stieltjes_apply,
 )
-from .config import Config, decompose, sample_section
+from .config import Config, decompose, section_by_name
 from .fiber import (
     MAX_SWEEPS,
     FiberDecomposition,
@@ -496,7 +496,7 @@ def run_suite(cfg: Config) -> list:
     results.append(_check("rayleigh_bounds", rayleigh, 1e-10))
 
     # two representations of the operator agree
-    probes = [sample_section(e, ogrid, squad) for e in cfg.sections.values()]
+    probes = [section_by_name(cfg, name) for name in cfg.sections]
     probes += random_sections(rng, ogrid, squad, 5)
     x = np.stack([f.values for f in probes])
     quad = apply_k(x)

@@ -3,8 +3,8 @@ ragged implementations they replaced.
 
 loop_align_labels sorts every (n, m) pair of two consecutive fibers with a
 Python key and walks the degenerate blocks one slot at a time, where
-_align_labels takes the mutual best overlaps without a sort and scans only
-the rows and columns they leave free;
+_align_labels takes the mutual best overlaps without a sort, again and
+again on the rows and columns they leave free;
 TuplePartition holds ((label, (node indices...)), ...) sets and checks
 them index by index.  Both are kept here as oracles: labels and error
 messages must agree exactly.
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberspec as fs
-from fiberspec import errors, fiber
+from fiberspec import errors
 from fiberspec.expr import parse
 from fiberspec.fiber import DEGENERACY_TOL, _align_labels
 from fiberspec.spectrum import Partition
@@ -147,33 +147,35 @@ def test_alignment_matches_loop_on_sampled_kernel(bridge):
 
 
 def test_alignment_sorts_nothing_when_every_slot_has_a_mutual_best(
-    decomposition, bridge, monkeypatch
+    decomposition, bridge
 ):
-    def scan(*args):
-        raise AssertionError("a pair of fibers was scanned")
-
-    monkeypatch.setattr(fiber, "_scan_free", scan)
     for d in (decomposition, bridge):
         args = (d.eigenvalues, d.functions, d.ranks, d.squad.weights)
         assert np.array_equal(_align_labels(*args), d.labels)
 
 
-def test_alignment_scans_the_rows_left_free(monkeypatch):
+def test_alignment_scans_the_rows_left_free():
     # overlaps [[1, 3/4], [1/2, 1/4]]: (0, 0) is the one mutual best entry,
-    # and the scan matches (1, 1); a fresh id would give slot 1 label 2
-    scans = []
-    free = fiber._scan_free
-
-    def scan(*args):
-        scans.append(args)
-        return free(*args)
-
-    monkeypatch.setattr(fiber, "_scan_free", scan)
+    # and the second step matches (1, 1); a fresh id would give slot 1
+    # label 2
     eigenvalues = np.array([[2.0, 1.0], [2.0, 1.0]])
     functions = np.array([[[4.0, 0.0], [0.0, 4.0]], [[4.0, 2.0], [3.0, 1.0]]]) / 4
     args = (eigenvalues, functions, np.array([2, 2]), np.ones(2))
     assert _align_labels(*args).tolist() == [[0, 1], [0, 1]]
-    assert len(scans) == 1
+    assert np.array_equal(_align_labels(*args), loop_align_labels(*args))
+
+
+def test_alignment_matches_a_staircase_one_entry_per_step():
+    # overlaps [[4, 3, 2], [3, 2, 1], [2, 1, 0]] / 4: each step finds one
+    # mutual best entry, (0, 0), then (1, 1), then (2, 2); stopping early
+    # would give the slots left over fresh ids 3 and 4
+    overlap = np.array([[4.0, 3.0, 2.0], [3.0, 2.0, 1.0], [2.0, 1.0, 0.0]]) / 4
+    col_best = np.argmax(overlap, axis=0)
+    assert (np.argmax(overlap, axis=1)[col_best] == np.arange(3)).sum() == 1
+    eigenvalues = np.array([[3.0, 2.0, 1.0], [3.0, 2.0, 1.0]])
+    functions = np.stack([np.eye(3), overlap.T])
+    args = (eigenvalues, functions, np.array([3, 3]), np.ones(3))
+    assert _align_labels(*args).tolist() == [[0, 1, 2], [0, 1, 2]]
     assert np.array_equal(_align_labels(*args), loop_align_labels(*args))
 
 
@@ -266,8 +268,8 @@ def ragged_inputs(draw):
     overlap is exact and a tie stays a tie however the products are
     summed.  Some slots copy another slot of their fiber, with either sign,
     which ties the largest overlap of the rows that pair with them.  Rows
-    and columns then lose their mutual best entry, so both the mutual
-    best pass and the scan over the rows and columns left free run."""
+    and columns then lose their mutual best entry, so the mutual best
+    step reruns on the rows and columns it leaves free."""
     n_fibers = draw(st.integers(1, 6))
     ranks = np.array(
         draw(st.lists(st.integers(0, 12), min_size=n_fibers, max_size=n_fibers))

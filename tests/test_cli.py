@@ -717,3 +717,23 @@ def test_named_entry_errors(tmp_path, capsys, args, line):
     assert rc == 2
     assert len(err.splitlines()) == 1
     assert err.startswith(f"config error: {line}")
+
+
+@pytest.mark.parametrize(
+    "args", [["apply", "--section", "f"], ["verify"]], ids=["apply", "verify"]
+)
+def test_section_that_fails_to_sample_is_config_error(tmp_path, capsys, args):
+    # the trapezoid rule has a node at t = 0, where log(t) is undefined;
+    # verify samples every section of the config as its probes
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["s_quadrature"] = {"rule": "trapezoid", "n": 33}
+    raw["sections"] = {"f": "log(t)"}
+    config = tmp_path / "log.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = str(tmp_path / "out")
+    rc = main([*args, "--config", str(config), "--out", out])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "config error: sections[f]: log of non-positive value 0.0\n"
+    )
