@@ -49,7 +49,6 @@ from .expr import evaluate, free_variables, parse, to_source
 from .fiber import (
     FiberDecomposition,
     decompose_all_fibers,
-    extract_eigenfunctions,
     fiber_matrices,
     jacobi_eigh,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "decompose",
     "decompose_all_fibers",
     "evaluate",
-    "extract_eigenfunctions",
     "fiber_inner_product",
     "fiber_matrices",
     "free_variables",

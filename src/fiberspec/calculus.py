@@ -36,12 +36,15 @@ class ThresholdField(Record):
 
     An eigenvalue lambda_n(omega) counts as below the threshold when
     lambda_n(omega) <= lambda(omega) + tie_tol, and the null component is
-    included when 0 <= lambda(omega) + tie_tol.
+    included when 0 <= lambda(omega) + tie_tol.  A nan tie_tol is refused:
+    it would count no eigenvalue below any threshold.
     """
 
     __slots__ = ("field", "tie_tol")
 
     def __init__(self, field: ScalarField, tie_tol: float = DEFAULT_TIE_TOL):
+        if math.isnan(tie_tol):
+            raise ValueError("tie_tol must not be nan")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "tie_tol", tie_tol)
 

@@ -28,7 +28,6 @@ import numpy as np
 from .fiber import FiberDecomposition
 from .grid import ScalarField, Section
 from .kernel import SampledKernel
-from .spectrum import _spectra
 
 CHUNK = 3072  # lines laid out and written at a time
 _SPLIT = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
@@ -316,7 +315,7 @@ def write_bounds(path, d: FiberDecomposition):
 
 def write_spectra(path, d: FiberDecomposition):
     """Rows (omega, lambda) listing each fiber spectrum in descending order."""
-    spectra = _spectra(d)
+    spectra = d._spectra
     fiber, slot = np.nonzero(np.isfinite(spectra))
     _write_table(path, ("omega", "lambda"), d.ogrid.nodes[fiber], spectra[fiber, slot])
 
@@ -329,7 +328,7 @@ def write_kernel(path, k: SampledKernel):
 
 def write_membership(path, d: FiberDecomposition, field: ScalarField):
     """Rows (omega, lambda, nearest_spectral_value, distance)."""
-    spectra = _spectra(d)
+    spectra = d._spectra
     # the -inf padding is infinitely far from every value
     slot = np.argmin(np.abs(spectra - field.values[:, None]), axis=1)
     nearest = spectra[np.arange(d.n_fibers), slot]

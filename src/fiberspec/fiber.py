@@ -251,32 +251,24 @@ def fiber_matrices(
     return _assemble(kernel_matrices(k, ogrid, squad), squad)
 
 
-def extract_eigenfunctions(vectors: np.ndarray, squad: SQuadrature) -> np.ndarray:
-    """Eigenfunction node values from eigenvector columns.
-
-    Returns one row per mode: x_n(t_j) = v_n[j] / sqrt(w_j), which keeps
-    the family orthonormal in the quadrature inner product.  vectors is
-    (n_s, r) or a stack (..., n_s, r); the rows come back as a C-ordered
-    (..., r, n_s) array.
-    """
-    sw = np.sqrt(squad.weights)
-    return np.divide(np.swapaxes(vectors, -1, -2), sw, order="C")
-
-
 class FiberDecomposition(Record):
-    """Retained eigenpairs of every fiber plus alignment and bounds.
+    """Retained eigenpairs of every fiber and their aligned curve ids.
 
     The eigenpairs are stored as zero-padded arrays over F fibers and
-    r_max = max(ranks) slots: eigenvalues (F, r_max), descending within
-    each fiber; functions (F, r_max, n_s), the matching
-    quadrature-orthonormal eigenfunction rows; labels (F, r_max), the
-    aligned curve id of each slot; ranks (F,), the retained rank.  Slots
-    n >= ranks[i] hold eigenvalue 0.0, a zero function row and label -1,
-    so a padded slot is one more null direction and adds nothing to any
-    spectral sum; labels >= 0 marks the retained slots.  traces and
-    eigensums keep the trace of the assembled matrix and the sum of all its
-    eigenvalues before truncation.  m and M are the fiberwise spectral
-    bounds min(0, lambda_min) and max(0, lambda_max).
+    r_max slots: eigenvalues (F, r_max), descending within each fiber;
+    functions (F, r_max, n_s), the matching quadrature-orthonormal
+    eigenfunction rows; labels (F, r_max), the aligned curve id of each
+    slot.  labels >= 0 marks the retained slots, and the retained rank of
+    fiber i is their count, ranks[i]; slots n >= ranks[i] hold eigenvalue
+    0.0, a zero function row and label -1, so a padded slot is one more
+    null direction and adds nothing to any spectral sum.  eigensums keeps
+    the sum of every fiber's eigenvalues before truncation.
+
+    Everything else is derived from these and kept on first use: ranks;
+    the fiber spectra _spectra, the retained eigenvalues together with 0;
+    and the fiberwise spectral bounds m = min(0, lambda_min) and
+    M = max(0, lambda_max), outside which the projector family is 0 or the
+    identity.
     """
 
     # no __slots__: cached_property keeps its value in the instance __dict__
@@ -288,22 +280,42 @@ class FiberDecomposition(Record):
         eigenvalues: np.ndarray,
         functions: np.ndarray,
         labels: np.ndarray,
-        ranks: np.ndarray,
-        traces: np.ndarray,
         eigensums: np.ndarray,
-        m: ScalarField,
-        M: ScalarField,
     ):
         object.__setattr__(self, "ogrid", ogrid)
         object.__setattr__(self, "squad", squad)
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "functions", functions)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "traces", traces)
         object.__setattr__(self, "eigensums", eigensums)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "M", M)
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Retained rank of every fiber, (F,)."""
+        return np.count_nonzero(self.labels >= 0, axis=1)
+
+    @cached_property
+    def m(self) -> ScalarField:
+        """Lower spectral bound min(0, lambda_min) of every fiber; padded
+        slots hold 0, which is in every fiber spectrum."""
+        return ScalarField(self.ogrid, np.min(self.eigenvalues, axis=1, initial=0.0))
+
+    @cached_property
+    def M(self) -> ScalarField:
+        """Upper spectral bound max(0, lambda_max) of every fiber."""
+        return ScalarField(self.ogrid, np.max(self.eigenvalues, axis=1, initial=0.0))
+
+    @cached_property
+    def _spectra(self) -> np.ndarray:
+        """Every fiber spectrum, one row (r_max + 1) per fiber.
+
+        Row i holds the retained eigenvalues of fiber i and 0 in
+        descending order, followed by -inf for each padded slot, which is
+        infinitely far from every finite value.
+        """
+        vals = np.where(self.labels >= 0, self.eigenvalues, -np.inf)
+        vals = np.append(vals, np.zeros((self.n_fibers, 1)), axis=1)
+        return np.sort(vals, axis=1)[:, ::-1]
 
     @cached_property
     def _extreme_bounds(self) -> tuple:
@@ -448,25 +460,22 @@ def _align_labels(eigenvalues, functions, ranks, weights):
 def _solve_fibers(k: KernelSpec, ogrid, squad):
     """Eigenpairs of every fiber from one stacked LAPACK solve.
 
-    Returns eigenvalues (F, r), eigenvectors (F, n_s, r) and the trace of
-    every fiber matrix.  A sampled kernel solves the stack of its assembled
-    n_s x n_s fiber matrices (r = n_s).  Every fiber matrix of a separable
-    kernel is C^T diag(c(omega_i)) C with C = B diag(sqrt(w)) of shape
-    (R, n_s).  With the reduced QR C^T = Q Rm, the fiber is
-    Q (Rm diag(c) Rm^T) Q^T, so its nonzero eigenpairs are those of the
-    r x r core (r = min(R, n_s)) with eigenvectors Q U, and its trace is
-    sum_r c_r ||C_r||^2.
+    Returns eigenvalues (F, r) and eigenvectors (F, n_s, r).  A sampled
+    kernel solves the stack of its assembled n_s x n_s fiber matrices
+    (r = n_s).  Every fiber matrix of a separable kernel is
+    C^T diag(c(omega_i)) C with C = B diag(sqrt(w)) of shape (R, n_s).
+    With the reduced QR C^T = Q Rm, the fiber is Q (Rm diag(c) Rm^T) Q^T,
+    so its nonzero eigenpairs are those of the r x r core
+    (r = min(R, n_s)) with eigenvectors Q U.
     """
     if not isinstance(k, SeparableKernel):
-        A = fiber_matrices(k, ogrid, squad)
-        vals, vecs = _eigh(A)
-        return vals, vecs, np.trace(A, axis1=1, axis2=2)
+        return _eigh(fiber_matrices(k, ogrid, squad))
     C = k.basis_matrix(squad) * np.sqrt(squad.weights)
     Q, Rm = np.linalg.qr(C.T)
     curves = k.curve_matrix(ogrid)
     cores = (Rm * curves[:, None, :]) @ Rm.T
     vals, U = _eigh(0.5 * (cores + cores.transpose(0, 2, 1)))
-    return vals, Q @ U, curves @ np.sum(C * C, axis=1)
+    return vals, Q @ U
 
 
 def _retain(vals, vecs, squad, rank_tol):
@@ -474,7 +483,9 @@ def _retain(vals, vecs, squad, rank_tol):
 
     Eigenvalues with |lambda| <= rank_tol * max(1, |lambda|_max) are
     dropped; a stable sort moves the kept slots to the front in their
-    descending order, and the eigenfunction rows follow, sign-fixed.
+    descending order, and the eigenfunction rows follow, sign-fixed: the
+    gathered eigenvector rows v_n become x_n(t_j) = v_n[j] / sqrt(w_j),
+    which keeps the family orthonormal in the quadrature inner product.
     Returns eigenvalues (F, r_max), functions (F, r_max, n_s) and ranks.
     """
     scale = np.maximum(1.0, np.max(np.abs(vals), axis=1, initial=0.0))
@@ -483,11 +494,9 @@ def _retain(vals, vecs, squad, rank_tol):
     order = np.argsort(~keep, axis=1, kind="stable")[:, : ranks.max(initial=0)]
     retained = np.take_along_axis(keep, order, axis=1)
     eigenvalues = np.where(retained, np.take_along_axis(vals, order, axis=1), 0.0)
-    # the kept columns are gathered, as rows, before they are scaled, and
-    # dropped before the sign fix, which needs two more arrays of that size
-    kept = vecs[np.arange(len(vecs))[:, None], :, order]
-    functions = extract_eigenfunctions(np.swapaxes(kept, 1, 2), squad)
-    del kept
+    # the kept columns are gathered as C-ordered rows and scaled in place
+    functions = vecs[np.arange(len(vecs))[:, None], :, order]
+    functions /= np.sqrt(squad.weights)
     _sign_fix(functions)
     functions[~retained] = 0.0
     return eigenvalues, functions, ranks
@@ -511,7 +520,7 @@ def decompose_all_fibers(
     within SIGN_TIE of the largest magnitude positive; ties inside
     degenerate blocks are resolved during alignment.
     """
-    vals, vecs, traces = _solve_fibers(k, ogrid, squad)
+    vals, vecs = _solve_fibers(k, ogrid, squad)
     eigenvalues, functions, ranks = _retain(vals, vecs, squad, rank_tol)
     labels = _align_labels(eigenvalues, functions, ranks, squad.weights)
     return FiberDecomposition(
@@ -520,10 +529,6 @@ def decompose_all_fibers(
         eigenvalues=eigenvalues,
         functions=functions,
         labels=labels,
-        ranks=ranks,
-        traces=traces,
         eigensums=vals.sum(axis=1),
-        m=ScalarField(ogrid, np.min(eigenvalues, axis=1, initial=0.0)),
-        M=ScalarField(ogrid, np.max(eigenvalues, axis=1, initial=0.0)),
     )
 

@@ -28,6 +28,9 @@ class Partition(Record):
             raise ValueError("labels must be a one dimensional integer array")
         if np.any(labels < 0):
             raise ValueError(f"labels must be non-negative, got {labels.min()}")
+        # an unsigned label past the int64 range would wrap around below
+        if labels.size and labels.max() > np.iinfo(int).max:
+            raise ValueError(f"labels must fit in int64, got {labels.max()}")
         # a signed copy: label 0 must become curve -1, not wrap around
         object.__setattr__(self, "labels", labels.astype(int))
 
@@ -47,17 +50,6 @@ class Partition(Record):
             if np.any(bad):
                 raise IncompletePartition(f"node {np.argmax(bad)} {what}")
         return Partition(labels[np.argmax(hit, axis=0)])
-
-
-def _spectra(d: FiberDecomposition) -> np.ndarray:
-    """Every fiber spectrum, one row (r_max + 1) per fiber.
-
-    Row i holds the retained eigenvalues of fiber i and 0 in descending
-    order, followed by -inf for each padded slot.
-    """
-    vals = np.where(d.labels >= 0, d.eigenvalues, -np.inf)
-    vals = np.append(vals, np.zeros((d.n_fibers, 1)), axis=1)
-    return np.sort(vals, axis=1)[:, ::-1]
 
 
 def mix_field(
@@ -86,13 +78,12 @@ def mix_field(
 
 
 def membership_distances(d: FiberDecomposition, field: ScalarField) -> np.ndarray:
-    """Distance from field(omega) to the fiber spectrum at every node."""
+    """Distance from field(omega) to the fiber spectrum at every node: the
+    smallest |s - field(omega)| over the row of d._spectra, whose -inf
+    padding is infinitely far from every finite value."""
     if not same_rule(d.ogrid, field.grid):
         raise GridMismatch("field lives on a different parameter grid")
-    # padded slots hold 0, which belongs to every fiber spectrum anyway
-    v = field.values
-    nearest = np.min(np.abs(d.eigenvalues - v[:, None]), axis=1, initial=np.inf)
-    return np.minimum(np.abs(v), nearest)
+    return np.min(np.abs(d._spectra - field.values[:, None]), axis=1)
 
 
 def spm_membership(

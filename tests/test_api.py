@@ -17,6 +17,7 @@ REMOVED = (
     "Eigenspace",
     "IndexOutOfRange",
     "eigenspace",
+    "extract_eigenfunctions",
     "fiber_norm_field",
     "fiber_spectrum",
     "hermitian_check",
@@ -31,7 +32,8 @@ def test_all_is_unique_and_resolves():
 
 def test_removed_names_are_gone():
     assert set(REMOVED).isdisjoint(fs.__all__)
-    for short in ("calculus", "errors", "grid", "kernel", "spectrum", "verify"):
+    modules = ("calculus", "errors", "fiber", "grid", "kernel", "spectrum", "verify")
+    for short in modules:
         module = importlib.import_module(f"fiberspec.{short}")
         assert [name for name in REMOVED if hasattr(module, name)] == [], short
     assert [name for name in REMOVED if hasattr(fs, name)] == []

@@ -117,6 +117,15 @@ def test_projector_tie_tolerance(cfg):
     assert np.max(np.abs(strictly_under.values)) < 1e-10
 
 
+def test_threshold_refuses_nan_tie_tol(cfg, decomposition):
+    # a nan tie_tol counts no eigenvalue below the threshold and leaves out
+    # the null component, so projector_apply would return the zero section
+    with pytest.raises(ValueError, match="tie_tol must not be nan"):
+        fs.ThresholdField.constant(cfg.ogrid, 0.4, tie_tol=float("nan"))
+    with pytest.raises(ValueError, match="tie_tol must not be nan"):
+        fs.ThresholdField(decomposition.M, np.nan)
+
+
 def test_projector_idempotent_and_self_adjoint(cfg, decomposition, f_section):
     lam = fs.ThresholdField.constant(cfg.ogrid, 0.3)
     g = fs.sample_section(parse("t*omega+sin(3*pi*t)"), cfg.ogrid, cfg.squad)

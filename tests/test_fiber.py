@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,11 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberspec as fs
-from fiberspec import errors
+from fiberspec import errors, fiber
 from fiberspec.expr import parse
 from fiberspec.fiber import DEFAULT_EIG_TOL, MAX_SWEEPS, _eigh, _jacobi
 
-from conftest import curve1, curve2, curve3
+from conftest import CONFIG_PATH, curve1, curve2, curve3
+from test_mixed_rank import TERMS as MIXED_TERMS
+
+BRIDGE_PATH = os.path.join(
+    os.path.dirname(__file__), "..", "perfbench", "bridge_sampled.json"
+)
 
 
 def eig2_closed(a, b, c):
@@ -403,5 +409,52 @@ def test_degenerate_curves_keep_distinct_ids(grids):
         assert sorted(labels.tolist()) == [0, 1]
 
 
-def test_trace_equals_eigensum(decomposition):
-    assert np.max(np.abs(decomposition.traces - decomposition.eigensums)) < 1e-12
+@pytest.mark.parametrize("case", ["trig_rank3", "bridge_sampled", "mixed_rank"])
+def test_derived_fields_match_their_formulas(case):
+    if case == "mixed_rank":
+        k = fs.SeparableKernel(tuple((parse(c), parse(b)) for c, b in MIXED_TERMS))
+        ogrid = fs.build_omega_grid(16)
+        squad = fs.build_s_quadrature("gauss_legendre", 24)
+    else:
+        cfg = fs.load_config(CONFIG_PATH if case == "trig_rank3" else BRIDGE_PATH)
+        k, ogrid, squad = cfg.kernel, cfg.ogrid, cfg.squad
+    d = fs.decompose_all_fibers(k, ogrid, squad)
+    # the ranks the truncation counts
+    vals, vecs = fiber._solve_fibers(k, ogrid, squad)
+    ranks = fiber._retain(vals, vecs, squad, fiber.DEFAULT_RANK_TOL)[2]
+    assert d.ranks.dtype == ranks.dtype and np.array_equal(d.ranks, ranks)
+    lam = d.eigenvalues
+    assert d.m.values.tobytes() == np.min(lam, axis=1, initial=0.0).tobytes()
+    assert d.M.values.tobytes() == np.max(lam, axis=1, initial=0.0).tobytes()
+    # fiber by fiber: the retained eigenvalues and 0, descending, then -inf
+    # for every padded slot
+    pad = lam.shape[1] - ranks
+    rows = [
+        sorted([*lam[i, :r].tolist(), 0.0], reverse=True) + [-math.inf] * pad[i]
+        for i, r in enumerate(ranks.tolist())
+    ]
+    spectra = d._spectra
+    assert spectra.tobytes() == np.array(rows).tobytes()
+    assert np.array_equal(d.M.values, spectra[:, 0])
+    lowest = np.min(spectra, axis=1, where=spectra > -np.inf, initial=0.0)
+    assert np.array_equal(d.m.values, lowest)
+    # distances to the spectrum: before the spectrum was cached, the padded
+    # zeros and |v| stood in for its 0
+    rng = np.random.default_rng(3)
+    fields = (
+        np.zeros(len(ogrid)),
+        d.M.values,
+        lam[:, 0] + 1e-3,
+        rng.uniform(d.m.values - 1.0, d.M.values + 1.0),
+    )
+    for v in fields:
+        near = np.min(np.abs(lam - v[:, None]), axis=1, initial=np.inf)
+        want = np.minimum(np.abs(v), near)
+        got = fs.membership_distances(d, fs.ScalarField(ogrid, v))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_trace_equals_eigensum(cfg, decomposition):
+    A = fs.fiber_matrices(cfg.kernel, cfg.ogrid, cfg.squad)
+    gap = decomposition.eigensums - np.trace(A, axis1=1, axis2=2)
+    assert np.max(np.abs(gap)) < 1e-12

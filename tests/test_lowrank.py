@@ -4,7 +4,8 @@ decompose_all_fibers solves a separable kernel through one QR of its
 weighted basis matrix and a small LAPACK solve per fiber.  The oracle is
 the dense route: jacobi_eigh of the stack of assembled n x n fiber
 matrices, with the same truncation rule.  Both must give the same ranks, the same
-eigenvalues and the same truncated operator sum_n lambda_n x_n x_n^T.
+eigenvalues and the same truncated operator sum_n lambda_n x_n x_n^T, and the
+sum of every fiber's eigenvalues must be the trace of its dense matrix.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ def dense_oracle(k, ogrid, squad, rank_tol=1e-10):
     for vals, vecs in zip(*fs.jacobi_eigh(fs.fiber_matrices(k, ogrid, squad))):
         scale = max(1.0, float(np.max(np.abs(vals))))
         keep = np.abs(vals) > rank_tol * scale
-        out.append((vals[keep], fs.extract_eigenfunctions(vecs[:, keep], squad)))
+        out.append((vals[keep], vecs[:, keep].T / np.sqrt(squad.weights)))
     return out
 
 
@@ -40,7 +41,7 @@ def assert_matches_oracle(k, ogrid, squad):
         op = (got.T * d.eigenvalues[i, :r]) @ got
         want = (funcs.T * vals) @ funcs
         assert np.max(np.abs(op - want)) <= 1e-10
-        assert abs(d.traces[i] - np.trace(A[i])) <= 1e-12 * scale
+        assert abs(d.eigensums[i] - np.trace(A[i])) <= 1e-12 * scale
     return d
 
 
@@ -83,9 +84,11 @@ def test_more_terms_than_nodes():
 
 
 def test_zero_kernel_matches_dense(grids):
-    d = assert_matches_oracle(kernel(("0", "sin(pi*t)")), *grids)
+    k = kernel(("0", "sin(pi*t)"))
+    d = assert_matches_oracle(k, *grids)
     assert np.all(d.ranks == 0)
-    assert np.all(d.traces == 0.0)
+    A = fs.fiber_matrices(k, *grids)
+    assert np.all(d.eigensums == np.trace(A, axis1=1, axis2=2))
 
 
 def test_negative_curve_matches_dense(grids):

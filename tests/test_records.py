@@ -26,11 +26,7 @@ FIELDS = {
         "eigenvalues",
         "functions",
         "labels",
-        "ranks",
-        "traces",
         "eigensums",
-        "m",
-        "M",
     ),
     fs.ThresholdField: ("field", "tie_tol"),
     fs.Partition: ("labels",),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,25 @@ def test_partition_bad_indices():
     for labels in (np.array([1.0, 2.0]), np.ones((2, 2), dtype=int), 1):
         with pytest.raises(ValueError, match="one dimensional integer array"):
             Partition(labels)
+
+
+@pytest.mark.parametrize("label", [2**63, 2**64 - 1])
+def test_partition_refuses_labels_beyond_int64(cfg, label):
+    # the signed copy would wrap them to negative curve ids, and mix_field
+    # would then report a curve that no label names, with an overflow
+    # warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"fit in int64, got {label}"):
+            Partition(np.full(len(cfg.ogrid), label, dtype=np.uint64))
+
+
+def test_partition_takes_unsigned_labels_in_range(cfg, decomposition):
+    unsigned = Partition(np.full(len(cfg.ogrid), 1, dtype=np.uint64))
+    assert unsigned.labels.dtype == np.int64
+    signed = Partition(np.full(len(cfg.ogrid), 1))
+    mixed = fs.mix_field(decomposition, unsigned).values
+    assert np.array_equal(mixed, fs.mix_field(decomposition, signed).values)
 
 
 def test_mix_field_thirds_closed_form(cfg, decomposition):

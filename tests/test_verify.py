@@ -602,6 +602,33 @@ def write_truncated_sampled(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("kind", ["separable", "sampled"])
+def test_trace_check_catches_shifted_eigensums(tmp_path, monkeypatch, kind):
+    # the traces come from the kernel on the grids, not from the
+    # decomposition, so eigensums that do not add up fail the check
+    if kind == "separable":
+        cfg = fs.load_config(CONFIG_PATH, omega_n=8, quad_n=16)
+    else:
+        cfg = fs.load_config(write_truncated_sampled(tmp_path))
+    by_name = {r.name: r for r in verify.run_suite(cfg)}
+    assert by_name["trace_identity"].value <= 1e-14
+    failed = {name for name, r in by_name.items() if not r.passed}
+
+    def shifted(cfg):
+        d = fs.decompose(cfg)
+        return fs.FiberDecomposition(
+            d.ogrid, d.squad, d.eigenvalues, d.functions, d.labels, d.eigensums + 1e-6
+        )
+
+    monkeypatch.setattr(verify, "decompose", shifted)
+    by_name = {r.name: r for r in verify.run_suite(cfg)}
+    assert abs(by_name["trace_identity"].value - 1e-6) <= 1e-12
+    # and no other check notices
+    assert {name for name, r in by_name.items() if not r.passed} == failed | {
+        "trace_identity"
+    }
+
+
 @pytest.mark.parametrize("n_fibers", [1, 7, 8, 9, 13])
 def test_chunked_checks_match_full_stack(tmp_path, n_fibers):
     # with 8 fibers a chunk, 1 and 7 fibers make one partial chunk, 8 one
