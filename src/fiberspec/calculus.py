@@ -182,7 +182,9 @@ def riemann_stieltjes_apply(
     value enters exactly one increment, the first cell whose cut reaches
     it, so the sum is computed as the functional calculus of the step
     function lambda -> g(c_{k(lambda)}).  g is still evaluated at every
-    cut, so a domain error anywhere on the partition raises.
+    cut, so a domain error anywhere on the partition raises.  The cells
+    compare with the fixed tie DEFAULT_TIE_TOL (1e-12), not a configured
+    tie_tol.
     """
     _require_section_on(d, f)
     cuts = _rs_cuts(d, mesh, epsilon)

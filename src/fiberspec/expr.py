@@ -10,10 +10,15 @@ Grammar:
     args    := expr (',' expr)*
 
 '^' is right associative and shares its semantics with pow().  Unary minus
-binds tighter than the base of '^', so -2^2 evaluates to 4.  Numbers are
-decimal literals with an optional exponent part.  The only identifiers are
-the variables omega, t, s, lambda, the constant pi, and the builtin
-functions sin, cos, tan, exp, log, sqrt, abs, min, max, pow.
+binds tighter than the base of '^', so -2^2 evaluates to 4.
+
+Tokens are decimal numbers with an optional exponent part (any Unicode
+decimal digit, as float() reads it), ASCII identifiers
+[A-Za-z_][A-Za-z_0-9]*, and the operators + - * / ^ ( ) ,.  Any whitespace
+may stand between tokens; any other character is an ExpressionSyntaxError
+at its offset.  The only identifiers are the variables omega, t, s,
+lambda, the constant pi, and the builtin functions sin, cos, tan, exp,
+log, sqrt, abs, min, max, pow.
 
 Evaluation is element-wise: variables bind to floats or numpy arrays that
 broadcast together, and one walk of the tree combines whole arrays with
@@ -176,46 +181,26 @@ FUNCTIONS = {
     "pow": (2, _safe_pow),
 }
 
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPS = set("+-*/^(),")
-
-
-class _Token(Record):
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        object.__setattr__(self, "kind", kind)  # "number" | "ident" | "op" | "end"
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
+# one token per match, after optional whitespace: a decimal number, an
+# ASCII identifier, an operator, or any other character, which is an error
+_TOKEN = re.compile(
+    r"\s*(?:(?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^(),])|(?P<bad>\S))"
+)
+# the left-associative binary operators, loosest first
+_LEVELS = (("+", "-"), ("*", "/"))
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _NUMBER.match(text, pos)
-        if m:
-            tokens.append(_Token("number", m.group(), pos))
-            pos = m.end()
-            continue
-        m = _IDENT.match(text, pos)
-        if m:
-            tokens.append(_Token("ident", m.group(), pos))
-            pos = m.end()
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, pos))
-            pos += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", n))
-    return tokens
+    """(kind, text, offset) per token, then ("end", "", len(text))."""
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExpressionSyntaxError(
+                f"unexpected character {m[kind]!r}", m.start(kind)
+            )
+        yield kind, m[kind], m.start(kind)
+    yield "end", "", len(text)
 
 
 class _Parser:
@@ -226,43 +211,31 @@ class _Parser:
     def peek(self):
         return self.tokens[self.index]
 
-    def advance(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
     def match_op(self, *ops):
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in ops:
-            return self.advance()
+        """The next token's text if it is one of ops, which it consumes."""
+        kind, text, _ = self.peek()
+        if kind == "op" and text in ops:
+            self.index += 1
+            return text
         return None
 
     def expect_op(self, op, what):
-        tok = self.match_op(op)
-        if tok is None:
-            raise ExpressionSyntaxError(f"expected {what}", self.peek().pos)
-        return tok
+        if self.match_op(op) is None:
+            raise ExpressionSyntaxError(f"expected {what}", self.peek()[2])
 
-    def expr(self):
-        node = self.term()
-        while True:
-            tok = self.match_op("+", "-")
-            if tok is None:
-                return node
-            node = BinOp(tok.text, node, self.term())
-
-    def term(self):
-        node = self.factor()
-        while True:
-            tok = self.match_op("*", "/")
-            if tok is None:
-                return node
-            node = BinOp(tok.text, node, self.factor())
-
-    def factor(self):
-        node = self.unary()
-        if self.match_op("^"):
-            return BinOp("^", node, self.factor())
+    def expr(self, level=0):
+        """A chain of _LEVELS[level]'s operators over the next level,
+        grouped to the left.  Past the last level it parses a factor in
+        place, since a method of its own would cost every nested group one
+        more stack frame."""
+        if level == len(_LEVELS):
+            node = self.unary()
+            if self.match_op("^"):
+                return BinOp("^", node, self.expr(level))
+            return node
+        node = self.expr(level + 1)
+        while op := self.match_op(*_LEVELS[level]):
+            node = BinOp(op, node, self.expr(level + 1))
         return node
 
     def unary(self):
@@ -271,16 +244,14 @@ class _Parser:
         return self.primary()
 
     def primary(self):
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
+        kind, name, pos = self.peek()
+        self.index += 1
+        if kind == "number":
+            return Num(float(name))
+        if kind == "ident":
             if self.match_op("("):
                 if name not in FUNCTIONS:
-                    raise UnknownIdentifier(f"unknown function {name!r}", tok.pos)
+                    raise UnknownIdentifier(f"unknown function {name!r}", pos)
                 args = [self.expr()]
                 while self.match_op(","):
                     args.append(self.expr())
@@ -288,8 +259,7 @@ class _Parser:
                 arity = FUNCTIONS[name][0]
                 if len(args) != arity:
                     raise ExpressionSyntaxError(
-                        f"{name} expects {arity} argument(s), got {len(args)}",
-                        tok.pos,
+                        f"{name} expects {arity} argument(s), got {len(args)}", pos
                     )
                 return Call(name, tuple(args))
             if name == "pi":
@@ -298,17 +268,14 @@ class _Parser:
                 return Var(name)
             if name in FUNCTIONS:
                 raise ExpressionSyntaxError(
-                    f"builtin {name!r} must be called with arguments", tok.pos
+                    f"builtin {name!r} must be called with arguments", pos
                 )
-            raise UnknownIdentifier(f"unknown identifier {name!r}", tok.pos)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+            raise UnknownIdentifier(f"unknown identifier {name!r}", pos)
+        if name == "(":
             node = self.expr()
             self.expect_op(")", "')' to close the group")
             return node
-        raise ExpressionSyntaxError(
-            "expected a number, identifier, or '('", tok.pos
-        )
+        raise ExpressionSyntaxError("expected a number, identifier, or '('", pos)
 
 
 def parse(text: str) -> Expression:
@@ -318,13 +285,12 @@ def parse(text: str) -> Expression:
     malformed input and UnknownIdentifier on identifiers outside the
     allowed set.
     """
-    parser = _Parser(_tokenize(text))
+    # scan all of the text first: a bad character anywhere is the error
+    parser = _Parser(list(_tokenize(text)))
     node = parser.expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExpressionSyntaxError(
-            f"unexpected trailing input {trailing.text!r}", trailing.pos
-        )
+    kind, trailing, pos = parser.peek()
+    if kind != "end":
+        raise ExpressionSyntaxError(f"unexpected trailing input {trailing!r}", pos)
     return node
 
 

@@ -49,19 +49,14 @@ def _round_robin(n):
     of index arrays per round, with p < q elementwise.
     """
     m = n + n % 2
-    ring = list(range(1, m))
-    rounds = []
-    for _ in range(m - 1):
-        players = [0] + ring
-        pairs = [
-            (min(a, b), max(a, b))
-            for a, b in zip(players[: m // 2], players[::-1])
-            if max(a, b) < n
-        ]
-        p, q = np.array(pairs, dtype=int).reshape(-1, 2).T
-        rounds.append((p, q))
-        ring = ring[-1:] + ring[:-1]
-    return rounds
+    turn = np.arange(m - 1)[:, None]
+    players = np.zeros((turn.size, m), dtype=int)
+    players[:, 1:] = (np.arange(m - 1) - turn) % (m - 1) + 1
+    a, b = players[:, : m // 2], players[:, ::-1][:, : m // 2]
+    p, q = np.minimum(a, b), np.maximum(a, b)
+    # an odd n drops the one pair of each round that holds the dummy
+    keep, shape = q < n, (turn.size, m // 2 - n % 2)
+    return list(zip(p[keep].reshape(shape), q[keep].reshape(shape)))
 
 
 def _sweep(A, V, skip_below, rounds):

@@ -9,6 +9,8 @@ the retained eigenvalues together with 0.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ._record import Record
@@ -37,8 +39,9 @@ class Partition(Record):
     @staticmethod
     def from_ranges(ogrid: OmegaGrid, entries) -> "Partition":
         """Build from (label, lo, hi) rows; row k labels the nodes with
-        lo <= omega < hi, and every node must be covered exactly once."""
-        rows = [(int(label), lo, hi) for label, lo, hi in entries]
+        lo <= omega < hi, and every node must be covered exactly once.
+        A label is an integer (not a bool) within int64."""
+        rows = [(_int64(label), lo, hi) for label, lo, hi in entries]
         labels = np.array([label for label, _, _ in rows], dtype=int)
         table = np.array(rows, dtype=float).reshape(len(rows), 3)
         hit = (ogrid.nodes >= table[:, 1:2]) & (ogrid.nodes < table[:, 2:])
@@ -50,6 +53,14 @@ class Partition(Record):
             if np.any(bad):
                 raise IncompletePartition(f"node {np.argmax(bad)} {what}")
         return Partition(labels[np.argmax(hit, axis=0)])
+
+
+def _int64(label) -> int:
+    if isinstance(label, bool) or not isinstance(label, numbers.Integral):
+        raise ValueError(f"labels must be integers, got {label!r}")
+    if not -(2**63) <= int(label) < 2**63:
+        raise ValueError(f"labels must fit in int64, got {label}")
+    return int(label)
 
 
 def mix_field(

@@ -119,8 +119,8 @@ class _SplitMix64:
     def _word(self) -> int:
         """The next word, on Python ints.  _words(1) gives the same word,
         but a scalar draw takes 1.0 us here against 22 us there (one Intel
-        Xeon core), and a trig_rank3 verify run makes 392 of them (threshold
-        pieces and partition picks): this saves about 8 ms per run."""
+        Xeon core), and a trig_rank3 verify run makes 200 of them (the pieces
+        and frequencies of its thresholds): this saves about 4 ms per run."""
         self._drawn += 1
         z = (self._seed + self._drawn * _GAMMA) & _WORD
         z = ((z ^ (z >> 30)) * _MIX1) & _WORD
@@ -166,11 +166,16 @@ class _SplitMix64:
         u *= 2.0**-53
         return low + (high - low) * u.reshape(size)
 
-    def integers(self, low, high) -> int:
-        """An integer in [low, high) from the top 32 bits of a word, for
-        high - low up to 2**32."""
+    def integers(self, low, high):
+        """Integers in [low, high) from the top 32 bits of a word each, for
+        high - low up to 2**32: an int for a scalar high, an int array of
+        high's shape for an array high."""
         low = int(low)
-        return low + ((self._word() >> 32) * (int(high) - low) >> 32)
+        if np.ndim(high) == 0:
+            return low + ((self._word() >> 32) * (int(high) - low) >> 32)
+        span = (np.asarray(high) - low).astype(np.uint64)
+        z = self._words(span.size).reshape(span.shape) >> np.uint64(32)
+        return low + (z * span >> np.uint64(32)).astype(int)
 
 
 def _check(name, value, bound, relation="<=", note=""):
@@ -352,7 +357,7 @@ def _rs_identity_error(d: FiberDecomposition, f, mesh: float, epsilon: float):
 def _random_node_partition(rng, d: FiberDecomposition) -> Partition:
     """Random partition: node i draws label 0 or one more than one of its
     ranks[i] retained curve ids."""
-    picks = [int(rng.integers(0, r + 1)) for r in d.ranks]
+    picks = rng.integers(0, d.ranks + 1)
     options = np.pad(d.labels + 1, ((0, 0), (1, 0)))
     return Partition(options[np.arange(d.n_fibers), picks])
 

@@ -22,7 +22,7 @@ from fiberspec import errors
 from fiberspec.expr import parse
 from fiberspec.fiber import DEGENERACY_TOL, _align_labels
 from fiberspec.spectrum import Partition
-from fiberspec.verify import _random_node_partition
+from fiberspec.verify import _random_node_partition, _SplitMix64
 
 from conftest import random_separable_kernel
 
@@ -369,10 +369,15 @@ def test_partition_matches_tuple_oracle_on_random_ranges(rows, n):
     assert_partition_matches(fs.build_omega_grid(n), rows)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 1347])
-def test_random_node_partition_keeps_its_stream(decomposition, seed):
+@pytest.mark.parametrize(
+    "make,seed",
+    [pytest.param(np.random.default_rng, s, id=str(s)) for s in (0, 1, 1347)]
+    + [pytest.param(_SplitMix64, s, id=f"stream-{s}") for s in (0, 1, 1347)],
+)
+def test_random_node_partition_keeps_its_stream(decomposition, make, seed):
+    # one array draw gives the picks of one scalar draw per fiber
     d = decomposition
-    got = _random_node_partition(np.random.default_rng(seed), d).labels
-    want = loop_random_node_partition(np.random.default_rng(seed), d)
+    got = _random_node_partition(make(seed), d).labels
+    want = loop_random_node_partition(make(seed), d)
     assert np.array_equal(got, want.labels_by_node())
     assert got.min() >= 0 and got.max() == d.num_curves

@@ -22,12 +22,16 @@ def test_numbers_and_constants():
     assert ev("1e3") == 1000.0
     assert ev("2.5e-2") == 0.025
     assert ev("pi") == math.pi
+    assert ev("2 ") == 2.0
 
 
 def test_variables_bind():
     assert ev("omega", omega=0.25) == 0.25
     assert ev("t*s", t=2.0, s=3.0) == 6.0
     assert ev("lambda+1", **{"lambda": 4.0}) == 5.0
+    # any Unicode whitespace may stand between tokens
+    assert ev("t\n*\ts", t=2.0, s=3.0) == 6.0
+    assert ev("1\xa0+\x1c2") == 3.0
 
 
 def test_precedence_and_associativity():
@@ -68,20 +72,29 @@ def test_functions():
         ("(1+2", 4),
         ("1 + * 2", 4),
         ("", 0),
+        # a number ends where its digits do; identifiers are ASCII
+        ("1e", 1),
+        ("2pi", 1),
+        (".5.5", 2),
+        ("π", 0),
+        ("ómega", 0),
+        # the whole text is scanned before it is parsed
+        ("2 ) $", 4),
     ],
 )
 def test_syntax_error_offsets(text, offset):
     with pytest.raises(errors.ExpressionSyntaxError) as e:
         expr.parse(text)
+    # not UnknownIdentifier: 'π' and 'ó' are no identifier characters
+    assert type(e.value) is errors.ExpressionSyntaxError
     assert e.value.offset == offset
 
 
 def test_unknown_identifier_offset():
-    with pytest.raises(errors.UnknownIdentifier) as e:
-        expr.parse("2*foo(1)")
-    assert e.value.offset == 2
-    with pytest.raises(errors.UnknownIdentifier):
-        expr.parse("x+1")
+    for text, offset in (("2*foo(1)", 2), ("x+1", 0), ("_x", 0)):
+        with pytest.raises(errors.UnknownIdentifier) as e:
+            expr.parse(text)
+        assert e.value.offset == offset
 
 
 def test_trailing_input_rejected():

@@ -42,6 +42,37 @@ def eig3_closed(A):
     return np.array([hi, 3.0 * q - hi - lo, lo])
 
 
+def loop_round_robin(n):
+    """The reference schedule: the circle method, one Python list per round."""
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        players = [0] + ring
+        pairs = [
+            (min(a, b), max(a, b))
+            for a, b in zip(players[: m // 2], players[::-1])
+            if max(a, b) < n
+        ]
+        rounds.append(np.array(pairs, dtype=int).reshape(-1, 2).T)
+        ring = ring[-1:] + ring[:-1]
+    return rounds
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 8, 15, 64, 65])
+def test_round_robin_matches_list_schedule(n):
+    rounds = fiber._round_robin(n)
+    want = loop_round_robin(n)
+    assert len(rounds) == len(want)
+    for (p, q), (want_p, want_q) in zip(rounds, want):
+        assert p.dtype == q.dtype == want_p.dtype
+        assert np.array_equal(p, want_p) and np.array_equal(q, want_q)
+        # each round's pairs are disjoint
+        assert len(set(p) | set(q)) == 2 * p.size
+    pairs = sorted((int(i), int(j)) for p, q in rounds for i, j in zip(p, q))
+    assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
 def test_jacobi_2x2_closed_form():
     rng = np.random.default_rng(7)
     for _ in range(50):

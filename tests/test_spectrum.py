@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -47,6 +48,35 @@ def test_partition_refuses_labels_beyond_int64(cfg, label):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"fit in int64, got {label}"):
             Partition(np.full(len(cfg.ogrid), label, dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        (1.7, "must be integers, got 1.7"),
+        (True, "must be integers, got True"),
+        ("2", "must be integers, got '2'"),
+        (np.bool_(True), "must be integers, got np.True_"),
+        (2**70, f"fit in int64, got {2**70}"),
+        (-(2**70), f"fit in int64, got {-(2**70)}"),
+        (np.uint64(2**63), f"fit in int64, got {2**63}"),
+    ],
+    ids=["float", "bool", "str", "numpy_bool", "2**70", "-2**70", "uint64"],
+)
+def test_partition_from_ranges_refuses_labels_that_are_not_int64(cfg, label, message):
+    # int() would truncate the first four to 1 and overflow on the others
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Partition.from_ranges(cfg.ogrid, ((label, 0.0, 1.0),))
+
+
+def test_partition_from_ranges_takes_numpy_integer_labels(cfg):
+    rows = ((np.int32(1), 0.0, 0.5), (np.uint64(2), 0.5, 1.0))
+    want = Partition.from_ranges(cfg.ogrid, ((1, 0.0, 0.5), (2, 0.5, 1.0)))
+    got = Partition.from_ranges(cfg.ogrid, rows).labels
+    assert got.dtype == np.int64 and np.array_equal(got, want.labels)
+    # the largest int64 label passes the range check
+    top = Partition.from_ranges(cfg.ogrid, ((2**63 - 1, 0.0, 1.0),)).labels
+    assert np.all(top == 2**63 - 1)
 
 
 def test_partition_takes_unsigned_labels_in_range(cfg, decomposition):

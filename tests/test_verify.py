@@ -211,6 +211,12 @@ def test_stream_scalar_draws_match_array_draws():
     a.integers(0, 10)
     b.uniform()
     assert a.uniform() == b.uniform()
+    # an array bound draws one word per element
+    highs = np.array([[1, 2, 3], [4, 5, 2**32 - 1]])
+    array = verify._SplitMix64(7).integers(-1, highs)
+    scalars = verify._SplitMix64(7)
+    got = [[scalars.integers(-1, h) for h in row] for row in highs.tolist()]
+    assert array.dtype == np.int64 and array.tolist() == got
 
 
 @pytest.mark.parametrize(
