@@ -169,6 +169,7 @@ def riemann_stieltjes_apply(
     f: Section,
     mesh: float,
     epsilon: float = DEFAULT_EPSILON,
+    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> Section:
     """Riemann-Stieltjes sum over a uniform partition of thresholds.
 
@@ -178,18 +179,20 @@ def riemann_stieltjes_apply(
 
         sum_k g(c_k) (E_{c_k} - E_{c_{k-1}}) f  +  g(m*) E_{m*} f
 
-    with every c_k taken as a constant threshold field.  Each spectral
-    value enters exactly one increment, the first cell whose cut reaches
-    it, so the sum is computed as the functional calculus of the step
-    function lambda -> g(c_{k(lambda)}).  g is still evaluated at every
-    cut, so a domain error anywhere on the partition raises.  The cells
-    compare with the fixed tie DEFAULT_TIE_TOL (1e-12), not a configured
-    tie_tol.
+    with every c_k taken as a constant threshold field of tie tolerance
+    tie_tol.  Each spectral value enters exactly one increment, the first
+    cell whose cut reaches it (lambda <= c_k + tie_tol), so the sum is
+    computed as the functional calculus of the step function
+    lambda -> g(c_{k(lambda)}).  g is still evaluated at every cut, so a
+    domain error anywhere on the partition raises.  A negative or nan
+    tie_tol is refused: it could leave a spectral value past every cut.
     """
+    if not tie_tol >= 0.0:
+        raise ValueError(f"tie_tol must be non-negative, got {tie_tol!r}")
     _require_section_on(d, f)
     cuts = _rs_cuts(d, mesh, epsilon)
     g_cuts = expr.evaluate(g, {"lambda": cuts})
-    reach = cuts + DEFAULT_TIE_TOL
+    reach = cuts + tie_tol
     h = g_cuts[np.searchsorted(reach, d.eigenvalues, side="left")]
     h0 = g_cuts[np.searchsorted(reach, 0.0, side="left")]
     return Section(d.ogrid, d.squad, _multiply(d, f.values, h, h0))

@@ -113,7 +113,9 @@ def cmd_rs(cfg, args):
     g = _parse_function(args.function)
     f = section_by_name(cfg, args.section)
     d = decompose(cfg)
-    out = riemann_stieltjes_apply(d, g, f, mesh=args.mesh, epsilon=cfg.epsilon)
+    out = riemann_stieltjes_apply(
+        d, g, f, mesh=args.mesh, epsilon=cfg.epsilon, tie_tol=cfg.tolerances.tie_tol
+    )
     from . import csvio
 
     csvio.write_section(_out_path(args, "rs.csv"), out)

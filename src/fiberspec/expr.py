@@ -18,7 +18,10 @@ decimal digit, as float() reads it), ASCII identifiers
 may stand between tokens; any other character is an ExpressionSyntaxError
 at its offset.  The only identifiers are the variables omega, t, s,
 lambda, the constant pi, and the builtin functions sin, cos, tan, exp,
-log, sqrt, abs, min, max, pow.
+log, sqrt, abs, min, max, pow.  Text may nest at most _Parser.MAX_DEPTH
+levels deep, and a path through its tree may pass at most that many
+operators and calls, so a long flat chain such as x+x+...+x is an
+ExpressionSyntaxError too.
 
 Evaluation is element-wise: variables bind to floats or numpy arrays that
 broadcast together, and one walk of the tree combines whole arrays with
@@ -204,12 +207,28 @@ def _tokenize(text):
 
 
 class _Parser:
+    """Recursive descent over the token list.  Every parse method returns
+    a subtree and its height, the most operators and calls on a path from
+    its root to a leaf.  MAX_DEPTH bounds both the nesting the parser
+    recurses through (a group, a call's arguments, a unary minus, the
+    right side of '^') and the height of the tree it builds, so that
+    neither the parser nor a recursive walker of its trees comes near
+    Python's recursion limit: past it, the offending token is an
+    ExpressionSyntaxError."""
+
+    MAX_DEPTH = 100
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.index]
+
+    def last(self):
+        """The offset of the token consumed last."""
+        return self.tokens[self.index - 1][2]
 
     def match_op(self, *ops):
         """The next token's text if it is one of ops, which it consumes."""
@@ -223,56 +242,86 @@ class _Parser:
         if self.match_op(op) is None:
             raise ExpressionSyntaxError(f"expected {what}", self.peek()[2])
 
+    def too_deep(self, pos):
+        return ExpressionSyntaxError(
+            f"expression nests deeper than {self.MAX_DEPTH} levels", pos
+        )
+
+    def deeper(self, pos, parse, *args):
+        """parse(*args) one nesting level below the token at offset pos."""
+        if self.depth == self.MAX_DEPTH:
+            raise self.too_deep(pos)
+        self.depth += 1
+        out = parse(*args)
+        self.depth -= 1
+        return out
+
+    def build(self, pos, node, *heights):
+        """node, whose children have the given heights, and its own height;
+        pos is the offset of the token that makes it."""
+        height = 1 + max(heights)
+        if height > self.MAX_DEPTH:
+            raise self.too_deep(pos)
+        return node, height
+
     def expr(self, level=0):
         """A chain of _LEVELS[level]'s operators over the next level,
         grouped to the left.  Past the last level it parses a factor in
         place, since a method of its own would cost every nested group one
         more stack frame."""
         if level == len(_LEVELS):
-            node = self.unary()
+            node, height = self.unary()
             if self.match_op("^"):
-                return BinOp("^", node, self.expr(level))
-            return node
-        node = self.expr(level + 1)
+                pos = self.last()
+                right, right_height = self.deeper(pos, self.expr, level)
+                return self.build(pos, BinOp("^", node, right), height, right_height)
+            return node, height
+        node, height = self.expr(level + 1)
         while op := self.match_op(*_LEVELS[level]):
-            node = BinOp(op, node, self.expr(level + 1))
-        return node
+            pos = self.last()
+            right, right_height = self.expr(level + 1)
+            node, height = self.build(pos, BinOp(op, node, right), height, right_height)
+        return node, height
 
     def unary(self):
         if self.match_op("-"):
-            return Neg(self.primary())
+            pos = self.last()
+            operand, height = self.deeper(pos, self.primary)
+            return self.build(pos, Neg(operand), height)
         return self.primary()
 
     def primary(self):
         kind, name, pos = self.peek()
         self.index += 1
         if kind == "number":
-            return Num(float(name))
+            return Num(float(name)), 0
         if kind == "ident":
             if self.match_op("("):
                 if name not in FUNCTIONS:
                     raise UnknownIdentifier(f"unknown function {name!r}", pos)
-                args = [self.expr()]
+                opened = self.last()
+                args = [self.deeper(opened, self.expr)]
                 while self.match_op(","):
-                    args.append(self.expr())
+                    args.append(self.deeper(opened, self.expr))
                 self.expect_op(")", "')' to close the argument list")
                 arity = FUNCTIONS[name][0]
                 if len(args) != arity:
                     raise ExpressionSyntaxError(
                         f"{name} expects {arity} argument(s), got {len(args)}", pos
                     )
-                return Call(name, tuple(args))
+                nodes, heights = zip(*args)
+                return self.build(pos, Call(name, nodes), *heights)
             if name == "pi":
-                return Pi()
+                return Pi(), 0
             if name in VARIABLES:
-                return Var(name)
+                return Var(name), 0
             if name in FUNCTIONS:
                 raise ExpressionSyntaxError(
                     f"builtin {name!r} must be called with arguments", pos
                 )
             raise UnknownIdentifier(f"unknown identifier {name!r}", pos)
         if name == "(":
-            node = self.expr()
+            node = self.deeper(pos, self.expr)
             self.expect_op(")", "')' to close the group")
             return node
         raise ExpressionSyntaxError("expected a number, identifier, or '('", pos)
@@ -282,12 +331,12 @@ def parse(text: str) -> Expression:
     """Parse expression text into an AST.
 
     Raises ExpressionSyntaxError (with the byte offset of the problem) on
-    malformed input and UnknownIdentifier on identifiers outside the
-    allowed set.
+    malformed input or input past the depth bound, and UnknownIdentifier
+    on identifiers outside the allowed set.
     """
     # scan all of the text first: a bad character anywhere is the error
     parser = _Parser(list(_tokenize(text)))
-    node = parser.expr()
+    node, _ = parser.expr()
     kind, trailing, pos = parser.peek()
     if kind != "end":
         raise ExpressionSyntaxError(f"unexpected trailing input {trailing!r}", pos)

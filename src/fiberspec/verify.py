@@ -1,14 +1,16 @@
 """Invariant suite behind the verify command.
 
-Each check measures a residual and compares it against a fixed bound; the
-whole suite is deterministic because the randomized probes come from a
-seeded in-package SplitMix64 stream, so verify never loads numpy.random.
-A run puts the kernel on its grids once, and the checks that need its
-values take them a chunk of fibers at a time, so the suite never holds
-the whole (F, n_s, n_s) kernel stack.  The
-Riemann-Stieltjes sums for g = lambda are compared with the error the
-spectral theorem predicts for them.  The projector axiom block is reusable
-against any decomposition and the quadrature action of its kernel.
+run_suite measures one value per check, and one loop then compares each
+with its row of BOUNDS: a bound that is a sum of coefficient * unit terms
+over units computed once per run, with its relation.  The whole suite is
+deterministic because the randomized probes come from a seeded in-package
+SplitMix64 stream, so verify never loads numpy.random.  A run puts the
+kernel on its grids once, and the checks that need its values take them a
+chunk of fibers at a time, so the suite never holds the whole
+(F, n_s, n_s) kernel stack.  The Riemann-Stieltjes sums for g = lambda
+are compared with the error the spectral theorem predicts for them.  The
+projector axiom block is reusable against any decomposition and the
+quadrature action of its kernel.
 """
 
 from __future__ import annotations
@@ -67,18 +69,56 @@ _WORD = (1 << 64) - 1
 # a small part of one stack
 _CHUNK = 8
 
-AXIOM_BOUNDS = {
-    "projector_idempotence": 1e-10,
-    "projector_self_adjoint": 1e-10,
-    "projector_contraction": 1e-12,
-    "projector_contraction_equality": 1e-12,
-    "projector_monotone": 1e-10,
-    "projector_commutes_with_op": 1e-9,
-    "projector_order_upper": 1e-10,
-    "projector_order_lower": 1e-10,
-    "projector_right_sup": 1e-10,
-    "projector_zero_below_bounds": 1e-12,
-    "projector_identity_above_bounds": 1e-12,
+# the Riemann-Stieltjes meshes of the rs_mesh_bound checks
+_RS_MESHES = (0.04, 0.02)
+
+# Every check's bound, in print order: name -> (relation, *terms), where
+# the bound is the sum of coefficient * unit over the (coefficient, unit)
+# terms.  run_suite computes the units once per run:
+#   "1"           one;
+#   "|f0|"        the L2,2 norm of f0, the probe of the calculus checks;
+#   "member_tol"  the configured membership tolerance;
+#   "rule"        1 on a Gauss-Legendre s rule and 10 on any other.
+BOUNDS = {
+    "omega_weights_sum": ("<=", (1e-12, "1")),
+    "quadrature_moments": ("<=", (1e-13, "rule")),
+    "kernel_symmetry": ("<=", (1e-12, "1")),
+    "kernel_psd": ("<=", (1e-12, "1")),
+    "eigen_residual": ("<=", (1e-10, "1")),
+    "eigen_orthonormality": ("<=", (1e-10, "1")),
+    "trace_identity": ("<=", (1e-9, "1")),
+    "alignment_distinct_ids": ("<=", (0.5, "1")),
+    "eigenvalues_match_jacobi": ("<=", (1e-10, "1")),
+    "eigenvalue_grid_stability": ("<=", (1e-10, "1")),
+    "rayleigh_bounds": ("<=", (1e-10, "1")),
+    "two_path_equivalence": ("<=", (1e-9, "1")),
+    "projector_idempotence": ("<=", (1e-10, "1")),
+    "projector_self_adjoint": ("<=", (1e-10, "1")),
+    "projector_contraction": ("<=", (1e-12, "1")),
+    "projector_contraction_equality": ("<=", (1e-12, "1")),
+    "projector_monotone": ("<=", (1e-10, "1")),
+    "projector_commutes_with_op": ("<=", (1e-9, "1")),
+    "projector_order_upper": ("<=", (1e-10, "1")),
+    "projector_order_lower": ("<=", (1e-10, "1")),
+    "projector_right_sup": ("<=", (1e-10, "1")),
+    "projector_zero_below_bounds": ("<=", (1e-12, "1")),
+    "projector_identity_above_bounds": ("<=", (1e-12, "1")),
+    "funcalc_identity_matches_series": ("<=", (1e-15, "1")),
+    "funcalc_constant_one": ("<=", (1e-15, "1")),
+    "funcalc_square_vs_double_apply": ("<=", (1e-9, "1")),
+    "funcalc_norm_bound": ("<=", (1e-9, "1")),
+    "rs_single_cell_constant": ("<=", (1e-12, "1")),
+    **{
+        f"rs_mesh_bound_{mesh:g}": ("<=", (mesh, "|f0|"), (1e-12, "1"))
+        for mesh in _RS_MESHES
+    },
+    "rs_error_matches_prediction": ("<=", (1e-9, "1")),
+    "eigenspace_module_closure": ("<=", (1e-8, "1")),
+    "mercer_reconstruction": ("<=", (1e-8, "1")),
+    "mixing_membership": ("<=", (1.0, "member_tol")),
+    "membership_bounds": ("<=", (1.0, "member_tol")),
+    "zero_field_membership": ("<=", (1.0, "member_tol")),
+    "membership_rejects_outside": (">=", (1e-3, "1")),
 }
 
 
@@ -178,10 +218,19 @@ class _SplitMix64:
         return low + (z * span >> np.uint64(32)).astype(int)
 
 
-def _check(name, value, bound, relation="<=", note=""):
-    value, bound = float(value), float(bound)
-    passed = value <= bound if relation == "<=" else value >= bound
-    return CheckResult(name, value, bound, relation, passed, note)
+def _results(values: dict, units: dict, notes: dict) -> list:
+    """A CheckResult for every row of BOUNDS whose check ran, that is,
+    whose name values holds, in table order."""
+    results = []
+    for name, (relation, *terms) in BOUNDS.items():
+        if name in values:
+            value = float(values[name])
+            bound = float(sum(c * units[unit] for c, unit in terms))
+            passed = value <= bound if relation == "<=" else value >= bound
+            results.append(
+                CheckResult(name, value, bound, relation, passed, notes.get(name, ""))
+            )
+    return results
 
 
 def random_sections(rng, ogrid: OmegaGrid, squad: SQuadrature, count: int):
@@ -233,12 +282,13 @@ def projector_axiom_residuals(
 ) -> dict:
     """Residuals of the projector family axioms over the given probes.
 
-    Keys match AXIOM_BOUNDS.  The operator itself enters through apply_k,
-    the quadrature action of kernel._on_grid on d's grids, so the axioms
-    exercise both representations.  The sections are stacked, so each
-    axiom is one array expression per threshold.
+    Keys are the projector rows of BOUNDS, in table order.  The operator
+    itself enters through apply_k, the quadrature action of
+    kernel._on_grid on d's grids, so the axioms exercise both
+    representations.  The sections are stacked, so each axiom is one
+    array expression per threshold.
     """
-    res = {name: 0.0 for name in AXIOM_BOUNDS}
+    res = {name: 0.0 for name in BOUNDS if name.startswith("projector_")}
 
     def bump(name, values):
         res[name] = max(res[name], float(np.max(values, initial=0.0)))
@@ -383,35 +433,30 @@ def _moment_error(squad: SQuadrature) -> float:
 
 
 def run_suite(cfg: Config) -> list:
-    """Run every invariant check against a configuration."""
+    """Run every invariant check against a configuration: measure each
+    check's value, then compare it with its row of BOUNDS."""
     rng = _SplitMix64(SEED)
-    results = []
+    values = {}
     ogrid, squad = cfg.ogrid, cfg.squad
     tol = cfg.tolerances
 
     # quadrature sanity
-    results.append(
-        _check(
-            "omega_weights_sum",
-            abs(float(ogrid.weights.sum()) - 1.0),
-            1e-12,
-        )
-    )
-    if squad.rule == "gauss_legendre":
-        results.append(_check("quadrature_moments", _moment_error(squad), 1e-13))
+    values["omega_weights_sum"] = abs(float(ogrid.weights.sum()) - 1.0)
+    gauss = squad.rule == "gauss_legendre"
+    if gauss:
+        values["quadrature_moments"] = _moment_error(squad)
     else:
-        worst = max(
+        values["quadrature_moments"] = max(
             abs(float(squad.weights.sum()) - 1.0),
             abs(float(squad.nodes @ squad.weights) - 0.5),
         )
-        results.append(_check("quadrature_moments", worst, 1e-12))
 
     # kernel level
-    results.append(_check("kernel_symmetry", cfg.kernel.asymmetry, 1e-12))
+    values["kernel_symmetry"] = cfg.kernel.asymmetry
 
     d = decompose(cfg)
     lo, hi = _interval(d, cfg.epsilon)
-    results.append(_check("kernel_psd", max(0.0, -lo), 1e-12, note=f"worst={lo:.3e}"))
+    values["kernel_psd"] = max(0.0, -lo)
 
     # the kernel is put on the grids once for every check below; the ones
     # on its values take a chunk of fibers at a time, so no whole kernel
@@ -443,15 +488,12 @@ def run_suite(cfg: Config) -> list:
         err -= K
         sup_err = np.maximum(sup_err, np.max(np.abs(err, out=err)))
     del K, err
-    results.append(_check("eigen_residual", resid, 1e-10))
-    results.append(_check("eigen_orthonormality", ortho, 1e-10))
-    results.append(_check("trace_identity", trace_gap, 1e-9))
+    values["eigen_residual"] = resid
+    values["eigen_orthonormality"] = ortho
+    values["trace_identity"] = trace_gap
     ordered = np.sort(d.labels, axis=1)
     repeated = (ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)
-    distinct = not np.any(repeated)
-    results.append(
-        _check("alignment_distinct_ids", 0.0 if distinct else 1.0, 0.5)
-    )
+    values["alignment_distinct_ids"] = float(np.any(repeated))
 
     # the production eigenvalues, from LAPACK on the factored cores or the
     # assembled fibers, agree with the independent Jacobi solver on the
@@ -464,12 +506,13 @@ def run_suite(cfg: Config) -> list:
     produced[:, : d.eigenvalues.shape[1]] = d.eigenvalues[picked]
     produced = np.sort(produced, axis=1)[:, ::-1]
     scale = np.maximum(1.0, np.max(np.abs(oracle), axis=1))
-    worst = np.max(np.abs(produced - oracle) / scale[:, None])
-    results.append(_check("eigenvalues_match_jacobi", worst, 1e-10))
+    values["eigenvalues_match_jacobi"] = np.max(
+        np.abs(produced - oracle) / scale[:, None]
+    )
 
     # grid refinement stability of the eigenvalues: the kernel is compared
     # with the doubled rule, so the drift is the error of this rule
-    if squad.rule == "gauss_legendre" and len(squad) >= 8:
+    if gauss and len(squad) >= 8:
         d_ref = decompose_all_fibers(
             cfg.kernel,
             ogrid,
@@ -479,8 +522,7 @@ def run_suite(cfg: Config) -> list:
         r = min(d.eigenvalues.shape[1], d_ref.eigenvalues.shape[1])
         both = (d.labels[:, :r] >= 0) & (d_ref.labels[:, :r] >= 0)
         gap = np.abs(d.eigenvalues[:, :r] - d_ref.eigenvalues[:, :r])
-        drift = float(np.max(gap, where=both, initial=0.0))
-        results.append(_check("eigenvalue_grid_stability", drift, 1e-10))
+        values["eigenvalue_grid_stability"] = np.max(gap, where=both, initial=0.0)
 
     # Rayleigh quotients stay inside the spectral bounds; the 50 probes are
     # drawn and applied a chunk at a time, and standard_normal fills in C
@@ -496,7 +538,7 @@ def run_suite(cfg: Config) -> list:
         quot = _require_finite(num @ squad.weights, "field") / den
         outside = np.maximum(d.m.values - quot, quot - d.M.values)
         rayleigh = np.maximum(rayleigh, np.max(outside, initial=0.0))
-    results.append(_check("rayleigh_bounds", rayleigh, 1e-10))
+    values["rayleigh_bounds"] = rayleigh
 
     # two representations of the operator agree
     probes = [section_by_name(cfg, name) for name in cfg.sections]
@@ -504,46 +546,30 @@ def run_suite(cfg: Config) -> list:
     x = np.stack([f.values for f in probes])
     quad = apply_k(x)
     gap = _l22(ogrid, squad, quad - _multiply(d, x, d.eigenvalues, 0.0))
-    results.append(_check("two_path_equivalence", np.max(gap), 1e-9))
+    values["two_path_equivalence"] = np.max(gap)
 
     # projector axioms over randomized thresholds
     thresholds = random_threshold_fields(rng, d, 20, tol.tie_tol)
     axiom_sections = probes[:2] + random_sections(rng, ogrid, squad, 2)
-    axioms = projector_axiom_residuals(
-        apply_k, d, thresholds, axiom_sections, cfg.epsilon
+    values.update(
+        projector_axiom_residuals(apply_k, d, thresholds, axiom_sections, cfg.epsilon)
     )
-    for name, bound in AXIOM_BOUNDS.items():
-        results.append(_check(name, axioms[name], bound))
 
     # functional calculus
     f0 = probes[0] if probes else random_sections(rng, ogrid, squad, 1)[0]
     ident = functional_calculus(d, expr.parse("lambda"), f0, cfg.epsilon)
     spec0 = apply_spectral(d, f0)
-    results.append(
-        _check(
-            "funcalc_identity_matches_series",
-            float(np.max(np.abs(ident.values - spec0.values))) if f0.values.size else 0.0,
-            1e-15,
-        )
+    values["funcalc_identity_matches_series"] = (
+        np.max(np.abs(ident.values - spec0.values)) if f0.values.size else 0.0
     )
     one = functional_calculus(d, expr.parse("1"), f0, cfg.epsilon)
-    results.append(
-        _check(
-            "funcalc_constant_one",
-            float(np.max(np.abs(one.values - f0.values))),
-            1e-15,
-        )
-    )
+    values["funcalc_constant_one"] = np.max(np.abs(one.values - f0.values))
     square = functional_calculus(d, expr.parse("lambda^2"), f0, cfg.epsilon)
     # Section refuses a non-finite T f0 or T T f0
     tf0 = Section(ogrid, squad, apply_k(f0.values))
     twice = Section(ogrid, squad, apply_k(tf0.values))
-    results.append(
-        _check(
-            "funcalc_square_vs_double_apply",
-            _l22(ogrid, squad, square.values - twice.values),
-            1e-9,
-        )
+    values["funcalc_square_vs_double_apply"] = _l22(
+        ogrid, squad, square.values - twice.values
     )
     g_bound = expr.parse("sin(3*lambda)+lambda/4")
     grid_l = np.linspace(lo, hi, 2001)
@@ -551,53 +577,36 @@ def run_suite(cfg: Config) -> list:
     gout = functional_calculus(d, g_bound, f0, cfg.epsilon)
     nf0 = _l22(ogrid, squad, f0.values)
     excess = _l22(ogrid, squad, gout.values) - sup_g * nf0
-    results.append(
-        _check(
-            "funcalc_norm_bound",
-            max(0.0, excess),
-            1e-9,
-        )
-    )
+    values["funcalc_norm_bound"] = max(0.0, excess)
 
     # Riemann-Stieltjes sums
     span = hi - lo
     single = riemann_stieltjes_apply(
         d, expr.parse("2"), f0, mesh=2.0 * span, epsilon=cfg.epsilon
     )
-    results.append(
-        _check(
-            "rs_single_cell_constant",
-            float(np.max(np.abs(single.values - 2.0 * f0.values))),
-            1e-12,
-        )
-    )
+    values["rs_single_cell_constant"] = np.max(np.abs(single.values - 2.0 * f0.values))
     mismatch = 0.0
-    for mesh in (0.04, 0.02):
+    for mesh in _RS_MESHES:
         rs = riemann_stieltjes_apply(
             d, expr.parse("lambda"), f0, mesh=mesh, epsilon=cfg.epsilon
         )
         err = rs.values - tf0.values
-        results.append(
-            _check(
-                f"rs_mesh_bound_{mesh:g}",
-                _l22(ogrid, squad, err),
-                mesh * nf0 + 1e-12,
-            )
-        )
+        values[f"rs_mesh_bound_{mesh:g}"] = _l22(ogrid, squad, err)
         predicted = _rs_identity_error(d, f0.values, mesh, cfg.epsilon)
         mismatch = max(mismatch, float(_l22(ogrid, squad, err - predicted)))
     # the two routes to T f0 differ by at most the two-path bound
-    results.append(_check("rs_error_matches_prediction", mismatch, 1e-9))
+    values["rs_error_matches_prediction"] = mismatch
 
     # eigenspace sections generate closed submodules
     lam1, psi = _first_curve_data(d)
     scaled = ogrid.nodes[:, None] * psi.values
     t_scaled = Section(ogrid, squad, apply_k(scaled))
-    closure = _l22(ogrid, squad, lam1.values[:, None] * scaled - t_scaled.values)
-    results.append(_check("eigenspace_module_closure", closure, 1e-8))
+    values["eigenspace_module_closure"] = _l22(
+        ogrid, squad, lam1.values[:, None] * scaled - t_scaled.values
+    )
 
     # kernel reconstruction, measured with the eigensolver checks above
-    results.append(_check("mercer_reconstruction", sup_err, 1e-8))
+    values["mercer_reconstruction"] = sup_err
 
     # mixings of the eigenvalue curves stay inside the spectrum
     mix_worst = 0.0
@@ -608,32 +617,20 @@ def run_suite(cfg: Config) -> list:
         member, violations = spm_membership(d, mixed, tol.member_tol)
         if not member:
             mix_worst = max(mix_worst, max(v for _, v in violations))
-        bounds_worst = max(
-            bounds_worst,
-            float(
-                np.max(
-                    np.maximum(
-                        d.m.values - mixed.values, mixed.values - d.M.values
-                    )
-                )
-            ),
-        )
-    results.append(_check("mixing_membership", mix_worst, tol.member_tol))
-    results.append(
-        _check("membership_bounds", max(0.0, bounds_worst), tol.member_tol)
+        beyond = np.maximum(d.m.values - mixed.values, mixed.values - d.M.values)
+        bounds_worst = max(bounds_worst, float(np.max(beyond)))
+    values["mixing_membership"] = mix_worst
+    values["membership_bounds"] = max(0.0, bounds_worst)
+    values["zero_field_membership"] = np.max(
+        membership_distances(d, ScalarField.constant(ogrid, 0.0))
     )
-    zero_dist = float(
-        np.max(membership_distances(d, ScalarField.constant(ogrid, 0.0)))
-    )
-    results.append(_check("zero_field_membership", zero_dist, tol.member_tol))
     outside = ScalarField.constant(ogrid, _interval(d, 1.0)[1])
-    results.append(
-        _check(
-            "membership_rejects_outside",
-            float(np.min(membership_distances(d, outside))),
-            1e-3,
-            relation=">=",
-        )
-    )
+    values["membership_rejects_outside"] = np.min(membership_distances(d, outside))
 
-    return results
+    units = {
+        "1": 1.0,
+        "|f0|": nf0,
+        "member_tol": tol.member_tol,
+        "rule": 1.0 if gauss else 10.0,
+    }
+    return _results(values, units, {"kernel_psd": f"worst={lo:.3e}"})

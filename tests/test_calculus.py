@@ -225,18 +225,28 @@ RS_FUNCTIONS = (
 )
 
 
+def test_rs_refuses_negative_or_nan_tie_tol(decomposition, f_section):
+    # a negative tie could leave a spectral value past the last cut
+    for tie in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="tie_tol must be non-negative"):
+            fs.riemann_stieltjes_apply(
+                decomposition, parse("lambda"), f_section, 0.02, tie_tol=tie
+            )
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     g_text=st.sampled_from(RS_FUNCTIONS),
     mesh_frac=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
     scale=st.floats(1e-3, 1e3),
+    tie=st.sampled_from((1e-12, 1e-3, 0.1)),
 )
 def test_rs_matches_projector_increments(
-    decomposition, g_text, mesh_frac, seed, scale
+    decomposition, g_text, mesh_frac, seed, scale, tie
 ):
-    # reference: the defining sum, one projector call per cut,
-    # g(c_0) E_{c_0} f + sum_k g(c_k) (E_{c_k} - E_{c_{k-1}}) f
+    # reference: the defining sum, one projector call per cut at the same
+    # tie tolerance, g(c_0) E_{c_0} f + sum_k g(c_k) (E_{c_k} - E_{c_{k-1}}) f
     d, g = decomposition, parse(g_text)
     noise = np.random.default_rng(seed).standard_normal((len(d.ogrid), len(d.squad)))
     f = fs.Section(d.ogrid, d.squad, scale * noise)
@@ -249,10 +259,11 @@ def test_rs_matches_projector_increments(
     ref = np.zeros_like(f.values)
     prev = np.zeros_like(f.values)
     for c in cuts:
-        cur = fs.projector_apply(d, fs.ThresholdField.constant(d.ogrid, float(c)), f)
+        lam = fs.ThresholdField.constant(d.ogrid, float(c), tie_tol=tie)
+        cur = fs.projector_apply(d, lam, f)
         ref += fs.evaluate(g, {"lambda": float(c)}) * (cur.values - prev)
         prev = cur.values
-    out = fs.riemann_stieltjes_apply(d, g, f, mesh, epsilon=epsilon)
+    out = fs.riemann_stieltjes_apply(d, g, f, mesh, epsilon=epsilon, tie_tol=tie)
     bound = 1e-12 * max(1.0, float(np.max(np.abs(f.values))))
     assert np.max(np.abs(out.values - ref)) <= bound
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fiberspec
+from fiberspec.calculus import _rs_cuts
 from fiberspec.cli import main
 
 from conftest import CONFIG_PATH, curve1, tf_ref
@@ -159,6 +160,36 @@ def test_rs_report(tmp_path):
     assert report["mesh"] == 0.05
     assert report["steps"] >= 20
     assert 0.0 < report["error_vs_funcalc"] <= 0.05 * report["section_norm"]
+
+
+def test_rs_tie_tol_moves_a_cell_boundary(tmp_path):
+    # a two-cell partition with g = 1 at its first two cuts and 0 at the
+    # last: the sum is then the projector at the middle cut c_1, whose
+    # tie tolerance is that of the rs cells
+    with open(CONFIG_PATH, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["omega_grid"]["n"] = 16
+    cfg = fiberspec.load_config(CONFIG_PATH, omega_n=16)
+    d = fiberspec.decompose(cfg)
+    lo, hi = d._extreme_bounds
+    mesh = float(hi + cfg.epsilon - lo) / 1.5
+    _, c1, c2 = _rs_cuts(d, mesh, cfg.epsilon).tolist()
+    # some eigenvalue lies above c_1 but within a tie of 0.1 of it
+    assert np.any((d.eigenvalues > c1) & (d.eigenvalues <= c1 + 0.1))
+    raw["thresholds"] = {"cut": repr(c1)}
+    path = tmp_path / "cut.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    g = f"min(1,({c2!r}-lambda)/({c2!r}-{c1!r}))"
+    outputs = {}
+    for tie in ("1e-12", "0.1"):
+        out = tmp_path / tie
+        common = ["--config", str(path), "--tie-tol", tie, "--section", "f"]
+        common += ["--out", str(out)]
+        assert main(["rs", "--function", g, f"--mesh={mesh!r}"] + common) == 0
+        assert main(["project", "--threshold", "cut"] + common) == 0
+        outputs[tie] = (out / "rs.csv").read_bytes()
+        assert outputs[tie] == (out / "projected.csv").read_bytes(), tie
+    assert outputs["0.1"] != outputs["1e-12"]
 
 
 def test_spectrum_with_partition(tmp_path, capsys):

@@ -10,7 +10,9 @@ spectrum with or without a partition, mix or reconstruct with a drawn
 rank.  Whatever the input, main() must return 0, 2, 3 or 4 without
 raising or warning, write nothing to stderr on exit 0 and exactly one line
 otherwise, and every value in a CSV it wrote must be finite (the value
-column of a *_report.csv).
+column of a *_report.csv).  A second test draws expressions nested or
+chained up to 10,000 deep, as funcalc's g or as a config section: within
+the parser's depth bound they run, past it they exit 2.
 """
 
 import csv
@@ -19,10 +21,11 @@ import math
 import shutil
 import warnings
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fiberspec.cli import main
+from fiberspec.expr import _Parser
 
 from conftest import CONFIG_PATH
 
@@ -238,3 +241,55 @@ def test_mutated_config_keeps_cli_contract(tmp_path, capsys, case, command):
     assert len(err.splitlines()) == (0 if rc == 0 else 1), err
     for written in out.glob("*.csv"):
         assert csv_values_finite(written), written.name
+
+
+MAX_DEPTH = _Parser.MAX_DEPTH
+# an expression n levels deep around a leaf: nested groups or calls, or a
+# flat chain of n operators
+DEEP = {
+    "group": lambda n, leaf: "(" * n + leaf + ")" * n,
+    "call": lambda n, leaf: "sin(" * n + leaf + ")" * n,
+    "chain": lambda n, leaf: leaf + f"+{leaf}" * n,
+}
+depths = st.integers(0, 10_000) | st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    shape=st.sampled_from(sorted(DEEP)),
+    n=depths,
+    where=st.sampled_from(("function", "config")),
+)
+@example(shape="group", n=10_000, where="function")
+@example(shape="group", n=10_000, where="config")
+@example(shape="chain", n=10_000, where="function")
+@example(shape="chain", n=10_000, where="config")
+def test_deep_expressions_keep_cli_contract(tmp_path, capsys, shape, n, where):
+    raw = json.loads(json.dumps(TRIG))
+    g = "lambda"
+    if where == "function":
+        g = DEEP[shape](n, "lambda")
+    else:
+        raw["sections"]["f"] = DEEP[shape](n, "t")
+    config = tmp_path / "deep.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(
+            ["funcalc", f"--function={g}", "--section", "f"]
+            + ["--config", str(config), "--out", str(out)]
+            + ["--omega-n", "4", "--quad-n", "6"]
+        )
+    err = capsys.readouterr().err
+    if n <= MAX_DEPTH:
+        assert (rc, err) == (0, "")
+    else:
+        assert rc == 2
+        assert len(err.splitlines()) == 1, err
+        assert f"nests deeper than {MAX_DEPTH} levels" in err

@@ -117,6 +117,47 @@ def test_double_unary_minus_rejected():
         expr.parse("--3")
 
 
+MAX_DEPTH = expr._Parser.MAX_DEPTH
+# text n levels deep, and the offset of the token that takes it one level
+# past the bound when n = MAX_DEPTH + 1
+DEEP = {
+    "group": (lambda n: "(" * n + "lambda" + ")" * n, MAX_DEPTH),
+    "call": (lambda n: "sin(" * n + "lambda" + ")" * n, 4 * MAX_DEPTH + 3),
+    "args": (lambda n: "max(1," * n + "lambda" + ")" * n, 6 * MAX_DEPTH + 3),
+    "power": (lambda n: "1^" * n + "lambda", 2 * MAX_DEPTH + 1),
+    # a flat chain: no nesting, but a tree of height n
+    "chain": (lambda n: "lambda" + "+lambda" * n, 6 + 7 * MAX_DEPTH),
+    "quotient": (lambda n: "lambda" + "/2" * n, 6 + 2 * MAX_DEPTH),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_depth_bound(shape):
+    text, offset = DEEP[shape]
+    e = expr.parse(text(MAX_DEPTH))
+    # every recursive walker handles a tree at the bound
+    assert expr.free_variables(e) == {"lambda"}
+    again = expr.parse(text(MAX_DEPTH))
+    assert e == again and hash(e) == hash(again)
+    expr.to_source(e)
+    expr.evaluate(e, {"lambda": np.array([0.0, 1e-3])})
+    for n in (MAX_DEPTH + 1, 10_000):
+        with pytest.raises(errors.ExpressionSyntaxError) as err:
+            expr.parse(text(n))
+        assert type(err.value) is errors.ExpressionSyntaxError
+        assert err.value.offset == offset
+        assert f"nests deeper than {MAX_DEPTH} levels" in str(err.value)
+
+
+def test_unary_minus_counts_as_a_level():
+    # '-(' is two levels: the minus and the group
+    half = MAX_DEPTH // 2
+    expr.parse("-(" * half + "1" + ")" * half)
+    with pytest.raises(errors.ExpressionSyntaxError) as err:
+        expr.parse("-(" * (half + 1) + "1" + ")" * (half + 1))
+    assert err.value.offset == 2 * half
+
+
 def test_missing_binding():
     with pytest.raises(errors.MissingBinding):
         ev("omega")

@@ -8,6 +8,7 @@ import fiberspec as fs
 from fiberspec import verify
 from fiberspec.calculus import DEFAULT_TIE_TOL, _multiply, _rs_cuts
 from fiberspec.cli import main
+from fiberspec.config import section_by_name
 from fiberspec.kernel import _on_grid
 
 from conftest import CONFIG_PATH, random_separable_kernel
@@ -233,6 +234,70 @@ def test_probe_helpers_accept_either_generator(decomposition, rng):
     assert all(np.all(np.isfinite(lam.field.values)) for lam in fields)
 
 
+def bound_of(row, units):
+    """A BOUNDS row's bound: the sum of coefficient * unit over its terms."""
+    _, *terms = row
+    return sum(c * units[unit] for c, unit in terms)
+
+
+# a sampled kernel on the trapezoid rule, where quadrature_moments takes
+# the rule unit 10
+TRAPEZOID = {
+    "omega_grid": {"n": 6},
+    "s_quadrature": {"rule": "trapezoid", "n": 17},
+    "kernel": {
+        "type": "sampled",
+        "expression": "cos(pi*omega/2)^2*2*sin(pi*t)*sin(pi*s)+min(t,s)-t*s",
+    },
+    "sections": {"f": "omega*sin(pi*t)+sin(2*pi*t)"},
+}
+
+
+@pytest.mark.parametrize(
+    "kind", ["trig_rank3", "trapezoid", "member_tol", "seven_nodes"]
+)
+def test_every_bound_comes_from_its_table_row(tmp_path, kind):
+    if kind == "trapezoid":
+        path = tmp_path / "trapezoid.json"
+        path.write_text(json.dumps(TRAPEZOID), encoding="utf-8")
+        cfg = fs.load_config(str(path))
+    elif kind == "member_tol":
+        cfg = fs.load_config(CONFIG_PATH, member_tol=1e-3)
+    elif kind == "seven_nodes":
+        cfg = fs.load_config(CONFIG_PATH, omega_n=8, quad_n=7)
+    else:
+        cfg = fs.load_config(CONFIG_PATH)
+    results = verify.run_suite(cfg)
+    # every row is reported, in table order; the grid check only runs on
+    # Gauss-Legendre rules of 8 nodes or more
+    refined = cfg.squad.rule == "gauss_legendre" and len(cfg.squad) >= 8
+    want = [
+        name
+        for name in verify.BOUNDS
+        if refined or name != "eigenvalue_grid_stability"
+    ]
+    assert [r.name for r in results] == want
+    f0 = section_by_name(cfg, next(iter(cfg.sections)))
+    units = {
+        "1": 1.0,
+        "|f0|": fs.l22_norm(f0),
+        "member_tol": cfg.tolerances.member_tol,
+        "rule": 1.0 if cfg.squad.rule == "gauss_legendre" else 10.0,
+    }
+    for r in results:
+        row = verify.BOUNDS[r.name]
+        assert r.relation == row[0], r.name
+        assert r.bound == bound_of(row, units), r.name
+        want_pass = r.value <= r.bound if r.relation == "<=" else r.value >= r.bound
+        assert r.passed == want_pass, r.name
+    by_name = {r.name: r for r in results}
+    assert by_name["quadrature_moments"].bound == (
+        1e-13 if cfg.squad.rule == "gauss_legendre" else 1e-12
+    )
+    assert by_name["mixing_membership"].bound == cfg.tolerances.member_tol
+    assert by_name["membership_rejects_outside"].relation == ">="
+
+
 # The projector axioms as they were first written, one threshold, section
 # and step at a time: the oracle for the stacked projector_axiom_residuals.
 def loop_axiom_residuals(
@@ -243,7 +308,7 @@ def loop_axiom_residuals(
     epsilon: float,
 ) -> dict:
     """The projector axioms one threshold, section and step at a time."""
-    res = {name: 0.0 for name in verify.AXIOM_BOUNDS}
+    res = {name: 0.0 for name in verify.BOUNDS if name.startswith("projector_")}
 
     def bump(name, value):
         res[name] = max(res[name], float(value))
@@ -419,8 +484,10 @@ def test_axiom_residuals_on_random_kernel(cfg):
     sections = verify.random_sections(rng, ogrid, squad, 2)
     apply_k = _on_grid(k, ogrid, squad)[1]
     res = verify.projector_axiom_residuals(apply_k, d, thresholds, sections, 1e-6)
-    for name, bound in verify.AXIOM_BOUNDS.items():
-        assert res[name] <= bound, (name, res[name])
+    # every projector row is a multiple of the unit 1
+    for name, row in verify.BOUNDS.items():
+        if name.startswith("projector_"):
+            assert res[name] <= bound_of(row, {"1": 1.0}), (name, res[name])
 
 
 def assert_axioms_match_loop(k, d, thresholds, sections):
