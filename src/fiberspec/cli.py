@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from . import expr
 from .calculus import (
     _rs_cuts,
     apply_quadrature,
@@ -24,13 +23,15 @@ from .calculus import (
     riemann_stieltjes_apply,
 )
 from .config import (
+    OVERRIDES,
+    _parse_named,
     decompose,
     load_config,
     partition_by_name,
     section_by_name,
     threshold_by_name,
 )
-from .errors import ConfigError, ExpressionSyntaxError, FiberspecError
+from .errors import ConfigError, FiberspecError
 from .grid import Section, l22_norm
 from .kernel import kernel_matrices, mercer_reconstruct
 from .spectrum import mix_field, spm_membership
@@ -45,20 +46,6 @@ class _Parser(argparse.ArgumentParser):
 def _out_path(args, name):
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
-
-
-def _parse_function(text):
-    # CLI expression arguments count as configuration
-    try:
-        e = expr.parse(text)
-    except ExpressionSyntaxError as exc:
-        raise ConfigError(f"invalid function {text!r}: {exc}") from exc
-    extra = expr.free_variables(e) - {"lambda"}
-    if extra:
-        raise ConfigError(
-            f"function may only depend on lambda, got {sorted(extra)}"
-        )
-    return e
 
 
 def cmd_decompose(cfg, args):
@@ -99,7 +86,7 @@ def cmd_project(cfg, args):
 
 
 def cmd_funcalc(cfg, args):
-    g = _parse_function(args.function)
+    g = _parse_named(args.function, "--function", {"lambda"})
     f = section_by_name(cfg, args.section)
     out = functional_calculus(decompose(cfg), g, f, epsilon=cfg.epsilon)
     from . import csvio
@@ -110,7 +97,7 @@ def cmd_funcalc(cfg, args):
 
 
 def cmd_rs(cfg, args):
-    g = _parse_function(args.function)
+    g = _parse_named(args.function, "--function", {"lambda"})
     f = section_by_name(cfg, args.section)
     d = decompose(cfg)
     out = riemann_stieltjes_apply(
@@ -208,12 +195,8 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="JSON configuration file")
     common.add_argument("--out", default=".", help="output directory for CSV files")
-    common.add_argument("--rank-tol", type=float, default=None)
-    common.add_argument("--tie-tol", type=float, default=None)
-    common.add_argument("--member-tol", type=float, default=None)
-    common.add_argument("--epsilon", type=float, default=None)
-    common.add_argument("--quad-n", type=int, default=None)
-    common.add_argument("--omega-n", type=int, default=None)
+    for name, (_, _, kind) in OVERRIDES.items():
+        common.add_argument("--" + name.replace("_", "-"), type=kind, default=None)
 
     parser = _Parser(
         prog="fiberspec",
@@ -272,15 +255,8 @@ def main(argv=None) -> int:
     # as numpy RuntimeWarnings on stderr
     with np.errstate(all="ignore"):
         try:
-            cfg = load_config(
-                args.config,
-                omega_n=args.omega_n,
-                quad_n=args.quad_n,
-                rank_tol=args.rank_tol,
-                tie_tol=args.tie_tol,
-                member_tol=args.member_tol,
-                epsilon=args.epsilon,
-            )
+            overrides = {name: getattr(args, name) for name in OVERRIDES}
+            cfg = load_config(args.config, **overrides)
             return args.handler(cfg, args)
         except OSError as exc:
             # load_config turns an unreadable config into a ConfigError, so

@@ -39,6 +39,18 @@ DEFAULT_S_N = 64
 DEFAULT_S_RULE = "gauss_legendre"
 DEFAULT_MEMBER_TOL = 1e-8
 
+# The config entries that load_config's keywords and the CLI's flags of the
+# same names override: keyword -> (object, entry, type), where the object
+# None is the config root and the type parses the flag.
+OVERRIDES = {
+    "rank_tol": ("tolerances", "rank_tol", float),
+    "tie_tol": ("tolerances", "tie_tol", float),
+    "member_tol": ("tolerances", "member_tol", float),
+    "epsilon": (None, "epsilon", float),
+    "quad_n": ("s_quadrature", "n", int),
+    "omega_n": ("omega_grid", "n", int),
+}
+
 
 class Tolerances(Record):
     """The config's tolerances; __slots__ names the keys a config may set."""
@@ -186,21 +198,19 @@ def _build_kernel(raw, ogrid, squad):
     raise ConfigError(f"kernel type must be separable or sampled, got {kind!r}")
 
 
-def load_config(
-    path,
-    omega_n: int | None = None,
-    quad_n: int | None = None,
-    rank_tol: float | None = None,
-    tie_tol: float | None = None,
-    member_tol: float | None = None,
-    epsilon: float | None = None,
-) -> Config:
+def load_config(path, **overrides) -> Config:
     """Load and materialize a configuration file.
 
-    Keyword arguments override the corresponding file entries; they mirror
-    the command line flags.  An override replaces the file value before
-    anything is checked, so an invalid file value it replaces is ignored.
+    Each keyword of OVERRIDES that is not None replaces its file entry; the
+    keywords mirror the command line flags.  An override replaces the file
+    value before anything is checked, so an invalid file value it replaces
+    is ignored.  Any other keyword is a TypeError.
     """
+    for name in overrides:
+        if name not in OVERRIDES:
+            raise TypeError(
+                f"load_config() got an unexpected keyword argument {name!r}"
+            )
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -209,17 +219,10 @@ def load_config(
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     _expect(isinstance(raw, dict), "config root must be an object")
-    for key, name, value in (
-        ("omega_grid", "n", omega_n),
-        ("s_quadrature", "n", quad_n),
-        ("tolerances", "rank_tol", rank_tol),
-        ("tolerances", "tie_tol", tie_tol),
-        ("tolerances", "member_tol", member_tol),
-    ):
+    for name, value in overrides.items():
+        key, entry, _ = OVERRIDES[name]
         if value is not None:
-            _object(raw, key)[name] = value
-    if epsilon is not None:
-        raw["epsilon"] = epsilon
+            (raw if key is None else _object(raw, key))[entry] = value
 
     grid_raw = _object(raw, "omega_grid")
     n_omega = _count(grid_raw, "omega_grid", DEFAULT_OMEGA_N)

@@ -6,8 +6,10 @@ node values with one symmetric matrix per parameter node.  Both carry
 asymmetry, the worst |k(omega,t,s) - k(omega,s,t)| of the values they were
 given: 0 for a separable kernel.  Basis terms do not have to be
 orthonormal; the per-fiber eigensolver is the ground truth downstream.
-Only the private _on_grid knows how each kind is stored: it gives the
-fiber values and the quadrature action from one sampling.
+The private _on_grid gives the fiber values and the quadrature action
+from one sampling, and fiber._solve_fibers reads a separable kernel's
+basis and curves for its factored cores; nothing else knows how each kind
+is stored.
 """
 
 from __future__ import annotations

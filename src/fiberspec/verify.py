@@ -23,7 +23,6 @@ from . import expr
 from ._record import Record
 from .calculus import (
     DEFAULT_TIE_TOL,
-    ThresholdField,
     _interval,
     _multiply,
     _project,
@@ -234,35 +233,34 @@ def _results(values: dict, units: dict, notes: dict) -> list:
 
 
 def random_sections(rng, ogrid: OmegaGrid, squad: SQuadrature, count: int):
-    values = rng.standard_normal((count, len(ogrid), len(squad)))
-    return [Section(ogrid, squad, v) for v in values]
+    """count standard normal section values, (count, F, n_s)."""
+    return rng.standard_normal((count, len(ogrid), len(squad)))
 
 
-def random_threshold_fields(rng, d: FiberDecomposition, count: int, tie_tol: float):
-    """Piecewise trigonometric thresholds spanning the spectral range."""
+def random_thresholds(rng, d: FiberDecomposition, count: int):
+    """count piecewise trigonometric thresholds spanning the spectral
+    range, (count, F)."""
     lo, hi = _interval(d, 0.0)
     span = max(hi - lo, 1e-3)
     nodes = d.ogrid.nodes
-    fields = []
-    for _ in range(count):
+    vals = np.zeros((count, nodes.size))
+    for row in vals:
         pieces = int(rng.integers(1, 4))
         edges = np.concatenate(
             ([0.0], np.sort(rng.uniform(0.0, 1.0, pieces - 1)), [1.0])
         )
-        vals = np.zeros(nodes.size)
         for p in range(pieces):
             mask = (nodes >= edges[p]) & (nodes <= edges[p + 1])
             base = rng.uniform(lo - 0.3 * span, hi + 0.3 * span)
             amp = rng.uniform(0.0, 0.6 * span)
             freq = int(rng.integers(1, 4))
             phase = rng.uniform(0.0, 2.0 * np.pi)
-            vals[mask] = base + amp * np.cos(freq * np.pi * nodes[mask] + phase)
-        fields.append(ThresholdField(ScalarField(d.ogrid, vals), tie_tol))
-    return fields
+            row[mask] = base + amp * np.cos(freq * np.pi * nodes[mask] + phase)
+    return vals
 
 
 def _first_curve_data(d: FiberDecomposition):
-    """Eigenvalue field and eigenfunction section of aligned curve 0.
+    """Eigenvalues (F,) and eigenfunction values (F, n_s) of aligned curve 0.
 
     Fibers where the curve is absent contribute a zero row and value 0, so
     downstream identities stay exact there.
@@ -270,23 +268,24 @@ def _first_curve_data(d: FiberDecomposition):
     hit = d._curve_mask(0)
     lam = np.where(hit, d.eigenvalues, 0.0).sum(axis=1)
     psi = np.where(hit[:, :, None], d.functions, 0.0).sum(axis=1)
-    return ScalarField(d.ogrid, lam), Section(d.ogrid, d.squad, psi)
+    return lam, psi
 
 
 def projector_axiom_residuals(
     apply_k,
     d: FiberDecomposition,
-    thresholds,
-    sections,
+    lams: np.ndarray,
+    x: np.ndarray,
+    tie: float,
     epsilon: float,
 ) -> dict:
-    """Residuals of the projector family axioms over the given probes.
+    """Residuals of the projector family axioms over the thresholds lams
+    (count, F), compared with tie, and the section values x (count, F, n_s).
 
     Keys are the projector rows of BOUNDS, in table order.  The operator
     itself enters through apply_k, the quadrature action of
     kernel._on_grid on d's grids, so the axioms exercise both
-    representations.  The sections are stacked, so each axiom is one
-    array expression per threshold.
+    representations.  Each axiom is one array expression per threshold.
     """
     res = {name: 0.0 for name in BOUNDS if name.startswith("projector_")}
 
@@ -294,18 +293,15 @@ def projector_axiom_residuals(
         res[name] = max(res[name], float(np.max(values, initial=0.0)))
 
     ogrid, squad = d.ogrid, d.squad
-    tie = thresholds[0].tie_tol if thresholds else DEFAULT_TIE_TOL
-    x = np.stack([f.values for f in sections])
     tx = apply_k(x)
     norms = _l22(ogrid, squad, x)
     self_ip = _pairing(squad, x, x)
     tf_ip = _pairing(squad, tx, x)
 
-    for lam in thresholds:
-        lam_vals = lam.field.values
-        ex = _project(d, x, lam_vals, lam.tie_tol)
-        etx = _project(d, tx, lam_vals, lam.tie_tol)
-        eex = _project(d, ex, lam_vals, lam.tie_tol)
+    for lam_vals in lams:
+        ex = _project(d, x, lam_vals, tie)
+        etx = _project(d, tx, lam_vals, tie)
+        eex = _project(d, ex, lam_vals, tie)
         bump("projector_idempotence", _l22(ogrid, squad, eex - ex))
         # each section is paired with the next one, cyclically
         bump(
@@ -325,9 +321,9 @@ def projector_axiom_residuals(
         bump("projector_order_lower", lower)
 
     # monotonicity over pointwise min/max pairs of consecutive thresholds
-    for a, b in zip(thresholds, thresholds[1:]):
-        lo = np.minimum(a.field.values, b.field.values)
-        hi = np.maximum(a.field.values, b.field.values)
+    for a, b in zip(lams, lams[1:]):
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
         e_lo = _project(d, x[:2], lo, tie)
         e_hi = _project(d, x[:2], hi, tie)
         for e in (_project(d, e_lo, hi, tie), _project(d, e_hi, lo, tie)):
@@ -340,9 +336,8 @@ def projector_axiom_residuals(
     steps = np.array([1.0, 0.5, 0.2, 0.05])
     # fiber spectra; their -inf padding never falls in the window below
     spec = d._spectra
-    for lam in thresholds:
-        lam_vals = lam.field.values
-        base_ip = _pairing(squad, f, _project(d, f, lam_vals, lam.tie_tol))
+    for lam_vals in lams:
+        base_ip = _pairing(squad, f, _project(d, f, lam_vals, tie))
         shifted = lam_vals - steps[:, None]
         cur_ip = _pairing(squad, f, _project(d, f, shifted, tie))
         bump("projector_right_sup", cur_ip - base_ip)
@@ -367,8 +362,8 @@ def projector_axiom_residuals(
 
     # norm equality on an eigenfunction strictly below its threshold
     lam1, psi = _first_curve_data(d)
-    kept = _project(d, psi.values, lam1.values + 1.0, tie)
-    gap = _l22(ogrid, squad, kept) - _l22(ogrid, squad, psi.values)
+    kept = _project(d, psi, lam1 + 1.0, tie)
+    gap = _l22(ogrid, squad, kept) - _l22(ogrid, squad, psi)
     bump("projector_contraction_equality", abs(gap))
     return res
 
@@ -541,26 +536,25 @@ def run_suite(cfg: Config) -> list:
     values["rayleigh_bounds"] = rayleigh
 
     # two representations of the operator agree
-    probes = [section_by_name(cfg, name) for name in cfg.sections]
-    probes += random_sections(rng, ogrid, squad, 5)
-    x = np.stack([f.values for f in probes])
+    named = [section_by_name(cfg, name).values for name in cfg.sections]
+    x = np.stack([*named, *random_sections(rng, ogrid, squad, 5)])
     quad = apply_k(x)
     gap = _l22(ogrid, squad, quad - _multiply(d, x, d.eigenvalues, 0.0))
     values["two_path_equivalence"] = np.max(gap)
 
     # projector axioms over randomized thresholds
-    thresholds = random_threshold_fields(rng, d, 20, tol.tie_tol)
-    axiom_sections = probes[:2] + random_sections(rng, ogrid, squad, 2)
+    lams = random_thresholds(rng, d, 20)
+    axiom_x = np.concatenate([x[:2], random_sections(rng, ogrid, squad, 2)])
     values.update(
-        projector_axiom_residuals(apply_k, d, thresholds, axiom_sections, cfg.epsilon)
+        projector_axiom_residuals(apply_k, d, lams, axiom_x, tol.tie_tol, cfg.epsilon)
     )
 
-    # functional calculus
-    f0 = probes[0] if probes else random_sections(rng, ogrid, squad, 1)[0]
+    # functional calculus, on the first probe
+    f0 = Section(ogrid, squad, x[0])
     ident = functional_calculus(d, expr.parse("lambda"), f0, cfg.epsilon)
     spec0 = apply_spectral(d, f0)
-    values["funcalc_identity_matches_series"] = (
-        np.max(np.abs(ident.values - spec0.values)) if f0.values.size else 0.0
+    values["funcalc_identity_matches_series"] = np.max(
+        np.abs(ident.values - spec0.values)
     )
     one = functional_calculus(d, expr.parse("1"), f0, cfg.epsilon)
     values["funcalc_constant_one"] = np.max(np.abs(one.values - f0.values))
@@ -599,10 +593,10 @@ def run_suite(cfg: Config) -> list:
 
     # eigenspace sections generate closed submodules
     lam1, psi = _first_curve_data(d)
-    scaled = ogrid.nodes[:, None] * psi.values
+    scaled = ogrid.nodes[:, None] * psi
     t_scaled = Section(ogrid, squad, apply_k(scaled))
     values["eigenspace_module_closure"] = _l22(
-        ogrid, squad, lam1.values[:, None] * scaled - t_scaled.values
+        ogrid, squad, lam1[:, None] * scaled - t_scaled.values
     )
 
     # kernel reconstruction, measured with the eigensolver checks above

@@ -118,12 +118,10 @@ def test_criterion_05_projector_axiom_suite(cfg):
     worst = {name: 0.0 for name in checked}
     for k in kernels:
         d = fs.decompose_all_fibers(k, cfg.ogrid, cfg.squad)
-        thresholds = verify.random_threshold_fields(rng, d, 20, 1e-12)
-        sections = verify.random_sections(rng, cfg.ogrid, cfg.squad, 2)
+        lams = verify.random_thresholds(rng, d, 20)
+        x = verify.random_sections(rng, cfg.ogrid, cfg.squad, 2)
         apply_k = _on_grid(k, cfg.ogrid, cfg.squad)[1]
-        res = verify.projector_axiom_residuals(
-            apply_k, d, thresholds, sections, cfg.epsilon
-        )
+        res = verify.projector_axiom_residuals(apply_k, d, lams, x, 1e-12, cfg.epsilon)
         for name in checked:
             worst[name] = max(worst[name], res[name])
     peak = max(worst.values())

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import fiberspec
+from fiberspec import cli
 from fiberspec.calculus import _rs_cuts
 from fiberspec.cli import main
+from fiberspec.config import OVERRIDES
 
 from conftest import CONFIG_PATH, curve1, tf_ref
 
@@ -107,35 +109,17 @@ def test_project_and_funcalc(tmp_path):
     assert (tmp_path / "funcalc.csv").exists()
 
 
-def test_funcalc_rejects_bad_function(tmp_path):
-    rc = main(
-        [
-            "funcalc",
-            "--config",
-            CONFIG_PATH,
-            "--function",
-            "lambda+t",
-            "--section",
-            "f",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == 2
-    rc = main(
-        [
-            "funcalc",
-            "--config",
-            CONFIG_PATH,
-            "--function",
-            "sin(",
-            "--section",
-            "f",
-            "--out",
-            str(tmp_path),
-        ]
-    )
-    assert rc == 2
+def test_funcalc_rejects_bad_function(tmp_path, capsys):
+    # --function is parsed and scoped like a config expression, and the
+    # diagnostic names the flag instead of repeating the text
+    for g, line in (
+        ("lambda+t", "--function may only depend on ['lambda'], found ['t']"),
+        ("sin(", "--function: expected a number, identifier, or '(' (offset 4)"),
+    ):
+        for sub in (["funcalc"], ["rs", "--mesh", "0.02"]):
+            argv = sub + ["--config", CONFIG_PATH, "--function", g]
+            assert main(argv + ["--section", "f", "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"config error: {line}\n"
 
 
 def test_rs_report(tmp_path):
@@ -559,6 +543,43 @@ def test_flag_overrides(tmp_path):
     assert rc == 0
     _, rows = read_csv(tmp_path / "eigencurves.csv")
     assert len(rows) == 8 * 3
+
+
+# each override's flag text, unlike the shipped config's entry, and where
+# its value lands in the loaded config
+LANDS = {
+    "rank_tol": ("0.25", lambda cfg: cfg.tolerances.rank_tol),
+    "tie_tol": ("0.25", lambda cfg: cfg.tolerances.tie_tol),
+    "member_tol": ("0.25", lambda cfg: cfg.tolerances.member_tol),
+    "epsilon": ("0.25", lambda cfg: cfg.epsilon),
+    "quad_n": ("7", lambda cfg: len(cfg.squad)),
+    "omega_n": ("7", lambda cfg: len(cfg.ogrid)),
+}
+
+
+def test_overrides_table_drives_keywords_and_flags():
+    assert list(LANDS) == list(OVERRIDES)
+    parser = cli._build_parser()
+    base = fiberspec.load_config(CONFIG_PATH)
+
+    def unchanged(cfg, skip=None):
+        others = [read for k, (_, read) in LANDS.items() if k != skip]
+        return all(read(cfg) == read(base) for read in others)
+
+    for name, (_, _, kind) in OVERRIDES.items():
+        text, read = LANDS[name]
+        value = kind(text)
+        assert read(base) != value, name
+        cfg = fiberspec.load_config(CONFIG_PATH, **{name: value})
+        assert read(cfg) == value and unchanged(cfg, skip=name), name
+        flag = "--" + name.replace("_", "-")
+        args = parser.parse_args(["verify", "--config", CONFIG_PATH, flag, text])
+        assert type(getattr(args, name)) is kind and getattr(args, name) == value
+        assert all(getattr(args, k) is None for k in OVERRIDES if k != name)
+    # None keeps the file value; a keyword outside the table is refused
+    assert unchanged(fiberspec.load_config(CONFIG_PATH, **dict.fromkeys(OVERRIDES)))
+    with pytest.raises(TypeError, match="eig_tol"):
+        fiberspec.load_config(CONFIG_PATH, eig_tol=1e-3)
 
 
 def test_non_finite_tolerance_is_config_error(tmp_path, capsys):

@@ -7,7 +7,8 @@ booleans, numeric strings and integers beyond the float range in the
 number slots) and runs one subcommand on a small grid: decompose, verify,
 apply in both modes, project, funcalc or rs with a drawn g (and mesh),
 spectrum with or without a partition, mix or reconstruct with a drawn
-rank.  Whatever the input, main() must return 0, 2, 3 or 4 without
+rank, each with none or one drawn value for every override flag of
+config.OVERRIDES.  Whatever the input, main() must return 0, 2, 3 or 4 without
 raising or warning, write nothing to stderr on exit 0 and exactly one line
 otherwise, and every value in a CSV it wrote must be finite (the value
 column of a *_report.csv).  A second test draws expressions nested or
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fiberspec.cli import main
+from fiberspec.config import OVERRIDES
 from fiberspec.expr import _Parser
 
 from conftest import CONFIG_PATH
@@ -152,6 +154,25 @@ commands = st.builds(
 )
 
 
+# one drawn value or none for each override flag of config.OVERRIDES;
+# argparse keeps the last of a repeated flag, so a drawn --omega-n or
+# --quad-n replaces the fixed one.  Counts stay tiny or beyond
+# grid._MAX_COUNT, so no example allocates a large grid
+OVERRIDE_VALUES = {
+    int: (-1, 0, 1, 3, 2**70, "x"),
+    float: (1e-9, 1e-3, 0, -1e-3, math.nan, math.inf, "x"),
+}
+overrides = st.tuples(
+    *(
+        st.just([])
+        | st.sampled_from(OVERRIDE_VALUES[kind]).map(
+            lambda value, flag="--" + name.replace("_", "-"): [f"{flag}={value}"]
+        )
+        for name, (_, _, kind) in OVERRIDES.items()
+    )
+).map(lambda drawn: [arg for flags in drawn for arg in flags])
+
+
 def _mutations(base):
     paths = sorted(_paths(base), key=repr)
     expression_paths = [p for p in paths if isinstance(_leaf(base, p), str)]
@@ -215,8 +236,8 @@ def csv_values_finite(path):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(case=cases, command=commands)
-def test_mutated_config_keeps_cli_contract(tmp_path, capsys, case, command):
+@given(case=cases, command=commands, flags=overrides)
+def test_mutated_config_keeps_cli_contract(tmp_path, capsys, case, command, flags):
     base, ops = case
     raw = mutate(json.loads(json.dumps(base)), ops)
     config = tmp_path / "mutated.json"
@@ -235,6 +256,7 @@ def test_mutated_config_keeps_cli_contract(tmp_path, capsys, case, command):
                 "--omega-n", "8",
                 "--quad-n", "12",
             ]
+            + flags
         )
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
@@ -293,3 +315,5 @@ def test_deep_expressions_keep_cli_contract(tmp_path, capsys, shape, n, where):
         assert rc == 2
         assert len(err.splitlines()) == 1, err
         assert f"nests deeper than {MAX_DEPTH} levels" in err
+        # the diagnostic does not repeat the text
+        assert len(err) < 200, len(err)

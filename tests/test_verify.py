@@ -148,11 +148,11 @@ def test_random_separable_kernels_are_valid():
 
 def test_random_thresholds_span_spectrum(cfg, decomposition):
     rng = np.random.default_rng(3)
-    fields = verify.random_threshold_fields(rng, decomposition, 10, 1e-12)
+    fields = verify.random_thresholds(rng, decomposition, 10)
     assert len(fields) == 10
     for lam in fields:
-        assert lam.field.values.shape == (64,)
-        assert np.all(np.isfinite(lam.field.values))
+        assert lam.shape == (64,)
+        assert np.all(np.isfinite(lam))
 
 
 def test_stream_is_splitmix64():
@@ -228,10 +228,10 @@ def test_stream_scalar_draws_match_array_draws():
 def test_probe_helpers_accept_either_generator(decomposition, rng):
     d = decomposition
     sections = verify.random_sections(rng, d.ogrid, d.squad, 3)
-    assert [f.values.shape for f in sections] == [(64, 64)] * 3
-    fields = verify.random_threshold_fields(rng, d, 5, 1e-12)
+    assert [f.shape for f in sections] == [(64, 64)] * 3
+    fields = verify.random_thresholds(rng, d, 5)
     assert len(fields) == 5
-    assert all(np.all(np.isfinite(lam.field.values)) for lam in fields)
+    assert all(np.all(np.isfinite(lam)) for lam in fields)
 
 
 def bound_of(row, units):
@@ -303,8 +303,9 @@ def test_every_bound_comes_from_its_table_row(tmp_path, kind):
 def loop_axiom_residuals(
     k,
     d,
-    thresholds,
-    sections,
+    lams,
+    x,
+    tie: float,
     epsilon: float,
 ) -> dict:
     """The projector axioms one threshold, section and step at a time."""
@@ -313,7 +314,8 @@ def loop_axiom_residuals(
     def bump(name, value):
         res[name] = max(res[name], float(value))
 
-    tie = thresholds[0].tie_tol if thresholds else DEFAULT_TIE_TOL
+    thresholds = [fs.ThresholdField(fs.ScalarField(d.ogrid, v), tie) for v in lams]
+    sections = [fs.Section(d.ogrid, d.squad, v) for v in x]
     n_sections = len(sections)
     t_of = [fs.apply_quadrature(k, f) for f in sections]
     norms = [fs.l22_norm(f) for f in sections]
@@ -466,7 +468,8 @@ def loop_axiom_residuals(
 
     # norm equality on an eigenfunction strictly below its threshold
     lam1, psi = verify._first_curve_data(d)
-    lam_above = fs.ThresholdField(fs.ScalarField(d.ogrid, lam1.values + 1.0), tie)
+    psi = fs.Section(d.ogrid, d.squad, psi)
+    lam_above = fs.ThresholdField(fs.ScalarField(d.ogrid, lam1 + 1.0), tie)
     bump(
         "projector_contraction_equality",
         abs(fs.l22_norm(fs.projector_apply(d, lam_above, psi)) - fs.l22_norm(psi)),
@@ -480,20 +483,20 @@ def test_axiom_residuals_on_random_kernel(cfg):
     squad = fs.build_s_quadrature("gauss_legendre", 24)
     k = random_separable_kernel(rng)
     d = fs.decompose_all_fibers(k, ogrid, squad)
-    thresholds = verify.random_threshold_fields(rng, d, 6, 1e-12)
-    sections = verify.random_sections(rng, ogrid, squad, 2)
+    lams = verify.random_thresholds(rng, d, 6)
+    x = verify.random_sections(rng, ogrid, squad, 2)
     apply_k = _on_grid(k, ogrid, squad)[1]
-    res = verify.projector_axiom_residuals(apply_k, d, thresholds, sections, 1e-6)
+    res = verify.projector_axiom_residuals(apply_k, d, lams, x, 1e-12, 1e-6)
     # every projector row is a multiple of the unit 1
     for name, row in verify.BOUNDS.items():
         if name.startswith("projector_"):
             assert res[name] <= bound_of(row, {"1": 1.0}), (name, res[name])
 
 
-def assert_axioms_match_loop(k, d, thresholds, sections):
+def assert_axioms_match_loop(k, d, lams, x, tie=1e-12):
     apply_k = _on_grid(k, d.ogrid, d.squad)[1]
-    got = verify.projector_axiom_residuals(apply_k, d, thresholds, sections, 1e-6)
-    want = loop_axiom_residuals(k, d, thresholds, sections, 1e-6)
+    got = verify.projector_axiom_residuals(apply_k, d, lams, x, tie, 1e-6)
+    want = loop_axiom_residuals(k, d, lams, x, tie, 1e-6)
     assert list(got) == list(want)
     for name in want:
         assert abs(got[name] - want[name]) <= 1e-15, (name, got[name], want[name])
@@ -502,11 +505,10 @@ def assert_axioms_match_loop(k, d, thresholds, sections):
 def test_stacked_axioms_match_loop_on_fixture(cfg, decomposition):
     # the probes of run_suite: 20 thresholds and 4 sections
     rng = np.random.default_rng(verify.SEED)
-    thresholds = verify.random_threshold_fields(
-        rng, decomposition, 20, cfg.tolerances.tie_tol
-    )
-    sections = verify.random_sections(rng, cfg.ogrid, cfg.squad, 4)
-    assert_axioms_match_loop(cfg.kernel, decomposition, thresholds, sections)
+    lams = verify.random_thresholds(rng, decomposition, 20)
+    x = verify.random_sections(rng, cfg.ogrid, cfg.squad, 4)
+    tie = cfg.tolerances.tie_tol
+    assert_axioms_match_loop(cfg.kernel, decomposition, lams, x, tie)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -517,9 +519,9 @@ def test_stacked_axioms_match_loop_on_random_kernels(seed):
     squad = fs.build_s_quadrature(rule, int(rng.integers(2, 16)))
     k = random_separable_kernel(rng)
     d = fs.decompose_all_fibers(k, ogrid, squad)
-    thresholds = verify.random_threshold_fields(rng, d, int(rng.integers(1, 6)), 1e-12)
-    sections = verify.random_sections(rng, ogrid, squad, int(rng.integers(1, 5)))
-    assert_axioms_match_loop(k, d, thresholds, sections)
+    lams = verify.random_thresholds(rng, d, int(rng.integers(1, 6)))
+    x = verify.random_sections(rng, ogrid, squad, int(rng.integers(1, 5)))
+    assert_axioms_match_loop(k, d, lams, x)
 
 
 def test_stacked_axioms_match_loop_on_zero_kernel(grids):
@@ -529,9 +531,9 @@ def test_stacked_axioms_match_loop_on_zero_kernel(grids):
     d = fs.decompose_all_fibers(k, ogrid, squad)
     assert d.eigenvalues.shape == (len(ogrid), 0)
     rng = np.random.default_rng(5)
-    thresholds = verify.random_threshold_fields(rng, d, 4, 1e-12)
-    sections = verify.random_sections(rng, ogrid, squad, 3)
-    assert_axioms_match_loop(k, d, thresholds, sections)
+    lams = verify.random_thresholds(rng, d, 4)
+    x = verify.random_sections(rng, ogrid, squad, 3)
+    assert_axioms_match_loop(k, d, lams, x)
 
 
 # Rank 1, 2 and 3 over the parameter grid; sin(3 pi t) needs more than 12
