@@ -142,33 +142,16 @@ class CheckResult(Record):
 
 
 class _SplitMix64:
-    """Seeded probe stream with the numpy Generator methods the suite
-    calls: standard_normal(shape), uniform(low, high[, size]) and
-    integers(low, high).
-
-    Every number takes the next 64-bit word, so any split of a draw gives
-    the numbers of one whole draw, and a scalar draw the number an array
-    draw would give in its place.
-    """
+    """Seeded probe stream with one draw, _words: a counter, so a split of
+    a draw gives the words of one whole draw.  _normals, _uniforms and
+    _integers turn words into numbers, one word per number."""
 
     def __init__(self, seed: int):
         self._seed = seed & _WORD
         self._drawn = 0
 
-    def _word(self) -> int:
-        """The next word, on Python ints.  _words(1) gives the same word,
-        but a scalar draw takes 1.0 us here against 22 us there (one Intel
-        Xeon core), and a trig_rank3 verify run makes 200 of them (the pieces
-        and frequencies of its thresholds): this saves about 4 ms per run."""
-        self._drawn += 1
-        z = (self._seed + self._drawn * _GAMMA) & _WORD
-        z = ((z ^ (z >> 30)) * _MIX1) & _WORD
-        z = ((z ^ (z >> 27)) * _MIX2) & _WORD
-        return z ^ (z >> 31)
-
     def _words(self, count: int) -> np.ndarray:
-        """The next count words; uint64 array arithmetic wraps like the
-        masks of _word."""
+        """The next count words; uint64 arithmetic wraps modulo 2**64."""
         z = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
         self._drawn += count
         z *= np.uint64(_GAMMA)
@@ -181,40 +164,37 @@ class _SplitMix64:
         z ^= np.right_shift(z, np.uint64(31), out=t)
         return z
 
-    def standard_normal(self, shape) -> np.ndarray:
-        """Box-Muller on one word per number: the radius from its high 32
-        bits, as a uniform in (0, 1], the angle from its low 32 bits."""
-        z = self._words(int(np.prod(shape)))
-        r = (z >> np.uint64(32)).astype(float)
-        r += 1.0
-        r *= 2.0**-32
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        z &= np.uint64(0xFFFFFFFF)
-        angle = z.astype(float)
-        angle *= 2.0 * math.pi * 2.0**-32
-        r *= np.cos(angle, out=angle)
-        return r.reshape(shape)
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        """Uniforms in [low, high) from the top 53 bits of a word each."""
-        if size is None:
-            return low + (high - low) * ((self._word() >> 11) * 2.0**-53)
-        u = (self._words(int(np.prod(size))) >> np.uint64(11)).astype(float)
-        u *= 2.0**-53
-        return low + (high - low) * u.reshape(size)
+def _normals(z: np.ndarray) -> np.ndarray:
+    """Standard normals by Box-Muller, one word each: the radius from its
+    high 32 bits, as a uniform in (0, 1], the angle from its low 32 bits.
+    Overwrites z."""
+    r = (z >> np.uint64(32)).astype(float)
+    r += 1.0
+    r *= 2.0**-32
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    z &= np.uint64(0xFFFFFFFF)
+    angle = z.astype(float)
+    angle *= 2.0 * math.pi * 2.0**-32
+    r *= np.cos(angle, out=angle)
+    return r
 
-    def integers(self, low, high):
-        """Integers in [low, high) from the top 32 bits of a word each, for
-        high - low up to 2**32: an int for a scalar high, an int array of
-        high's shape for an array high."""
-        low = int(low)
-        if np.ndim(high) == 0:
-            return low + ((self._word() >> 32) * (int(high) - low) >> 32)
-        span = (np.asarray(high) - low).astype(np.uint64)
-        z = self._words(span.size).reshape(span.shape) >> np.uint64(32)
-        return low + (z * span >> np.uint64(32)).astype(int)
+
+def _uniforms(z: np.ndarray, low, high) -> np.ndarray:
+    """Uniforms in [low, high) from the top 53 bits of each word; low and
+    high broadcast against z."""
+    u = (z >> np.uint64(11)).astype(float)
+    u *= 2.0**-53
+    return low + (high - low) * u
+
+
+def _integers(z: np.ndarray, low: int, high) -> np.ndarray:
+    """int64 integers in [low, high) from the top 32 bits of each word, for
+    high - low up to 2**32; high broadcasts against z."""
+    span = (np.asarray(high) - low).astype(np.uint64)
+    return low + ((z >> np.uint64(32)) * span >> np.uint64(32)).astype(np.int64)
 
 
 def _results(values: dict, units: dict, notes: dict) -> list:
@@ -233,29 +213,34 @@ def _results(values: dict, units: dict, notes: dict) -> list:
 
 
 def random_sections(rng, ogrid: OmegaGrid, squad: SQuadrature, count: int):
-    """count standard normal section values, (count, F, n_s)."""
-    return rng.standard_normal((count, len(ogrid), len(squad)))
+    """count standard normal section values, (count, F, n_s), from one draw
+    of count * F * n_s words of the _SplitMix64 stream rng."""
+    shape = (count, len(ogrid), len(squad))
+    return _normals(rng._words(math.prod(shape))).reshape(shape)
 
 
 def random_thresholds(rng, d: FiberDecomposition, count: int):
     """count piecewise trigonometric thresholds spanning the spectral
-    range, (count, F)."""
+    range, (count, F), from the _SplitMix64 stream rng.  Each takes one word
+    for its piece count p in 1..3, then 5p - 1 words: p - 1 inner edges, and
+    a base, amplitude, frequency and phase per piece.  A node on an edge
+    takes the later piece."""
     lo, hi = _interval(d, 0.0)
     span = max(hi - lo, 1e-3)
     nodes = d.ogrid.nodes
-    vals = np.zeros((count, nodes.size))
+    # low and high of the base, amplitude and phase
+    low = np.array([lo - 0.3 * span, 0.0, 0.0])
+    high = np.array([hi + 0.3 * span, 0.6 * span, 2.0 * np.pi])
+    vals = np.empty((count, nodes.size))
     for row in vals:
-        pieces = int(rng.integers(1, 4))
-        edges = np.concatenate(
-            ([0.0], np.sort(rng.uniform(0.0, 1.0, pieces - 1)), [1.0])
-        )
-        for p in range(pieces):
-            mask = (nodes >= edges[p]) & (nodes <= edges[p + 1])
-            base = rng.uniform(lo - 0.3 * span, hi + 0.3 * span)
-            amp = rng.uniform(0.0, 0.6 * span)
-            freq = int(rng.integers(1, 4))
-            phase = rng.uniform(0.0, 2.0 * np.pi)
-            row[mask] = base + amp * np.cos(freq * np.pi * nodes[mask] + phase)
+        p = int(_integers(rng._words(1), 1, 4)[0])
+        z = rng._words(5 * p - 1)
+        edges = np.sort(_uniforms(z[: p - 1], 0.0, 1.0))
+        draws = z[p - 1 :].reshape(p, 4)
+        base, amp, phase = _uniforms(draws[:, [0, 1, 3]], low, high).T
+        freq = _integers(draws[:, 2], 1, 4)
+        i = np.searchsorted(edges, nodes, side="right")
+        row[:] = base[i] + amp[i] * np.cos(freq[i] * np.pi * nodes + phase[i])
     return vals
 
 
@@ -402,7 +387,7 @@ def _rs_identity_error(d: FiberDecomposition, f, mesh: float, epsilon: float):
 def _random_node_partition(rng, d: FiberDecomposition) -> Partition:
     """Random partition: node i draws label 0 or one more than one of its
     ranks[i] retained curve ids."""
-    picks = rng.integers(0, d.ranks + 1)
+    picks = _integers(rng._words(d.n_fibers), 0, d.ranks + 1)
     options = np.pad(d.labels + 1, ((0, 0), (1, 0)))
     return Partition(options[np.arange(d.n_fibers), picks])
 
@@ -520,12 +505,11 @@ def run_suite(cfg: Config) -> list:
         values["eigenvalue_grid_stability"] = np.max(gap, where=both, initial=0.0)
 
     # Rayleigh quotients stay inside the spectral bounds; the 50 probes are
-    # drawn and applied a chunk at a time, and standard_normal fills in C
-    # order, so they are the numbers of one (50, F, n_s) draw from the
-    # same stream
+    # drawn and applied a chunk at a time, and the stream is a counter, so
+    # they are the numbers of one (50, F, n_s) draw
     rayleigh = 0.0
     for b in _chunks(50):
-        x = rng.standard_normal((b.stop - b.start, len(ogrid), len(squad)))
+        x = random_sections(rng, ogrid, squad, b.stop - b.start)
         den = _pairing(squad, x, x)
         # the products of <Tx, x> are formed in place
         num = apply_k(x)

@@ -41,6 +41,30 @@ def random_separable_kernel(rng, max_rank=5):
     return fs.SeparableKernel(tuple(terms))
 
 
+def scalar_uniform(w, low, high):
+    """The uniform in [low, high) of a 64-bit word w on Python ints: its top
+    53 bits, as verify._uniforms takes them."""
+    return low + (high - low) * ((w >> 11) * 2.0**-53)
+
+
+def scalar_integer(w, low, high):
+    """The integer in [low, high) of a 64-bit word w on Python ints: its top
+    32 bits, as verify._integers takes them."""
+    return low + ((w >> 32) * (high - low) >> 32)
+
+
+def loop_random_node_partition(stream, d):
+    """verify._random_node_partition one node and one word of the stream at
+    a time: node i takes label 0 or one more than one of its retained curve
+    ids.  The labels, one per node."""
+    labels = []
+    for i in range(d.n_fibers):
+        options = [0] + [int(c) + 1 for c in d.labels[i, : d.ranks[i]]]
+        pick = scalar_integer(int(stream._words(1)[0]), 0, len(options))
+        labels.append(options[pick])
+    return labels
+
+
 def f_ref(w, t):
     # w column, t row
     return w * np.sin(np.pi * t) + np.sin(2 * np.pi * t)

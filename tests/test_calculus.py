@@ -412,3 +412,10 @@ def test_weighted_factor_is_built_once(cfg, f_section, monkeypatch):
     factor = d._weighted_functions
     assert factor is d._weighted_functions
     assert factor.tobytes() == (d.functions * d.squad.weights).tobytes()
+
+
+def test_projector_refuses_threshold_on_another_grid(decomposition, f_section):
+    lam = fs.ThresholdField.constant(fs.build_omega_grid(63), 0.5)
+    text = "^threshold field lives on a different parameter grid$"
+    with pytest.raises(errors.GridMismatch, match=text):
+        fs.projector_apply(decomposition, lam, f_section)

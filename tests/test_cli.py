@@ -789,3 +789,22 @@ def test_section_that_fails_to_sample_is_config_error(tmp_path, capsys, args):
     assert capsys.readouterr().err == (
         "config error: sections[f]: log of non-positive value 0.0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "kernel, line",
+    [
+        (
+            {"type": "separable", "terms": [{"curve": "t", "basis": "sin(pi*t)"}]},
+            "kernel: term 0: curve may only depend on omega, found ['t']",
+        ),
+        ({"type": "dense"}, "kernel type must be separable or sampled, got 'dense'"),
+    ],
+    ids=["curve_uses_t", "dense"],
+)
+def test_kernel_kind_and_term_scope_are_config_errors(tmp_path, capsys, kernel, line):
+    path = tmp_path / "kernel.json"
+    raw = {"omega_grid": {"n": 4}, "s_quadrature": {"n": 6}, "kernel": kernel}
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["decompose", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {line}\n"

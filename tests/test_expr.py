@@ -502,3 +502,23 @@ def test_result_never_shares_memory_with_a_binding(text):
         out = expr.evaluate(expr.parse(text), {"lambda": points})
         out[...] = 7.0
         assert np.array_equal(points, before)
+
+
+def test_bare_builtin_is_a_syntax_error():
+    with pytest.raises(errors.ExpressionSyntaxError) as info:
+        expr.parse("sin + 1")
+    assert str(info.value) == "builtin 'sin' must be called with arguments (offset 0)"
+    assert info.value.offset == 0
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [lambda e: expr.evaluate(e, {}), expr.free_variables, expr.to_source],
+    ids=["evaluate", "free_variables", "to_source"],
+)
+def test_walkers_refuse_what_is_not_a_node(walk):
+    with pytest.raises(TypeError, match=r"^not an expression node: 'x'$"):
+        walk("x")
+    # a node nested in a tree is refused as well
+    with pytest.raises(TypeError, match=r"^not an expression node: 2$"):
+        walk(BinOp("+", Num(1.0), 2))

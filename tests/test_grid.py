@@ -163,3 +163,33 @@ def test_constant_field(grids):
     ogrid, _ = grids
     c = fs.ScalarField.constant(ogrid, 0.4)
     assert np.all(c.values == 0.4)
+
+
+@pytest.mark.parametrize(
+    "nodes, weights, message",
+    [
+        ([[0.5]], [1.0], "nodes must be one dimensional"),
+        ([0.5], [[1.0]], "weights must be one dimensional"),
+        ([], [], "nodes and weights must be non-empty and equal length"),
+        ([0.25, 0.75], [1.0], "nodes and weights must be non-empty and equal length"),
+        ([0.5, 0.5], [0.5, 0.5], "nodes must be strictly increasing"),
+        ([-0.5, 0.5], [0.5, 0.5], r"nodes must lie in \[0, 1\]"),
+        ([0.5, 1.5], [0.5, 0.5], r"nodes must lie in \[0, 1\]"),
+        ([0.25, 0.75], [1.5, -0.5], "weights must be positive"),
+        ([0.25, 0.75], [0.5, 0.6], "weights must sum to one"),
+    ],
+)
+def test_rule_constructors_refuse_bad_rules(nodes, weights, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fs.OmegaGrid(nodes, weights)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fs.SQuadrature("gauss_legendre", nodes, weights)
+
+
+def test_field_and_section_refuse_other_shapes(grids):
+    ogrid, squad = grids
+    with pytest.raises(ValueError, match="^field length must match the grid$"):
+        fs.ScalarField(ogrid, np.zeros(15))
+    text = r"^section shape \(16, 23\) does not match grids \(16, 24\)$"
+    with pytest.raises(ValueError, match=text):
+        fs.Section(ogrid, squad, np.zeros((16, 23)))

@@ -218,3 +218,15 @@ def test_sampled_kernel_averages_mild_asymmetry():
 @pytest.mark.parametrize("rank", [2, 3])
 def test_mercer_reconstruct_records_no_asymmetry(decomposition, rank):
     assert fs.mercer_reconstruct(decomposition, rank).asymmetry == 0.0
+
+
+def test_sampled_kernel_refuses_other_shapes_and_non_finite_values(grids):
+    ogrid, squad = grids
+    text = r"^sampled kernel shape \(16, 24, 23\) does not match grids$"
+    with pytest.raises(ValueError, match=text):
+        fs.SampledKernel(ogrid, squad, np.zeros((16, 24, 23)))
+    values = np.zeros((16, 24, 24))
+    values[3, 5, 5] = np.nan
+    text = "^sampled kernel contains non-finite values$"
+    with pytest.raises(errors.DomainError, match=text):
+        fs.SampledKernel(ogrid, squad, values)

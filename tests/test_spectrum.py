@@ -161,3 +161,9 @@ def test_membership_respects_tolerance(cfg, decomposition):
     ok_loose, _ = fs.spm_membership(decomposition, field, 1e-6)
     ok_tight, _ = fs.spm_membership(decomposition, field, 1e-8)
     assert ok_loose and not ok_tight
+
+
+def test_membership_refuses_field_on_another_grid(decomposition):
+    field = fs.ScalarField.constant(fs.build_omega_grid(63), 0.0)
+    with pytest.raises(errors.GridMismatch, match="^field lives on a different"):
+        fs.membership_distances(decomposition, field)

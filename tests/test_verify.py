@@ -3,15 +3,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberspec as fs
 from fiberspec import verify
-from fiberspec.calculus import DEFAULT_TIE_TOL, _multiply, _rs_cuts
+from fiberspec.calculus import DEFAULT_TIE_TOL, _interval, _multiply, _rs_cuts
 from fiberspec.cli import main
 from fiberspec.config import section_by_name
 from fiberspec.kernel import _on_grid
 
-from conftest import CONFIG_PATH, random_separable_kernel
+from conftest import (
+    CONFIG_PATH,
+    loop_random_node_partition,
+    random_separable_kernel,
+    scalar_integer,
+    scalar_uniform,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +155,7 @@ def test_random_separable_kernels_are_valid():
 
 
 def test_random_thresholds_span_spectrum(cfg, decomposition):
-    rng = np.random.default_rng(3)
-    fields = verify.random_thresholds(rng, decomposition, 10)
+    fields = verify.random_thresholds(verify._SplitMix64(3), decomposition, 10)
     assert len(fields) == 10
     for lam in fields:
         assert lam.shape == (64,)
@@ -157,7 +164,7 @@ def test_random_thresholds_span_spectrum(cfg, decomposition):
 
 def test_stream_is_splitmix64():
     # the first words for seed 1234567 in the reference implementation of
-    # SplitMix64 (Vigna's splitmix64.c), on both paths
+    # SplitMix64 (Vigna's splitmix64.c)
     want = [
         6457827717110365317,
         3203168211198807973,
@@ -165,8 +172,6 @@ def test_stream_is_splitmix64():
         4593380528125082431,
         16408922859458223821,
     ]
-    stream = verify._SplitMix64(1234567)
-    assert [stream._word() for _ in range(5)] == want
     assert verify._SplitMix64(1234567)._words(5).tolist() == want
 
 
@@ -174,64 +179,125 @@ def test_stream_is_splitmix64():
     "sizes", [[8] * 6 + [2], [1, 7, 13, 3, 26], [50]], ids=["chunks", "odd", "whole"]
 )
 def test_stream_splits_give_one_whole_draw(sizes):
-    shape = (16, 24)
-    whole = verify._SplitMix64(verify.SEED).standard_normal((50,) + shape)
+    ogrid = fs.build_omega_grid(16)
+    squad = fs.build_s_quadrature("gauss_legendre", 24)
+    whole = verify.random_sections(verify._SplitMix64(verify.SEED), ogrid, squad, 50)
     stream = verify._SplitMix64(verify.SEED)
-    parts = [stream.standard_normal((n,) + shape) for n in sizes]
+    parts = [verify.random_sections(stream, ogrid, squad, n) for n in sizes]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
     # the stream goes on where the whole draw stopped
     again = verify._SplitMix64(verify.SEED)
-    again.standard_normal((50,) + shape)
-    assert stream.uniform(0.0, 1.0, 5).tobytes() == again.uniform(0.0, 1.0, 5).tobytes()
+    again._words(50 * 16 * 24)
+    assert stream._drawn == again._drawn
+    assert stream._words(5).tolist() == again._words(5).tolist()
 
 
 def test_stream_normal_moments():
-    x = verify._SplitMix64(verify.SEED).standard_normal(10**5)
+    x = verify._normals(verify._SplitMix64(verify.SEED)._words(10**5))
     assert x.shape == (10**5,) and np.all(np.isfinite(x))
     assert abs(x.mean()) <= 0.02
     assert abs(x.var() - 1.0) <= 0.02
 
 
 def test_stream_uniforms_and_integers_stay_in_range():
-    u = verify._SplitMix64(3).uniform(-2.0, 5.0, (100, 100))
-    assert u.shape == (100, 100)
+    u = verify._uniforms(verify._SplitMix64(3)._words(10**4), -2.0, 5.0)
     assert u.min() >= -2.0 and u.max() < 5.0
-    stream = verify._SplitMix64(4)
-    ints = [stream.integers(1, 4) for _ in range(3000)]
-    assert set(ints) == {1, 2, 3}
-    assert all(type(i) is int for i in ints)
+    # the largest words reach the top of the range without touching it
+    top = np.array([2**64 - 1], dtype=np.uint64)
+    assert verify._uniforms(top, -2.0, 5.0)[0] < 5.0
+    ints = verify._integers(verify._SplitMix64(4)._words(3000), 1, 4)
+    assert ints.dtype == np.int64 and set(ints.tolist()) == {1, 2, 3}
+    # an array high of any shape, up to a span of 2**32 - 1
+    highs = np.array([[1, 2, 3], [4, 5, 2**32 - 1]])
+    for z in (verify._SplitMix64(7)._words(6), np.full(6, 2**64 - 1, np.uint64)):
+        got = verify._integers(z.reshape(2, 3), 0, highs)
+        assert got.dtype == np.int64 and got.shape == (2, 3)
+        assert np.all(got >= 0) and np.all(got < highs)
+    assert verify._integers(top, 0, 2**32 - 1)[0] == 2**32 - 2
 
 
 def test_stream_scalar_draws_match_array_draws():
-    scalars = verify._SplitMix64(5)
-    array = verify._SplitMix64(5).uniform(0.25, 7.5, 200)
-    got = np.array([scalars.uniform(0.25, 7.5) for _ in range(200)])
-    assert got.tobytes() == array.tobytes()
-    # an integer draw takes one word, like a uniform
-    a, b = verify._SplitMix64(6), verify._SplitMix64(6)
-    a.integers(0, 10)
-    b.uniform()
-    assert a.uniform() == b.uniform()
-    # an array bound draws one word per element
-    highs = np.array([[1, 2, 3], [4, 5, 2**32 - 1]])
-    array = verify._SplitMix64(7).integers(-1, highs)
-    scalars = verify._SplitMix64(7)
-    got = [[scalars.integers(-1, h) for h in row] for row in highs.tolist()]
-    assert array.dtype == np.int64 and array.tolist() == got
+    # the loop oracles below convert one word at a time on Python ints; the
+    # converters give the same numbers, one word each
+    words = verify._SplitMix64(5)._words(200)
+    got = [scalar_uniform(w, 0.25, 7.5) for w in words.tolist()]
+    assert np.array(got).tobytes() == verify._uniforms(words, 0.25, 7.5).tobytes()
+    highs = np.arange(1, 201) * 21_474_836
+    got = [scalar_integer(w, -1, h) for w, h in zip(words.tolist(), highs.tolist())]
+    assert verify._integers(words, -1, highs).tolist() == got
 
 
-@pytest.mark.parametrize(
-    "rng",
-    [verify._SplitMix64(verify.SEED), np.random.default_rng(verify.SEED)],
-    ids=["stream", "numpy"],
+# random_thresholds as it was first written, one word and one piece at a
+# time with overlapping piece masks: its oracle, which it must match to the
+# last bit and leave the stream at the same position.  The oracle of
+# _random_node_partition, one word per node, is in conftest.
+def loop_random_thresholds(stream, d, count):
+    def word():
+        return int(stream._words(1)[0])
+
+    lo, hi = _interval(d, 0.0)
+    span = max(hi - lo, 1e-3)
+    nodes = d.ogrid.nodes
+    vals = np.zeros((count, nodes.size))
+    for row in vals:
+        pieces = scalar_integer(word(), 1, 4)
+        inner = sorted(scalar_uniform(word(), 0.0, 1.0) for _ in range(pieces - 1))
+        edges = [0.0, *inner, 1.0]
+        for p in range(pieces):
+            mask = (nodes >= edges[p]) & (nodes <= edges[p + 1])
+            base = scalar_uniform(word(), lo - 0.3 * span, hi + 0.3 * span)
+            amp = scalar_uniform(word(), 0.0, 0.6 * span)
+            freq = scalar_integer(word(), 1, 4)
+            phase = scalar_uniform(word(), 0.0, 2.0 * np.pi)
+            row[mask] = base + amp * np.cos(freq * np.pi * nodes[mask] + phase)
+    return vals
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    count=st.integers(0, 25),
+    kind=st.sampled_from(["trig_rank3", "zero_rank", "random"]),
 )
-def test_probe_helpers_accept_either_generator(decomposition, rng):
-    d = decomposition
-    sections = verify.random_sections(rng, d.ogrid, d.squad, 3)
-    assert [f.shape for f in sections] == [(64, 64)] * 3
-    fields = verify.random_thresholds(rng, d, 5)
-    assert len(fields) == 5
-    assert all(np.all(np.isfinite(lam)) for lam in fields)
+def test_probes_match_loop_oracles(decomposition, seed, count, kind):
+    if kind == "trig_rank3":
+        d = decomposition
+    else:
+        ogrid = fs.build_omega_grid(1 + seed % 9)
+        squad = fs.build_s_quadrature("gauss_legendre", 2 + seed % 15)
+        if kind == "zero_rank":
+            # no spectral range at all: the span is floored at 1e-3
+            k = fs.SeparableKernel(((fs.parse("0"), fs.parse("sin(pi*t)")),))
+        else:
+            k = random_separable_kernel(np.random.default_rng(seed))
+        d = fs.decompose_all_fibers(k, ogrid, squad)
+    got, want = verify._SplitMix64(seed), verify._SplitMix64(seed)
+    lams = verify.random_thresholds(got, d, count)
+    assert lams.shape == (count, d.n_fibers)
+    assert lams.tobytes() == loop_random_thresholds(want, d, count).tobytes()
+    assert got._drawn == want._drawn
+    labels = verify._random_node_partition(got, d).labels
+    assert labels.tolist() == loop_random_node_partition(want, d)
+    assert got._drawn == want._drawn
+
+
+def test_threshold_node_on_an_edge_takes_the_later_piece():
+    # a seed whose first threshold has three pieces, on a grid whose nodes
+    # include both of its inner edges exactly
+    seed = next(
+        s for s in range(100)
+        if scalar_integer(int(verify._SplitMix64(s)._words(1)[0]), 1, 4) == 3
+    )
+    words = verify._SplitMix64(seed)._words(3)[1:].tolist()
+    edges = sorted(scalar_uniform(w, 0.0, 1.0) for w in words)
+    nodes = np.array([0.0, edges[0], sum(edges) / 2, edges[1], 1.0])
+    ogrid = fs.OmegaGrid(nodes, np.full(5, 0.2))
+    squad = fs.build_s_quadrature("gauss_legendre", 4)
+    k = fs.SeparableKernel(((fs.parse("1+omega"), fs.parse("sin(pi*t)")),))
+    d = fs.decompose_all_fibers(k, ogrid, squad)
+    got = verify.random_thresholds(verify._SplitMix64(seed), d, 1)
+    want = loop_random_thresholds(verify._SplitMix64(seed), d, 1)
+    assert got.tobytes() == want.tobytes()
 
 
 def bound_of(row, units):
@@ -483,8 +549,9 @@ def test_axiom_residuals_on_random_kernel(cfg):
     squad = fs.build_s_quadrature("gauss_legendre", 24)
     k = random_separable_kernel(rng)
     d = fs.decompose_all_fibers(k, ogrid, squad)
-    lams = verify.random_thresholds(rng, d, 6)
-    x = verify.random_sections(rng, ogrid, squad, 2)
+    stream = verify._SplitMix64(21)
+    lams = verify.random_thresholds(stream, d, 6)
+    x = verify.random_sections(stream, ogrid, squad, 2)
     apply_k = _on_grid(k, ogrid, squad)[1]
     res = verify.projector_axiom_residuals(apply_k, d, lams, x, 1e-12, 1e-6)
     # every projector row is a multiple of the unit 1
@@ -504,9 +571,9 @@ def assert_axioms_match_loop(k, d, lams, x, tie=1e-12):
 
 def test_stacked_axioms_match_loop_on_fixture(cfg, decomposition):
     # the probes of run_suite: 20 thresholds and 4 sections
-    rng = np.random.default_rng(verify.SEED)
-    lams = verify.random_thresholds(rng, decomposition, 20)
-    x = verify.random_sections(rng, cfg.ogrid, cfg.squad, 4)
+    stream = verify._SplitMix64(verify.SEED)
+    lams = verify.random_thresholds(stream, decomposition, 20)
+    x = verify.random_sections(stream, cfg.ogrid, cfg.squad, 4)
     tie = cfg.tolerances.tie_tol
     assert_axioms_match_loop(cfg.kernel, decomposition, lams, x, tie)
 
@@ -519,8 +586,9 @@ def test_stacked_axioms_match_loop_on_random_kernels(seed):
     squad = fs.build_s_quadrature(rule, int(rng.integers(2, 16)))
     k = random_separable_kernel(rng)
     d = fs.decompose_all_fibers(k, ogrid, squad)
-    lams = verify.random_thresholds(rng, d, int(rng.integers(1, 6)))
-    x = verify.random_sections(rng, ogrid, squad, int(rng.integers(1, 5)))
+    stream = verify._SplitMix64(seed)
+    lams = verify.random_thresholds(stream, d, int(rng.integers(1, 6)))
+    x = verify.random_sections(stream, ogrid, squad, int(rng.integers(1, 5)))
     assert_axioms_match_loop(k, d, lams, x)
 
 
@@ -530,9 +598,9 @@ def test_stacked_axioms_match_loop_on_zero_kernel(grids):
     k = fs.SeparableKernel(((fs.parse("0"), fs.parse("sin(pi*t)")),))
     d = fs.decompose_all_fibers(k, ogrid, squad)
     assert d.eigenvalues.shape == (len(ogrid), 0)
-    rng = np.random.default_rng(5)
-    lams = verify.random_thresholds(rng, d, 4)
-    x = verify.random_sections(rng, ogrid, squad, 3)
+    stream = verify._SplitMix64(5)
+    lams = verify.random_thresholds(stream, d, 4)
+    x = verify.random_sections(stream, ogrid, squad, 3)
     assert_axioms_match_loop(k, d, lams, x)
 
 
@@ -640,7 +708,7 @@ def full_stack_checks(cfg):
     out["eigenvalues_match_jacobi"] = np.max(
         np.abs(produced - oracle) / scale[:, None]
     )
-    x = verify._SplitMix64(verify.SEED).standard_normal((50, len(ogrid), len(squad)))
+    x = verify.random_sections(verify._SplitMix64(verify.SEED), ogrid, squad, 50)
     quot = (_on_grid(k, ogrid, squad)[1](x) * x) @ squad.weights
     quot /= (x * x) @ squad.weights
     out["rayleigh_bounds"] = np.max(
@@ -798,3 +866,28 @@ def test_suite_puts_the_kernel_on_its_grids_once(tmp_path, monkeypatch, kind):
     monkeypatch.setattr(verify, "_on_grid", spy)
     verify.run_suite(cfg)
     assert len(calls) == 1 and calls[0] is cfg.kernel
+
+
+def test_mixing_check_reports_a_mix_off_the_spectrum(monkeypatch):
+    # every aligned mix lies in the spectrum, so the check fails only on a
+    # mix moved off it: here by delta at the node whose spectral values lie
+    # farthest apart, far from every other spectral value there
+    cfg = fs.load_config(CONFIG_PATH, omega_n=16, quad_n=24)
+    by_name = {r.name: r for r in verify.run_suite(cfg)}
+    assert by_name["mixing_membership"].value == 0.0
+    delta = 1e-6
+    mix_field = verify.mix_field
+
+    def shifted(d, p, use_aligned):
+        mixed = mix_field(d, p, use_aligned=use_aligned)
+        gaps = -np.diff(d._spectra, axis=1)
+        i = int(np.argmax(np.min(gaps, axis=1)))
+        assert np.min(gaps[i]) > 100 * delta
+        values = mixed.values.copy()
+        values[i] += delta
+        return fs.ScalarField(d.ogrid, values)
+
+    monkeypatch.setattr(verify, "mix_field", shifted)
+    check = {r.name: r for r in verify.run_suite(cfg)}["mixing_membership"]
+    assert abs(check.value - delta) <= 1e-15
+    assert not check.passed
