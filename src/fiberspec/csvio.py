@@ -316,8 +316,8 @@ def write_bounds(path, d: FiberDecomposition):
 def write_spectra(path, d: FiberDecomposition):
     """Rows (omega, lambda) listing each fiber spectrum in descending order."""
     spectra = d._spectra
-    fiber, slot = np.nonzero(np.isfinite(spectra))
-    _write_table(path, ("omega", "lambda"), d.ogrid.nodes[fiber], spectra[fiber, slot])
+    rows = np.nonzero(np.isfinite(spectra))
+    _write_table(path, ("omega", "lambda"), d.ogrid.nodes[:, None], spectra, rows=rows)
 
 
 def write_kernel(path, k: SampledKernel):

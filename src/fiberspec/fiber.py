@@ -119,7 +119,8 @@ def _prepare(a):
     Returns the stack as (F, n, n), the binary exponent of every matrix's
     largest entry and the leading shape of the input.  Each matrix is
     scaled by the power of two that brings its largest entry into
-    [1/2, 1), which is exact and keeps norms from overflowing.
+    [1/2, 1), which is exact and keeps norms from overflowing; a matrix
+    asymmetric beyond 1e-12 after the scaling is NotSymmetric.
     """
     A = np.array(a, dtype=float, copy=True)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
@@ -128,11 +129,11 @@ def _prepare(a):
     A = A.reshape((math.prod(lead), n, n))
     if not np.all(np.isfinite(A)):
         raise DomainError("matrix has non-finite entries")
-    asymmetry = float(np.max(np.abs(A - A.transpose(0, 2, 1)), initial=0.0))
-    if asymmetry > 1e-12:
-        raise NotSymmetric(f"matrix asymmetry {asymmetry:.3e} exceeds 1e-12")
     _, exponent = np.frexp(np.max(np.abs(A), axis=(1, 2), initial=0.0))
     A = np.ldexp(A, -exponent[:, None, None])
+    asymmetry = float(np.max(np.abs(A - A.transpose(0, 2, 1)), initial=0.0))
+    if asymmetry > 1e-12:
+        raise NotSymmetric(f"relative matrix asymmetry {asymmetry:.3e} exceeds 1e-12")
     return 0.5 * (A + A.transpose(0, 2, 1)), exponent, lead
 
 
@@ -168,7 +169,7 @@ def _eigh(a):
     return _finish(vals, vecs, exponent, lead)
 
 
-def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
+def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL):
     """Eigendecomposition of symmetric matrices by Jacobi rotations.
 
     This is the reference solver that verify compares the production
@@ -177,20 +178,21 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL, max_sweeps: int = MAX_SWEEPS):
     and its result is bitwise the same whether it is solved alone or inside
     a stack.  Each matrix is first scaled by the power of two that brings
     its largest entry into [1/2, 1), which is exact and keeps the norms
-    from overflowing.  Sweeps of the round-robin ordering run until the
-    Frobenius norm of a matrix's off-diagonal part drops to tol times the
-    Frobenius norm of the matrix; a matrix that gets there takes no further
-    rotations.  Returns (eigenvalues, eigenvectors) of shapes (..., n) and
-    (..., n, n), with eigenvalues sorted descending and eigenvectors as the
-    matching orthonormal columns.  Raises ValueError when the input is not
-    a square matrix or a stack of them, DomainError when an entry or an
-    eigenvalue is not finite, NotSymmetric when a matrix is asymmetric
-    beyond 1e-12 and NoConvergence when any matrix runs out of sweeps.
+    from overflowing.  Up to MAX_SWEEPS sweeps of the round-robin ordering
+    run until the Frobenius norm of a matrix's off-diagonal part drops to
+    tol times the Frobenius norm of the matrix; a matrix that gets there
+    takes no further rotations.  Returns (eigenvalues, eigenvectors) of
+    shapes (..., n) and (..., n, n), with eigenvalues sorted descending and
+    eigenvectors as the matching orthonormal columns.  Raises ValueError
+    when the input is not a square matrix or a stack of them, DomainError
+    when an entry or an eigenvalue is not finite, NotSymmetric when a
+    scaled matrix is asymmetric beyond 1e-12 and NoConvergence when any
+    matrix runs out of sweeps.
     """
-    return _jacobi(a, tol, max_sweeps, vectors=True)
+    return _jacobi(a, tol, vectors=True)
 
 
-def _jacobi(a, tol, max_sweeps, vectors):
+def _jacobi(a, tol, vectors):
     """jacobi_eigh, with or without the eigenvectors.
 
     Without them the rotation accumulator V has no rows, so _sweep skips
@@ -208,7 +210,7 @@ def _jacobi(a, tol, max_sweeps, vectors):
     skip_below = (tol * anorm * 1e-2 / max(1, n * n))[:, None]
     rounds = _round_robin(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for sweep in range(max_sweeps + 1):
+        for sweep in range(MAX_SWEEPS + 1):
             done = _frobenius(A, off_diagonal=True) <= limit
             vals[live[done]] = np.diagonal(A[done], axis1=1, axis2=2)
             vecs[live[done]] = V[done]
@@ -217,9 +219,9 @@ def _jacobi(a, tol, max_sweeps, vectors):
             limit, skip_below = limit[going], skip_below[going]
             if not live.size:
                 break
-            if sweep == max_sweeps:
+            if sweep == MAX_SWEEPS:
                 raise NoConvergence(
-                    f"Jacobi sweeps exhausted ({max_sweeps}) before reaching "
+                    f"Jacobi sweeps exhausted ({MAX_SWEEPS}) before reaching "
                     f"relative off-diagonal mass {tol:.0e}"
                 )
             _sweep(A, V, skip_below, rounds)

@@ -2,10 +2,11 @@
 
 A kernel is either separable, a finite sum of curve(omega) * basis(t) *
 basis(s) terms declared through expressions, or sampled, a dense tensor of
-node values with one symmetric matrix per parameter node.  Both carry
-asymmetry, the worst |k(omega,t,s) - k(omega,s,t)| of the values they were
-given: 0 for a separable kernel.  Basis terms do not have to be
-orthonormal; the per-fiber eigensolver is the ground truth downstream.
+node values with one symmetric matrix per parameter node, each gated in
+its own scale.  Both carry asymmetry, the worst |k(omega,t,s) -
+k(omega,s,t)| of the values they were given: 0 for a separable kernel.
+Basis terms do not have to be orthonormal; the per-fiber eigensolver is
+the ground truth downstream.
 The private _on_grid gives the fiber values and the quadrature action
 from one sampling, and fiber._solve_fibers reads a separable kernel's
 basis and curves for its factored cores; nothing else knows how each kind
@@ -29,8 +30,8 @@ from .errors import (
 )
 from .grid import OmegaGrid, SQuadrature, same_rule
 
-# Sampled tensors may be asymmetric up to this much and still be usable
-# after symmetrization; anything worse is rejected.
+# A sampled fiber may be asymmetric up to this much of its largest entry
+# and still be usable after symmetrization; anything worse is rejected.
 SYMMETRIZE_TOL = 1e-9
 
 
@@ -70,9 +71,10 @@ class SeparableKernel(Record):
 
 class SampledKernel(Record):
     """Dense kernel samples, shape (n_omega, n_s, n_s), averaged with their
-    fiberwise transpose; an asymmetry above SYMMETRIZE_TOL is NotSymmetric.
-    asymmetry keeps max |k(omega,t,s) - k(omega,s,t)| of the input, before
-    the averaging."""
+    fiberwise transpose; a fiber asymmetric by more than SYMMETRIZE_TOL
+    times its largest |entry| is NotSymmetric.  asymmetry keeps the
+    absolute max |k(omega,t,s) - k(omega,s,t)| of the input, before the
+    averaging."""
 
     __slots__ = ("ogrid", "squad", "values", "asymmetry")
 
@@ -88,10 +90,14 @@ class SampledKernel(Record):
         if not np.all(np.isfinite(values)):
             raise DomainError("sampled kernel contains non-finite values")
         swapped = values.transpose(0, 2, 1)
-        asymmetry = float(np.max(np.abs(values - swapped), initial=0.0))
-        if asymmetry > SYMMETRIZE_TOL:
+        gaps = np.max(np.abs(values - swapped), axis=(1, 2), initial=0.0)
+        sizes = np.max(np.abs(values), axis=(1, 2), initial=0.0)
+        bad = gaps > SYMMETRIZE_TOL * sizes
+        if bad.any():
+            i = np.argmax(bad)
             raise NotSymmetric(
-                f"sampled kernel asymmetry {asymmetry:.3e} exceeds {SYMMETRIZE_TOL:.0e}"
+                f"sampled kernel fiber {i} asymmetry {gaps[i]:.3e} exceeds "
+                f"{SYMMETRIZE_TOL:.0e} of its largest entry {sizes[i]:.3e}"
             )
         # the sum is exact for subnormals; halving first only where the sum
         # overflows keeps the largest finite samples
@@ -101,7 +107,7 @@ class SampledKernel(Record):
             np.isfinite(total), 0.5 * total, 0.5 * values + 0.5 * swapped
         )
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "asymmetry", asymmetry)
+        object.__setattr__(self, "asymmetry", float(np.max(gaps, initial=0.0)))
 
 
 KernelSpec = Union[SeparableKernel, SampledKernel]
@@ -184,7 +190,7 @@ def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:
     funcs = np.take_along_axis(d.functions, slots[..., None], axis=1)
     vals = np.take_along_axis(d.eigenvalues, slots, axis=1)
     block = (funcs.transpose(0, 2, 1) * vals[:, None, :]) @ funcs
-    # exact symmetrization: the constructor's gate is absolute, which large
-    # reconstructions could trip on rounding alone
+    # exact symmetrization, so the recorded asymmetry is 0 rather than the
+    # rounding of the products
     values = 0.5 * (block + block.transpose(0, 2, 1))
     return SampledKernel(d.ogrid, d.squad, values)

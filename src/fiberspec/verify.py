@@ -7,10 +7,14 @@ deterministic because the randomized probes come from a seeded in-package
 SplitMix64 stream, so verify never loads numpy.random.  A run puts the
 kernel on its grids once, and the checks that need its values take them a
 chunk of fibers at a time, so the suite never holds the whole
-(F, n_s, n_s) kernel stack.  The Riemann-Stieltjes sums for g = lambda
-are compared with the error the spectral theorem predicts for them.  The
-projector axiom block is reusable against any decomposition and the
-quadrature action of its kernel.
+(F, n_s, n_s) kernel stack.  Each intermediate is computed once: the
+grid check solves and truncates the doubled rule for its eigenvalues
+alone, with no curve alignment, the right-continuity probe reads the
+projection of its section that the axiom loop made, and the mixing checks
+read the membership distances directly.  The Riemann-Stieltjes sums for
+g = lambda are compared with the error the spectral theorem predicts for
+them.  The projector axiom block is reusable against any decomposition
+and the quadrature action of its kernel.
 """
 
 from __future__ import annotations
@@ -31,13 +35,7 @@ from .calculus import (
     riemann_stieltjes_apply,
 )
 from .config import Config, decompose, section_by_name
-from .fiber import (
-    MAX_SWEEPS,
-    FiberDecomposition,
-    _assemble,
-    _jacobi,
-    decompose_all_fibers,
-)
+from .fiber import FiberDecomposition, _assemble, _jacobi, _retain, _solve_fibers
 from .grid import (
     OmegaGrid,
     ScalarField,
@@ -49,12 +47,7 @@ from .grid import (
     build_s_quadrature,
 )
 from .kernel import _on_grid
-from .spectrum import (
-    Partition,
-    membership_distances,
-    mix_field,
-    spm_membership,
-)
+from .spectrum import Partition, membership_distances, mix_field
 
 SEED = 1347
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): word i of a stream is a
@@ -282,6 +275,13 @@ def projector_axiom_residuals(
     norms = _l22(ogrid, squad, x)
     self_ip = _pairing(squad, x, x)
     tf_ip = _pairing(squad, tx, x)
+    # right-continuity surrogate on f = x[0]: approaching the threshold
+    # from below reaches the same quadratic form <f, E f> wherever the
+    # approach distance clears the local spectral gap
+    f = x[0]
+    steps = np.array([1.0, 0.5, 0.2, 0.05])
+    # fiber spectra; their -inf padding never falls in the window below
+    spec = d._spectra
 
     for lam_vals in lams:
         ex = _project(d, x, lam_vals, tie)
@@ -304,6 +304,15 @@ def projector_axiom_residuals(
         bump("projector_order_upper", etx_ip - lam_vals * ex_ip)
         lower = lam_vals * (self_ip - ex_ip) - (tf_ip - etx_ip)
         bump("projector_order_lower", lower)
+        # ex_ip[0] is <f, E f> at this threshold
+        shifted = lam_vals - steps[:, None]
+        cur_ip = _pairing(squad, f, _project(d, f, shifted, tie))
+        bump("projector_right_sup", cur_ip - ex_ip[0])
+        bump("projector_right_sup", cur_ip[:-1] - cur_ip[1:])
+        mu = lam_vals[:, None]
+        window = (spec > mu - steps[-1] - 1e-9) & (spec <= mu + tie + 1e-15)
+        valid = ~np.any(window, axis=1)
+        bump("projector_right_sup", np.abs(cur_ip[-1] - ex_ip[0])[valid])
 
     # monotonicity over pointwise min/max pairs of consecutive thresholds
     for a, b in zip(lams, lams[1:]):
@@ -313,24 +322,6 @@ def projector_axiom_residuals(
         e_hi = _project(d, x[:2], hi, tie)
         for e in (_project(d, e_lo, hi, tie), _project(d, e_hi, lo, tie)):
             bump("projector_monotone", _l22(ogrid, squad, e - e_lo))
-
-    # right-continuity surrogate: approaching the threshold from below
-    # reaches the same quadratic form wherever the approach distance clears
-    # the local spectral gap
-    f = x[0]
-    steps = np.array([1.0, 0.5, 0.2, 0.05])
-    # fiber spectra; their -inf padding never falls in the window below
-    spec = d._spectra
-    for lam_vals in lams:
-        base_ip = _pairing(squad, f, _project(d, f, lam_vals, tie))
-        shifted = lam_vals - steps[:, None]
-        cur_ip = _pairing(squad, f, _project(d, f, shifted, tie))
-        bump("projector_right_sup", cur_ip - base_ip)
-        bump("projector_right_sup", cur_ip[:-1] - cur_ip[1:])
-        mu = lam_vals[:, None]
-        window = (spec > mu - steps[-1] - 1e-9) & (spec <= mu + tie + 1e-15)
-        valid = ~np.any(window, axis=1)
-        bump("projector_right_sup", np.abs(cur_ip[-1] - base_ip)[valid])
 
     # boundary thresholds: strictly below every spectral value and above
     # all of them
@@ -480,7 +471,7 @@ def run_suite(cfg: Config) -> list:
     # assembled matrices; truncated and padded slots compare as zeros
     picked = sorted({0, d.n_fibers // 2, d.n_fibers - 1})
     A = _assemble(kernel(picked), squad)
-    oracle, _ = _jacobi(A, tol.eig_tol, MAX_SWEEPS, vectors=False)
+    oracle, _ = _jacobi(A, tol.eig_tol, vectors=False)
     del A
     produced = np.zeros(oracle.shape)
     produced[:, : d.eigenvalues.shape[1]] = d.eigenvalues[picked]
@@ -490,18 +481,17 @@ def run_suite(cfg: Config) -> list:
         np.abs(produced - oracle) / scale[:, None]
     )
 
-    # grid refinement stability of the eigenvalues: the kernel is compared
-    # with the doubled rule, so the drift is the error of this rule
+    # grid refinement stability of the eigenvalues: the kernel is solved
+    # and truncated on the doubled rule, so the drift is the error of this
+    # rule; the slots below both ranks are compared
     if gauss and len(squad) >= 8:
-        d_ref = decompose_all_fibers(
-            cfg.kernel,
-            ogrid,
-            build_s_quadrature("gauss_legendre", 2 * len(squad)),
-            rank_tol=tol.rank_tol,
+        doubled = build_s_quadrature("gauss_legendre", 2 * len(squad))
+        ref, _, ref_ranks = _retain(
+            *_solve_fibers(cfg.kernel, ogrid, doubled), doubled, tol.rank_tol
         )
-        r = min(d.eigenvalues.shape[1], d_ref.eigenvalues.shape[1])
-        both = (d.labels[:, :r] >= 0) & (d_ref.labels[:, :r] >= 0)
-        gap = np.abs(d.eigenvalues[:, :r] - d_ref.eigenvalues[:, :r])
+        r = min(d.eigenvalues.shape[1], ref.shape[1])
+        both = np.arange(r) < np.minimum(d.ranks, ref_ranks)[:, None]
+        gap = np.abs(d.eigenvalues[:, :r] - ref[:, :r])
         values["eigenvalue_grid_stability"] = np.max(gap, where=both, initial=0.0)
 
     # Rayleigh quotients stay inside the spectral bounds; the 50 probes are
@@ -592,9 +582,9 @@ def run_suite(cfg: Config) -> list:
     for _ in range(3):
         p = _random_node_partition(rng, d)
         mixed = mix_field(d, p, use_aligned=True)
-        member, violations = spm_membership(d, mixed, tol.member_tol)
-        if not member:
-            mix_worst = max(mix_worst, max(v for _, v in violations))
+        dist = membership_distances(d, mixed)
+        worst = np.max(dist, where=dist > tol.member_tol, initial=0.0)
+        mix_worst = max(mix_worst, float(worst))
         beyond = np.maximum(d.m.values - mixed.values, mixed.values - d.M.values)
         bounds_worst = max(bounds_worst, float(np.max(beyond)))
     values["mixing_membership"] = mix_worst

@@ -475,6 +475,34 @@ def test_overflowing_sampled_kernel_is_config_error(tmp_path, capsys):
         assert err.startswith("config error: kernel: ") and "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "expression, code",
+    [("1e8*(t*s*s+t*t*s)", 0), ("1e-12*(t-s+2)", 2)],
+)
+def test_symmetry_gate_follows_the_kernel_scale(tmp_path, capsys, expression, code):
+    # a symmetric kernel whose rounding exceeds 1e-9 in absolute terms
+    # loads, and a tiny asymmetric one is refused
+    config = tmp_path / "scaled.json"
+    config.write_text(
+        json.dumps(
+            {
+                "omega_grid": {"n": 8},
+                "s_quadrature": {"rule": "gauss_legendre", "n": 16},
+                "kernel": {"type": "sampled", "expression": expression},
+            }
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["decompose", "--config", str(config), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: kernel: sampled kernel fiber 0 asymmetry")
+    else:
+        assert err == ""
+
+
 def test_huge_finite_sampled_kernel_is_symmetrized(tmp_path, capsys):
     # 0.5 * (k + k^T) would overflow; the halves are added instead
     config = write_sampled(tmp_path, "1.5e308")

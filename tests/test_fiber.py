@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fiberspec as fs
 from fiberspec import errors, fiber
 from fiberspec.expr import parse
-from fiberspec.fiber import DEFAULT_EIG_TOL, MAX_SWEEPS, _eigh, _jacobi
+from fiberspec.fiber import DEFAULT_EIG_TOL, _eigh, _jacobi
 
 from conftest import CONFIG_PATH, curve1, curve2, curve3
 from test_mixed_rank import TERMS as MIXED_TERMS
@@ -129,6 +129,19 @@ def test_jacobi_rejects_asymmetry():
         fs.jacobi_eigh(A)
 
 
+def test_symmetry_gate_is_relative_to_the_matrix_scale():
+    # the same relative asymmetry is refused at any scale, and one unit in
+    # the last place of a huge entry (3.3e4 here) passes
+    tiny = 1e-20 * np.array([[1.0, 2.0], [2.1, 1.0]])
+    huge = 1e20 * np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), 1.0]])
+    assert huge[1, 0] - huge[0, 1] > 1e4
+    for solve in (fs.jacobi_eigh, _eigh):
+        with pytest.raises(errors.NotSymmetric):
+            solve(tiny)
+        vals, _ = solve(huge)
+        np.testing.assert_allclose(vals, [3e20, -1e20], rtol=1e-15)
+
+
 def test_jacobi_rejects_nonfinite():
     # NaN fails every comparison, so it must be caught before the symmetry
     # test and the sweeps
@@ -143,22 +156,24 @@ def test_jacobi_rejects_nonsquare():
         fs.jacobi_eigh(np.zeros((2, 3)))
 
 
-def test_jacobi_sweep_budget():
+def test_jacobi_sweep_budget(monkeypatch):
     rng = np.random.default_rng(10)
     B = rng.standard_normal((6, 6))
     A = 0.5 * (B + B.T)
+    monkeypatch.setattr(fiber, "MAX_SWEEPS", 0)
     with pytest.raises(errors.NoConvergence):
-        fs.jacobi_eigh(A, max_sweeps=0)
+        fs.jacobi_eigh(A)
 
 
-def test_jacobi_sweep_budget_covers_every_matrix_of_a_stack():
+def test_jacobi_sweep_budget_covers_every_matrix_of_a_stack(monkeypatch):
     rng = np.random.default_rng(11)
     B = rng.standard_normal((5, 5))
     diagonal = np.diag([4.0, -1.0, 2.0, 0.0, 3.0])
-    vals, _ = fs.jacobi_eigh(np.stack([diagonal, diagonal]), max_sweeps=0)
+    monkeypatch.setattr(fiber, "MAX_SWEEPS", 0)
+    vals, _ = fs.jacobi_eigh(np.stack([diagonal, diagonal]))
     assert np.array_equal(vals[1], [4.0, 3.0, 2.0, 0.0, -1.0])
     with pytest.raises(errors.NoConvergence):
-        fs.jacobi_eigh(np.stack([diagonal, B + B.T, diagonal]), max_sweeps=0)
+        fs.jacobi_eigh(np.stack([diagonal, B + B.T, diagonal]))
 
 
 def symmetric_matrix(rng, kind, n):
@@ -214,7 +229,7 @@ def test_stacked_solve_bitwise_equal(cfg):
             assert alone_vals.tobytes() == v.tobytes()
             assert alone_vecs.tobytes() == V.tobytes()
     # verify's oracle skips the eigenvector updates and keeps the values
-    vals, vecs = _jacobi(stack, DEFAULT_EIG_TOL, MAX_SWEEPS, vectors=False)
+    vals, vecs = _jacobi(stack, DEFAULT_EIG_TOL, vectors=False)
     assert vals.tobytes() == fs.jacobi_eigh(stack)[0].tobytes()
     assert vecs.shape == (len(stack), 0, n)
 

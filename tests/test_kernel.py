@@ -117,6 +117,42 @@ def test_sample_kernel_keeps_symmetric_samples_exactly(grids):
         assert np.array_equal(values, raw), text
 
 
+@pytest.mark.parametrize("scale", ["1e-12", "1", "1e8"])
+def test_symmetry_gate_is_relative_to_the_kernel_scale(scale):
+    # each fiber's asymmetry is compared with its own largest entry: the
+    # rounding of a large symmetric kernel passes, and a tiny kernel
+    # asymmetric by 2/3 of its size is refused as it is at scale 1
+    ogrid, squad = fs.build_omega_grid(8), fs.build_s_quadrature("gauss_legendre", 16)
+    k = fs.sample_kernel(parse(f"{scale}*(t*s*s+t*t*s)"), ogrid, squad)
+    assert k.values.tobytes() == k.values.transpose(0, 2, 1).copy().tobytes()
+    if scale == "1e8":
+        # above the gate in absolute terms, where it used to be measured
+        assert k.asymmetry > fs.kernel.SYMMETRIZE_TOL
+    assert fs.SampledKernel(ogrid, squad, k.values).asymmetry == 0.0
+    text = "^sampled kernel fiber 0 asymmetry "
+    with pytest.raises(errors.NotSymmetric, match=text):
+        fs.sample_kernel(parse(f"{scale}*(t-s+2)"), ogrid, squad)
+    t, s = squad.nodes[:, None], squad.nodes[None, :]
+    values = np.broadcast_to(float(scale) * (t - s + 2), (8, 16, 16))
+    with pytest.raises(errors.NotSymmetric, match=text):
+        fs.SampledKernel(ogrid, squad, values)
+
+
+def test_sampled_kernel_refuses_a_small_asymmetric_fiber():
+    # fiber 2 is asymmetric by 1e-13, a few percent of its own largest
+    # entry but far less than 1e-9 of the other fibers'; the message names it
+    ogrid, squad = fs.build_omega_grid(4), fs.build_s_quadrature("gauss_legendre", 6)
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((4, 6, 6))
+    values += values.transpose(0, 2, 1)
+    values[2] = 1e-12 * (values[2] + np.triu(np.full((6, 6), 0.1), 1))
+    asymmetry = np.max(np.abs(values[2] - values[2].T))
+    assert asymmetry < 1e-9 * np.max(np.abs(values[0]))
+    text = "^sampled kernel fiber 2 asymmetry 1.000e-13 exceeds 1e-09 of its "
+    with pytest.raises(errors.NotSymmetric, match=text):
+        fs.SampledKernel(ogrid, squad, values)
+
+
 def test_separable_asymmetry_is_exact(grids):
     assert separable_fixture().asymmetry == 0.0
 

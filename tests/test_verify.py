@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberspec as fs
-from fiberspec import verify
+from fiberspec import fiber, verify
 from fiberspec.calculus import DEFAULT_TIE_TOL, _interval, _multiply, _rs_cuts
 from fiberspec.cli import main
 from fiberspec.config import section_by_name
@@ -639,6 +639,22 @@ def test_grid_stability_uses_doubled_rule(tmp_path):
     by_name = {r.name: r for r in results}
     assert not by_name["eigenvalue_grid_stability"].passed
     assert by_name["eigenvalues_match_jacobi"].passed
+
+
+def test_suite_aligns_curves_once(cfg, monkeypatch):
+    # the grid check solves and truncates the doubled rule for its
+    # eigenvalues alone, so only the configured decomposition is aligned
+    calls = []
+    align = fiber._align_labels
+
+    def spy(*args):
+        calls.append(args)
+        return align(*args)
+
+    monkeypatch.setattr(fiber, "_align_labels", spy)
+    results = verify.run_suite(cfg)
+    assert "eigenvalue_grid_stability" in {r.name for r in results}
+    assert len(calls) == 1
 
 
 def test_jacobi_and_mercer_checks_cover_both_kernel_kinds(tmp_path):
