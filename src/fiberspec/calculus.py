@@ -8,12 +8,16 @@ route is the action kernel._on_grid builds, so this module never looks at
 how a kernel is stored.  Thresholded projectors, the functional calculus,
 and the Riemann-Stieltjes sums all ride on the spectral route; every
 formula carries the complement term that accounts for the kernel (null
-space) of each fiber, where the operator acts as 0.
+space) of each fiber, where the operator acts as 0.  The functional
+calculus keeps each g(T)'s multiplier per decomposition and expression
+object while both live, so one g applied to many sections is evaluated
+once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -29,6 +33,12 @@ DEFAULT_EPSILON = 1e-6
 # Upper limit on the Riemann-Stieltjes partition size; finer meshes are
 # rejected before the cuts are built.
 MAX_RS_CELLS = 10**6
+
+# The multipliers functional_calculus has computed: a decomposition maps to
+# {(id(g), epsilon): (weak reference to g, h, h0)}, and the reference's
+# callback drops the entry once g is collected.  The table lives outside
+# the decomposition, so copy and pickle of it never meet a weak reference.
+_MULTIPLIERS = weakref.WeakKeyDictionary()
 
 
 class ThresholdField(Record):
@@ -123,6 +133,36 @@ def _interval(d: FiberDecomposition, epsilon: float) -> tuple:
     return lo, hi + epsilon
 
 
+def _functional_multiplier(d: FiberDecomposition, g: expr.Expression, epsilon):
+    """g(T)'s multiplier on d: h = g(eigenvalues), (F, r_max) and read-only,
+    and h0 = g(0).
+
+    The first call for (d, g, epsilon) evaluates g at the ends of the
+    spectral interval [min m, max M + epsilon], at 0 and at every slot, and
+    a domain error at any of these points raises and keeps nothing.  Later
+    calls with the same expression object and epsilon return the kept pair.
+    """
+    key = (id(g), epsilon)
+    hit = _MULTIPLIERS.get(d, {}).get(key)
+    # an id names one object only while it lives, so a hit must still be g
+    if hit is not None and hit[0]() is g:
+        return hit[1], hit[2]
+    lo, hi = _interval(d, epsilon)
+    points = np.concatenate(([lo, hi, 0.0], d.eigenvalues.ravel()))
+    values = expr.evaluate(g, {"lambda": points})
+    h, h0 = values[3:].reshape(d.eigenvalues.shape), values[2]
+    h.flags.writeable = False
+    d_ref = weakref.ref(d)
+
+    def forget(_):
+        owner = d_ref()
+        if owner is not None:
+            _MULTIPLIERS.get(owner, {}).pop(key, None)
+
+    _MULTIPLIERS.setdefault(d, {})[key] = (weakref.ref(g, forget), h, h0)
+    return h, h0
+
+
 def functional_calculus(
     d: FiberDecomposition,
     g: expr.Expression,
@@ -133,16 +173,17 @@ def functional_calculus(
     null component.
 
     g is an expression of lambda and must be evaluable on the spectral
-    interval [min m, max M + epsilon].  One call evaluates it at the
-    interval ends first, then at 0 and at every eigenvalue slot; a domain
-    error at any of these points raises.
+    interval [min m, max M + epsilon].  The first call for d, g and epsilon
+    evaluates it at the interval ends first, then at 0 and at every
+    eigenvalue slot; a domain error at any of these points raises.  The
+    multiplier is then kept while d and the expression object g both live,
+    so later calls with the same g apply it without evaluating g again and
+    give bitwise the same results as a first call.  A re-parsed text is
+    another object and is evaluated afresh.
     """
     _require_section_on(d, f)
-    lo, hi = _interval(d, epsilon)
-    points = np.concatenate(([lo, hi, 0.0], d.eigenvalues.ravel()))
-    values = expr.evaluate(g, {"lambda": points})
-    h = values[3:].reshape(d.eigenvalues.shape)
-    return Section(d.ogrid, d.squad, _multiply(d, f.values, h, values[2]))
+    h, h0 = _functional_multiplier(d, g, epsilon)
+    return Section(d.ogrid, d.squad, _multiply(d, f.values, h, h0))
 
 
 def _rs_cuts(d: FiberDecomposition, mesh: float, epsilon: float) -> np.ndarray:

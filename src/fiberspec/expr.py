@@ -54,9 +54,10 @@ VARIABLES = ("omega", "t", "s", "lambda")
 
 class _Node(Record):
     """An AST node: equal, hashed and printed by its type and fields, which
-    __match_args__ lists in order."""
+    __match_args__ lists in order.  A node can be weakly referenced, so
+    calculus.functional_calculus can keep a multiplier while its g lives."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
     def _key(self):
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -232,13 +232,15 @@ def _assemble(K, squad: SQuadrature) -> np.ndarray:
     """Symmetrized collocation matrices 0.5 (A + A^T), A = sqrt(w) K sqrt(w),
     of kernel values K of shape (F, n_s, n_s), for any F fibers.
 
-    The scaled copy of K is scaled in place, so next to K at most three
-    arrays of its size are alive at a time.
+    The scaled copy of K is scaled and the sum A + A^T halved in place, so
+    next to K at most two arrays of its size are alive at a time.
     """
     sw = np.sqrt(squad.weights)
     A = sw[:, None] * K
     A *= sw
-    return 0.5 * (A + A.transpose(0, 2, 1))
+    S = A + A.transpose(0, 2, 1)
+    S *= 0.5
+    return S
 
 
 def fiber_matrices(

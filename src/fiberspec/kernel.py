@@ -90,8 +90,10 @@ class SampledKernel(Record):
         if not np.all(np.isfinite(values)):
             raise DomainError("sampled kernel contains non-finite values")
         swapped = values.transpose(0, 2, 1)
-        gaps = np.max(np.abs(values - swapped), axis=(1, 2), initial=0.0)
-        sizes = np.max(np.abs(values), axis=(1, 2), initial=0.0)
+        # one buffer of the tensor's size takes |v - v^T|, |v| and the sum
+        buf = np.subtract(values, swapped)
+        gaps = np.max(np.abs(buf, out=buf), axis=(1, 2), initial=0.0)
+        sizes = np.max(np.abs(values, out=buf), axis=(1, 2), initial=0.0)
         bad = gaps > SYMMETRIZE_TOL * sizes
         if bad.any():
             i = np.argmax(bad)
@@ -100,13 +102,15 @@ class SampledKernel(Record):
                 f"{SYMMETRIZE_TOL:.0e} of its largest entry {sizes[i]:.3e}"
             )
         # the sum is exact for subnormals; halving first only where the sum
-        # overflows keeps the largest finite samples
+        # overflows keeps the largest finite samples.  The samples are
+        # finite, so their sum is infinite exactly where it overflows.
         with np.errstate(over="ignore"):
-            total = values + swapped
-        values = np.where(
-            np.isfinite(total), 0.5 * total, 0.5 * values + 0.5 * swapped
-        )
-        object.__setattr__(self, "values", values)
+            total = np.add(values, swapped, out=buf)
+        total *= 0.5
+        over = np.isinf(total)
+        if over.any():
+            total[over] = 0.5 * values[over] + 0.5 * swapped[over]
+        object.__setattr__(self, "values", total)
         object.__setattr__(self, "asymmetry", float(np.max(gaps, initial=0.0)))
 
 

@@ -1,10 +1,13 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiberspec as fs
-from fiberspec import errors
+from fiberspec import calculus, errors, expr
 from fiberspec.calculus import DEFAULT_TIE_TOL, _interval, _multiply, _project
 from fiberspec.fiber import FiberDecomposition
 from fiberspec.expr import parse
@@ -419,3 +422,131 @@ def test_projector_refuses_threshold_on_another_grid(decomposition, f_section):
     text = "^threshold field lives on a different parameter grid$"
     with pytest.raises(errors.GridMismatch, match=text):
         fs.projector_apply(decomposition, lam, f_section)
+
+
+# g defined on every real, so on any random decomposition's interval
+G_EVERYWHERE = (
+    "lambda^2",
+    "exp(-lambda)",
+    "sin(3*lambda)+lambda/4",
+    "abs(lambda-0.3)",
+    "1",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sampled=st.booleans(),
+    text=st.sampled_from(G_EVERYWHERE),
+    epsilons=st.lists(st.sampled_from([1e-6, 1e-3, 0.5]), min_size=1, max_size=4),
+)
+def test_kept_multiplier_equals_a_fresh_decomposition(seed, sampled, text, epsilons):
+    # one parsed g on several sections and epsilons of one decomposition,
+    # each epsilon twice, every result bitwise equal to a first call on a
+    # fresh decomposition
+    d = _random_decomposition(np.random.default_rng(seed), sampled)
+    g = parse(text)
+    rng = np.random.default_rng(seed ^ 0x5EED)
+    for epsilon in epsilons + epsilons:
+        values = rng.standard_normal((d.n_fibers, len(d.squad)))
+        f = fs.Section(d.ogrid, d.squad, values)
+        got = fs.functional_calculus(d, g, f, epsilon)
+        fresh = _random_decomposition(np.random.default_rng(seed), sampled)
+        want = fs.functional_calculus(fresh, g, f, epsilon)
+        assert got.values.tobytes() == want.values.tobytes()
+    assert len(calculus._MULTIPLIERS[d]) == len(set(epsilons))
+
+
+@pytest.fixture()
+def evaluations(monkeypatch):
+    """The bindings of every expr.evaluate call, in order."""
+    calls = []
+    evaluate = expr.evaluate
+
+    def counting(e, bindings):
+        calls.append(bindings)
+        return evaluate(e, bindings)
+
+    monkeypatch.setattr(expr, "evaluate", counting)
+    return calls
+
+
+def test_multiplier_is_evaluated_once_per_expression_and_epsilon(
+    cfg, f_section, evaluations
+):
+    d = fs.decompose(cfg)
+    # decomposing and the other spectral queries keep no multiplier
+    fs.apply_spectral(d, f_section)
+    fs.projector_apply(d, fs.ThresholdField.constant(cfg.ogrid, 0.4), f_section)
+    fs.riemann_stieltjes_apply(d, parse("lambda"), f_section, 0.02)
+    assert d not in calculus._MULTIPLIERS
+    evaluations.clear()
+    g = parse("exp(-lambda)")
+    first = fs.functional_calculus(d, g, f_section)
+    for _ in range(3):
+        again = fs.functional_calculus(d, g, f_section)
+        assert again.values.tobytes() == first.values.tobytes()
+    assert len(evaluations) == 1
+    # a new epsilon and a re-parsed text each evaluate g afresh
+    fs.functional_calculus(d, g, f_section, epsilon=1e-3)
+    fs.functional_calculus(d, g, f_section, epsilon=1e-3)
+    assert len(evaluations) == 2
+    same_text = parse("exp(-lambda)")
+    fs.functional_calculus(d, same_text, f_section)
+    assert len(evaluations) == 3
+    assert len(calculus._MULTIPLIERS[d]) == 3
+
+
+def test_domain_error_raises_every_time_and_keeps_nothing(
+    cfg, f_section, evaluations
+):
+    # every fiber spectrum holds 0, where log is not defined
+    d = fs.decompose(cfg)
+    g = parse("log(lambda)")
+    evaluations.clear()
+    for calls in (1, 2):
+        with pytest.raises(errors.DomainError):
+            fs.functional_calculus(d, g, f_section)
+        assert len(evaluations) == calls
+    assert d not in calculus._MULTIPLIERS
+
+
+def test_kept_multiplier_lives_while_expression_and_decomposition_live(
+    cfg, f_section
+):
+    # reference counting alone frees each kept h: no cycle holds it
+    gc.disable()
+    try:
+        d = fs.decompose(cfg)
+        g, other = parse("lambda^2"), parse("lambda^2")
+        fs.functional_calculus(d, g, f_section)
+        fs.functional_calculus(d, other, f_section)
+        eps = calculus.DEFAULT_EPSILON
+        kept = calculus._MULTIPLIERS[d]
+        assert list(kept) == [(id(g), eps), (id(other), eps)]
+        h_ref = weakref.ref(kept[id(g), eps][1])
+        del g
+        assert h_ref() is None and list(kept) == [(id(other), eps)]
+        h_ref, d_ref = weakref.ref(kept[id(other), eps][1]), weakref.ref(d)
+        del d, kept
+        assert d_ref() is None and h_ref() is None
+        # other outlives the table, which took its weak reference along
+        del other
+    finally:
+        gc.enable()
+
+
+def test_kept_multiplier_is_read_only_and_never_returned(decomposition, f_section):
+    d = decomposition
+    for text in ("exp(-lambda)", "1", "lambda"):
+        g = parse(text)
+        results = [fs.functional_calculus(d, g, f_section) for _ in range(2)]
+        _, h, h0 = calculus._MULTIPLIERS[d][(id(g), calculus.DEFAULT_EPSILON)]
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[...] = 0.0
+        assert h.shape == d.eigenvalues.shape and np.ndim(h0) == 0
+        for out in results:
+            assert not np.shares_memory(out.values, h)
+            assert not np.shares_memory(out.values, f_section.values)

@@ -153,6 +153,35 @@ def test_sampled_kernel_refuses_a_small_asymmetric_fiber():
         fs.SampledKernel(ogrid, squad, values)
 
 
+def test_sampled_kernel_averages_as_the_where_formula():
+    # every stored value equals the two-branch formula: the halved sum, and
+    # 0.5 v + 0.5 v^T where the sum overflows.  Fibers 0 and 2 mix pairs
+    # near +-1.5e308, one ulp apart, with ordinary entries; fiber 1 is
+    # asymmetric below the gate and holds a pair of subnormals, whose two
+    # averages differ.  The input is left as it was.
+    ogrid, squad = fs.build_omega_grid(3), fs.build_s_quadrature("gauss_legendre", 5)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((3, 5, 5))
+    values += values.transpose(0, 2, 1)
+    values[1] += rng.uniform(-1e-10, 1e-10, (5, 5))
+    values[1, 0, 4], values[1, 4, 0] = 5e-324, 1e-323
+    for i, j, l, big in ((0, 0, 1, 1.5e308), (0, 2, 2, -1.5e308), (2, 3, 4, -1.5e308)):
+        values[i, j, l] = big
+        values[i, l, j] = np.nextafter(big, 0.0) if j != l else big
+    before = values.copy()
+    swapped = values.transpose(0, 2, 1)
+    with np.errstate(over="ignore"):
+        total = values + swapped
+    assert np.count_nonzero(~np.isfinite(total)) == 5
+    halves = 0.5 * values + 0.5 * swapped
+    assert halves[1, 0, 4] != 0.5 * total[1, 0, 4]
+    want = np.where(np.isfinite(total), 0.5 * total, halves)
+    k = fs.SampledKernel(ogrid, squad, values)
+    assert k.values.tobytes() == want.tobytes()
+    assert k.asymmetry == np.max(np.abs(values - swapped))
+    assert values.tobytes() == before.tobytes()
+
+
 def test_separable_asymmetry_is_exact(grids):
     assert separable_fixture().asymmetry == 0.0
 

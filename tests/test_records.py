@@ -102,6 +102,25 @@ def test_positional_and_keyword_construction(records):
 
 
 def test_copy_and_pickle_keep_the_fields(records):
+    _check_copies(records)
+
+
+def test_copy_and_pickle_after_queries(records, cfg, decomposition):
+    # a query keeps g's multiplier outside the decomposition, and the nodes'
+    # weak reference slot is not state: both still copy and pickle
+    f = section_by_name(cfg, "f")
+    nodes = [r for r in records if isinstance(r, fs.expr._Node)]
+    want = [fs.functional_calculus(decomposition, g, f) for g in nodes]
+    _check_copies(records)
+    for g, out in zip(nodes, want):
+        copies = (copy.copy(decomposition), pickle.loads(pickle.dumps(decomposition)))
+        for d in copies:
+            for clone in (g, copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+                got = fs.functional_calculus(d, clone, f)
+                assert got.values.tobytes() == out.values.tobytes()
+
+
+def _check_copies(records):
     for r in records:
         for clone in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
             assert type(clone) is type(r)
