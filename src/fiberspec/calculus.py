@@ -55,8 +55,7 @@ class ThresholdField(Record):
     def __init__(self, field: ScalarField, tie_tol: float = DEFAULT_TIE_TOL):
         if math.isnan(tie_tol):
             raise ValueError("tie_tol must not be nan")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "tie_tol", tie_tol)
+        super().__init__(field, tie_tol)
 
     @staticmethod
     def constant(grid: OmegaGrid, value: float, tie_tol: float = DEFAULT_TIE_TOL):

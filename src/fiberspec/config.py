@@ -65,10 +65,7 @@ class Tolerances(Record):
         eig_tol: float = DEFAULT_EIG_TOL,
         member_tol: float = DEFAULT_MEMBER_TOL,
     ):
-        object.__setattr__(self, "rank_tol", rank_tol)
-        object.__setattr__(self, "tie_tol", tie_tol)
-        object.__setattr__(self, "eig_tol", eig_tol)
-        object.__setattr__(self, "member_tol", member_tol)
+        super().__init__(rank_tol, tie_tol, eig_tol, member_tol)
 
 
 class Config(Record):
@@ -94,16 +91,11 @@ class Config(Record):
         tolerances: Tolerances | None = None,  # None: a fresh Tolerances()
         epsilon: float = DEFAULT_EPSILON,
     ):
-        object.__setattr__(self, "ogrid", ogrid)
-        object.__setattr__(self, "squad", squad)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "sections", sections)
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "partitions", partitions)
         if tolerances is None:
             tolerances = Tolerances()
-        object.__setattr__(self, "tolerances", tolerances)
-        object.__setattr__(self, "epsilon", epsilon)
+        super().__init__(
+            ogrid, squad, kernel, sections, thresholds, partitions, tolerances, epsilon
+        )
 
 
 def _expect(condition, message):

@@ -81,42 +81,42 @@ class Num(_Node):
     __slots__ = __match_args__ = ("value",)
 
     def __init__(self, value: float):
-        object.__setattr__(self, "value", value)
+        super().__init__(value)
 
 
 class Var(_Node):
     __slots__ = __match_args__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        super().__init__(name)
 
 
 class Pi(_Node):
     __slots__ = __match_args__ = ()
+
+    def __init__(self):
+        super().__init__()
 
 
 class Neg(_Node):
     __slots__ = __match_args__ = ("operand",)
 
     def __init__(self, operand: "Expression"):
-        object.__setattr__(self, "operand", operand)
+        super().__init__(operand)
 
 
 class BinOp(_Node):
     __slots__ = __match_args__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: "Expression", right: "Expression"):
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        super().__init__(op, left, right)
 
 
 class Call(_Node):
     __slots__ = __match_args__ = ("func", "args")
 
     def __init__(self, func: str, args: tuple):
-        object.__setattr__(self, "func", func)
-        object.__setattr__(self, "args", args)
+        super().__init__(func, args)
 
 
 Expression = Union[Num, Var, Pi, Neg, BinOp, Call]

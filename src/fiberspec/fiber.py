@@ -270,7 +270,9 @@ class FiberDecomposition(Record):
     identity.
     """
 
-    # no __slots__: cached_property keeps its value in the instance __dict__
+    # no __slots__: cached_property keeps its value in the instance __dict__,
+    # so _fields gives Record.__init__ the order of the fields
+    _fields = ("ogrid", "squad", "eigenvalues", "functions", "labels", "eigensums")
 
     def __init__(
         self,
@@ -281,12 +283,7 @@ class FiberDecomposition(Record):
         labels: np.ndarray,
         eigensums: np.ndarray,
     ):
-        object.__setattr__(self, "ogrid", ogrid)
-        object.__setattr__(self, "squad", squad)
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "functions", functions)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "eigensums", eigensums)
+        super().__init__(ogrid, squad, eigenvalues, functions, labels, eigensums)
 
     @cached_property
     def ranks(self) -> np.ndarray:

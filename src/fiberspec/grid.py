@@ -39,8 +39,9 @@ def _require_1d_float(values, name):
     return arr
 
 
-def _set_rule(rule, nodes, weights):
-    """Check and store the nodes and weights of a grid or quadrature."""
+def _checked_rule(nodes, weights):
+    """Check the nodes and weights of a grid or quadrature and return them
+    as float arrays, for the record's constructor to store."""
     nodes = _require_1d_float(nodes, "nodes")
     weights = _require_1d_float(weights, "weights")
     if nodes.size == 0 or nodes.size != weights.size:
@@ -53,8 +54,7 @@ def _set_rule(rule, nodes, weights):
         raise ValueError("weights must be positive")
     if abs(float(weights.sum()) - 1.0) > _WEIGHT_SUM_TOL:
         raise ValueError("weights must sum to one")
-    object.__setattr__(rule, "nodes", nodes)
-    object.__setattr__(rule, "weights", weights)
+    return nodes, weights
 
 
 class OmegaGrid(Record):
@@ -63,7 +63,7 @@ class OmegaGrid(Record):
     __slots__ = ("nodes", "weights")
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray):
-        _set_rule(self, nodes, weights)
+        super().__init__(*_checked_rule(nodes, weights))
 
     def __len__(self):
         return self.nodes.size
@@ -75,8 +75,7 @@ class SQuadrature(Record):
     __slots__ = ("rule", "nodes", "weights")
 
     def __init__(self, rule: str, nodes: np.ndarray, weights: np.ndarray):
-        object.__setattr__(self, "rule", rule)
-        _set_rule(self, nodes, weights)
+        super().__init__(rule, *_checked_rule(nodes, weights))
 
     def __len__(self):
         return self.nodes.size
@@ -164,11 +163,10 @@ class ScalarField(Record):
     __slots__ = ("grid", "values")
 
     def __init__(self, grid: OmegaGrid, values: np.ndarray):
-        object.__setattr__(self, "grid", grid)
         values = _require_1d_float(values, "values")
         if values.size != len(grid):
             raise ValueError("field length must match the grid")
-        object.__setattr__(self, "values", _require_finite(values, "field"))
+        super().__init__(grid, _require_finite(values, "field"))
 
     @staticmethod
     def constant(grid: OmegaGrid, value: float) -> "ScalarField":
@@ -181,15 +179,13 @@ class Section(Record):
     __slots__ = ("ogrid", "squad", "values")
 
     def __init__(self, ogrid: OmegaGrid, squad: SQuadrature, values: np.ndarray):
-        object.__setattr__(self, "ogrid", ogrid)
-        object.__setattr__(self, "squad", squad)
         values = np.asarray(values, dtype=float)
         if values.shape != (len(ogrid), len(squad)):
             raise ValueError(
                 f"section shape {values.shape} does not match grids "
                 f"({len(ogrid)}, {len(squad)})"
             )
-        object.__setattr__(self, "values", _require_finite(values, "section"))
+        super().__init__(ogrid, squad, _require_finite(values, "section"))
 
 
 def same_rule(a, b) -> bool:

@@ -56,7 +56,7 @@ class SeparableKernel(Record):
                 raise InvalidKernel(
                     f"term {idx}: basis may only depend on t, found {sorted(extra)}"
                 )
-        object.__setattr__(self, "terms", terms)
+        super().__init__(terms)
 
     def curve_matrix(self, ogrid: OmegaGrid) -> np.ndarray:
         """Curve samples, shape (n_omega, n_terms)."""
@@ -79,8 +79,6 @@ class SampledKernel(Record):
     __slots__ = ("ogrid", "squad", "values", "asymmetry")
 
     def __init__(self, ogrid: OmegaGrid, squad: SQuadrature, values: np.ndarray):
-        object.__setattr__(self, "ogrid", ogrid)
-        object.__setattr__(self, "squad", squad)
         values = np.asarray(values, dtype=float)
         n_s = len(squad)
         if values.shape != (len(ogrid), n_s, n_s):
@@ -110,8 +108,7 @@ class SampledKernel(Record):
         over = np.isinf(total)
         if over.any():
             total[over] = 0.5 * values[over] + 0.5 * swapped[over]
-        object.__setattr__(self, "values", total)
-        object.__setattr__(self, "asymmetry", float(np.max(gaps, initial=0.0)))
+        super().__init__(ogrid, squad, total, float(np.max(gaps, initial=0.0)))
 
 
 KernelSpec = Union[SeparableKernel, SampledKernel]

@@ -34,7 +34,7 @@ class Partition(Record):
         if labels.size and labels.max() > np.iinfo(int).max:
             raise ValueError(f"labels must fit in int64, got {labels.max()}")
         # a signed copy: label 0 must become curve -1, not wrap around
-        object.__setattr__(self, "labels", labels.astype(int))
+        super().__init__(labels.astype(int))
 
     @staticmethod
     def from_ranges(ogrid: OmegaGrid, entries) -> "Partition":

@@ -360,6 +360,12 @@ def test_reals_match_format_on_hypothesis_floats(values):
     assert_formats_like_format(values)
 
 
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_reals_of_no_values_is_an_empty_block(shape):
+    block = csvio._reals(np.empty(shape))
+    assert block.shape == shape + (0,) and block.dtype == np.uint8
+
+
 def test_reals_match_format_on_bit_patterns():
     rng = np.random.default_rng(20)
     bits = rng.integers(0, 2**63, 100_000, dtype=np.uint64).view(np.float64)

@@ -223,6 +223,16 @@ def test_to_source_round_trip():
         assert again == e
 
 
+@pytest.mark.parametrize("value", [-2.5, -0.0, -5e-324, -1.7976931348623157e308])
+def test_to_source_of_a_negative_number(value):
+    # a negative Num prints as a parenthesized minus; parsed back it must
+    # give the same bits, the sign of zero included
+    text = expr.to_source(Num(value))
+    assert text.startswith("(-")
+    got = expr.evaluate(expr.parse(text), {})
+    assert np.float64(got).tobytes() == np.float64(value).tobytes()
+
+
 # random expression trees over the total operations, so evaluation never
 # hits a domain error
 def _safe_exprs(depth):

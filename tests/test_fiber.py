@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fiberspec as fs
 from fiberspec import errors, fiber
-from fiberspec.expr import parse
+from fiberspec.expr import BinOp, Num, parse
 from fiberspec.fiber import DEFAULT_EIG_TOL, _eigh, _jacobi
 
 from conftest import CONFIG_PATH, curve1, curve2, curve3
@@ -412,6 +412,23 @@ def test_rank_truncation_drops_tiny_curves(grids):
     )
     d = fs.decompose_all_fibers(k, ogrid, squad, rank_tol=1e-10)
     assert np.all(d.ranks == 1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: _retain drops |lambda| <= rank_tol * max(1, "
+    "|lambda|_max(omega)), so a kernel scaled far below 1 loses curves",
+)
+@pytest.mark.parametrize("alpha", [1e-9, 1e-12])
+def test_rank_truncation_keeps_a_small_scale_kernel(cfg, alpha):
+    # trig_rank3 with every curve scaled by alpha: its three curves are
+    # nonzero at every midpoint node, so all three should be kept
+    k = fs.SeparableKernel(
+        tuple((BinOp("*", Num(alpha), c), b) for c, b in cfg.kernel.terms)
+    )
+    d = fs.decompose_all_fibers(k, cfg.ogrid, cfg.squad, cfg.tolerances.rank_tol)
+    assert d.num_curves == 3
+    assert np.all(d.ranks == 3)
 
 
 def test_zero_kernel_decomposition(grids):

@@ -2,6 +2,8 @@
 nodes, structural equality, hashing, repr and class patterns."""
 
 import copy
+import inspect
+import itertools
 import pickle
 
 import numpy as np
@@ -99,6 +101,26 @@ def test_positional_and_keyword_construction(records):
                 assert _same(getattr(rebuilt, name), value), (cls, name)
         with pytest.raises(TypeError):
             cls(*values, None)
+
+
+def test_fields_follow_the_constructor_parameters(records):
+    # Record.__init__ stores one value per field in the order of __slots__
+    # (or _fields), so each constructor's parameters must lead that order.
+    # The fixture's Tolerances has tie_tol == eig_tol; with every argument
+    # distinct, a rebuilt record that hands two of them over swapped fails.
+    tol = fs.Tolerances(1e-10, 2e-12, 3e-12, 4e-8)
+    for r in [tol if type(r) is fs.Tolerances else r for r in records]:
+        cls, names = type(r), FIELDS[type(r)]
+        assert tuple(inspect.signature(cls).parameters) == names, cls
+        stored = getattr(cls, "_fields", None) or cls.__slots__
+        assert stored[: len(names)] == names, cls
+        values = [getattr(r, name) for name in names]
+        for a, b in itertools.combinations(values, 2):
+            # _same compares arrays when its first argument is one
+            assert not _same(*((b, a) if isinstance(b, np.ndarray) else (a, b))), cls
+        rebuilt = cls(*values)
+        for name, value in zip(names, values):
+            assert _same(getattr(rebuilt, name), value), (cls, name)
 
 
 def test_copy_and_pickle_keep_the_fields(records):
