@@ -43,20 +43,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _out_path(args, name):
+def _write(args, name, writer, *data):
+    """Write the CSV `name` into --out with csvio's `writer`.  csvio is
+    imported here, after a subcommand's work, so that verify, which writes
+    no CSV, never compiles the writers."""
+    from . import csvio
+
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    getattr(csvio, writer)(os.path.join(args.out, name), *data)
+
+
+def _mixed(cfg, args):
+    """The decomposition and its curves mixed over --partition (None
+    without one).  The partition is resolved before any work, like every
+    named entry, so a config error in it writes no CSV."""
+    if args.partition is None:
+        return decompose(cfg), None
+    p = partition_by_name(cfg, args.partition)
+    d = decompose(cfg)
+    return d, mix_field(d, p)
 
 
 def cmd_decompose(cfg, args):
     d = decompose(cfg)
-    # imported where a subcommand comes to write, after its work, so
-    # that verify, which writes no CSV, never compiles the writers
-    from . import csvio
-
-    csvio.write_eigencurves(_out_path(args, "eigencurves.csv"), d)
-    csvio.write_eigenfunctions(_out_path(args, "eigenfunctions.csv"), d)
-    csvio.write_bounds(_out_path(args, "bounds.csv"), d)
+    _write(args, "eigencurves.csv", "write_eigencurves", d)
+    _write(args, "eigenfunctions.csv", "write_eigenfunctions", d)
+    _write(args, "bounds.csv", "write_bounds", d)
     print(f"decomposed {d.n_fibers} fibers, {d.num_curves} curves")
     return 0
 
@@ -67,9 +79,7 @@ def cmd_apply(cfg, args):
         out = apply_quadrature(cfg.kernel, f)
     else:
         out = apply_spectral(decompose(cfg), f)
-    from . import csvio
-
-    csvio.write_section(_out_path(args, "applied.csv"), out)
+    _write(args, "applied.csv", "write_section", out)
     print(f"applied kernel to {args.section!r} via {args.mode}")
     return 0
 
@@ -78,9 +88,7 @@ def cmd_project(cfg, args):
     lam = threshold_by_name(cfg, args.threshold)
     f = section_by_name(cfg, args.section)
     out = projector_apply(decompose(cfg), lam, f)
-    from . import csvio
-
-    csvio.write_section(_out_path(args, "projected.csv"), out)
+    _write(args, "projected.csv", "write_section", out)
     print(f"projected {args.section!r} at threshold {args.threshold!r}")
     return 0
 
@@ -89,9 +97,7 @@ def cmd_funcalc(cfg, args):
     g = _parse_named(args.function, "--function", {"lambda"})
     f = section_by_name(cfg, args.section)
     out = functional_calculus(decompose(cfg), g, f, epsilon=cfg.epsilon)
-    from . import csvio
-
-    csvio.write_section(_out_path(args, "funcalc.csv"), out)
+    _write(args, "funcalc.csv", "write_section", out)
     print(f"applied g(T) with g = {args.function}")
     return 0
 
@@ -103,37 +109,29 @@ def cmd_rs(cfg, args):
     out = riemann_stieltjes_apply(
         d, g, f, mesh=args.mesh, epsilon=cfg.epsilon, tie_tol=cfg.tolerances.tie_tol
     )
-    from . import csvio
-
-    csvio.write_section(_out_path(args, "rs.csv"), out)
+    _write(args, "rs.csv", "write_section", out)
     exact = functional_calculus(d, g, f, epsilon=cfg.epsilon)
     err = l22_norm(Section(f.ogrid, f.squad, out.values - exact.values))
     steps = len(_rs_cuts(d, args.mesh, cfg.epsilon)) - 1
-    csvio.write_report(
-        _out_path(args, "rs_report.csv"),
-        [
-            ("mesh", args.mesh),
-            ("steps", float(steps)),
-            ("error_vs_funcalc", err),
-            ("section_norm", l22_norm(f)),
-        ],
-    )
+    report = [
+        ("mesh", args.mesh),
+        ("steps", float(steps)),
+        ("error_vs_funcalc", err),
+        ("section_norm", l22_norm(f)),
+    ]
+    _write(args, "rs_report.csv", "write_report", report)
     print(f"integrated g = {args.function} with mesh {args.mesh:g} ({steps} cells)")
     return 0
 
 
 def cmd_spectrum(cfg, args):
-    d = decompose(cfg)
-    from . import csvio
-
-    csvio.write_spectra(_out_path(args, "spectra.csv"), d)
-    if args.partition is None:
+    d, mixed = _mixed(cfg, args)
+    _write(args, "spectra.csv", "write_spectra", d)
+    if mixed is None:
         print(f"wrote fiber spectra for {d.n_fibers} fibers")
         return 0
-    p = partition_by_name(cfg, args.partition)
-    mixed = mix_field(d, p)
-    csvio.write_field(_out_path(args, "mixed.csv"), mixed)
-    csvio.write_membership(_out_path(args, "membership.csv"), d, mixed)
+    _write(args, "mixed.csv", "write_field", mixed)
+    _write(args, "membership.csv", "write_membership", d, mixed)
     member, violations = spm_membership(d, mixed, cfg.tolerances.member_tol)
     verdict = "member" if member else f"not a member ({len(violations)} violations)"
     print(f"mixed field from {args.partition!r}: {verdict}")
@@ -141,12 +139,8 @@ def cmd_spectrum(cfg, args):
 
 
 def cmd_mix(cfg, args):
-    d = decompose(cfg)
-    p = partition_by_name(cfg, args.partition)
-    mixed = mix_field(d, p)
-    from . import csvio
-
-    csvio.write_field(_out_path(args, "mixed.csv"), mixed)
+    _, mixed = _mixed(cfg, args)
+    _write(args, "mixed.csv", "write_field", mixed)
     print(f"wrote mixed field for partition {args.partition!r}")
     return 0
 
@@ -154,15 +148,11 @@ def cmd_mix(cfg, args):
 def cmd_reconstruct(cfg, args):
     d = decompose(cfg)
     rebuilt = mercer_reconstruct(d, args.rank)
-    from . import csvio
-
-    csvio.write_kernel(_out_path(args, "kernel.csv"), rebuilt)
+    _write(args, "kernel.csv", "write_kernel", rebuilt)
     err = kernel_matrices(cfg.kernel, cfg.ogrid, cfg.squad) - rebuilt.values
     sup_err = float(np.max(np.abs(err)))
-    csvio.write_report(
-        _out_path(args, "reconstruct_report.csv"),
-        [("rank", float(args.rank)), ("sup_error", sup_err)],
-    )
+    report = [("rank", float(args.rank)), ("sup_error", sup_err)]
+    _write(args, "reconstruct_report.csv", "write_report", report)
     print(f"reconstructed kernel at rank {args.rank}, sup error {sup_err:.6e}")
     return 0
 

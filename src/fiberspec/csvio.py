@@ -28,6 +28,7 @@ import numpy as np
 from .fiber import FiberDecomposition
 from .grid import ScalarField, Section
 from .kernel import SampledKernel
+from .spectrum import _nearest
 
 CHUNK = 3072  # lines laid out and written at a time
 _SPLIT = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
@@ -327,17 +328,9 @@ def write_kernel(path, k: SampledKernel):
 
 
 def write_membership(path, d: FiberDecomposition, field: ScalarField):
-    """Rows (omega, lambda, nearest_spectral_value, distance)."""
-    spectra = d._spectra
-    # the -inf padding is infinitely far from every value
-    slot = np.argmin(np.abs(spectra - field.values[:, None]), axis=1)
-    nearest = spectra[np.arange(d.n_fibers), slot]
-    columns = (
-        d.ogrid.nodes,
-        field.values,
-        nearest,
-        np.abs(nearest - field.values),
-    )
+    """Rows (omega, lambda, nearest_spectral_value, distance); a field on
+    another grid raises GridMismatch before the file is opened."""
+    columns = (d.ogrid.nodes, field.values, *_nearest(d, field))
     header = ("omega", "lambda", "nearest_spectral_value", "distance")
     _write_table(path, header, *columns)
 

@@ -477,15 +477,16 @@ def _solve_fibers(k: KernelSpec, ogrid, squad):
 def _retain(vals, vecs, squad, rank_tol):
     """Truncate every fiber and pack it into the padded layout.
 
-    Eigenvalues with |lambda| <= rank_tol * max(1, |lambda|_max) are
-    dropped; a stable sort moves the kept slots to the front in their
-    descending order, and the eigenfunction rows follow, sign-fixed: the
-    gathered eigenvector rows v_n become x_n(t_j) = v_n[j] / sqrt(w_j),
-    which keeps the family orthonormal in the quadrature inner product.
+    Eigenvalues with |lambda| <= rank_tol * ||T|| are dropped, ||T|| the
+    largest |lambda| of all fibers, so the rule scales with the kernel and
+    a zero kernel keeps nothing; a stable sort moves the kept slots to the
+    front in their descending order, and the eigenfunction rows follow,
+    sign-fixed: the gathered eigenvector rows v_n become x_n(t_j) =
+    v_n[j] / sqrt(w_j), which keeps the family orthonormal in the
+    quadrature inner product.
     Returns eigenvalues (F, r_max), functions (F, r_max, n_s) and ranks.
     """
-    scale = np.maximum(1.0, np.max(np.abs(vals), axis=1, initial=0.0))
-    keep = np.abs(vals) > rank_tol * scale[:, None]
+    keep = np.abs(vals) > rank_tol * np.max(np.abs(vals), initial=0.0)
     ranks = keep.sum(axis=1)
     order = np.argsort(~keep, axis=1, kind="stable")[:, : ranks.max(initial=0)]
     retained = np.take_along_axis(keep, order, axis=1)
@@ -511,8 +512,9 @@ def decompose_all_fibers(
     by all fibers, then a min(R, n_s) square core per fiber.  A sampled
     kernel solves every assembled n_s x n_s fiber matrix.
 
-    Eigenvalues with |lambda| <= rank_tol * max(1, |lambda|_max(omega)) are
-    dropped.  The eigenfunction sign convention makes the first component
+    Eigenvalues with |lambda| <= rank_tol * ||T|| are dropped, where
+    ||T|| = max over omega of |lambda|_max(omega) is the operator norm on
+    the grid.  The eigenfunction sign convention makes the first component
     within SIGN_TIE of the largest magnitude positive; ties inside
     degenerate blocks are resolved during alignment.
     """

@@ -88,13 +88,21 @@ def mix_field(
     return ScalarField(d.ogrid, np.where(hit, d.eigenvalues, 0.0).sum(axis=1))
 
 
-def membership_distances(d: FiberDecomposition, field: ScalarField) -> np.ndarray:
-    """Distance from field(omega) to the fiber spectrum at every node: the
-    smallest |s - field(omega)| over the row of d._spectra, whose -inf
-    padding is infinitely far from every finite value."""
+def _nearest(d: FiberDecomposition, field: ScalarField) -> tuple:
+    """The value of the fiber spectrum nearest to field(omega) at every
+    node, and its distance: the row of d._spectra, whose -inf padding is
+    infinitely far from every finite value, at its smallest
+    |s - field(omega)|."""
     if not same_rule(d.ogrid, field.grid):
         raise GridMismatch("field lives on a different parameter grid")
-    return np.min(np.abs(d._spectra - field.values[:, None]), axis=1)
+    gaps = np.abs(d._spectra - field.values[:, None])
+    at = np.arange(len(gaps)), np.argmin(gaps, axis=1)
+    return d._spectra[at], gaps[at]
+
+
+def membership_distances(d: FiberDecomposition, field: ScalarField) -> np.ndarray:
+    """Distance from field(omega) to the fiber spectrum at every node."""
+    return _nearest(d, field)[1]
 
 
 def spm_membership(

@@ -213,6 +213,11 @@ def test_mix_writes_field(tmp_path):
     header, rows = read_csv(tmp_path / "mixed.csv")
     assert header == ["omega", "value"]
     assert len(rows) == 64
+    # spectrum --partition mixes through the same step
+    out = tmp_path / "spectrum"
+    rc = main(["spectrum", "--config", CONFIG_PATH, "--partition", "thirds", "--out", str(out)])
+    assert rc == 0
+    assert (out / "mixed.csv").read_bytes() == (tmp_path / "mixed.csv").read_bytes()
 
 
 def test_reconstruct_report(tmp_path):
@@ -778,13 +783,18 @@ def test_verify_does_not_load_the_writers():
             "thresholds[bad]: log of non-positive value ",
         ),
         (["mix", "--partition", "gap"], "partitions[gap]: node 32 is not covered by any set\n"),
+        (["spectrum", "--partition", "nope"], "unknown partition 'nope'\n"),
+        (
+            ["spectrum", "--partition", "gap"],
+            "partitions[gap]: node 32 is not covered by any set\n",
+        ),
     ],
 )
 def test_named_entry_errors(tmp_path, capsys, args, line):
     # a missing name and an entry that fails to build are config errors that
     # name the entry; the partition covers [0, 0.5) of the 64 nodes only.
     # line is the whole diagnostic, or its start where a sampled value
-    # follows
+    # follows.  The entries resolve before any work, so no CSV is written
     with open(CONFIG_PATH, encoding="utf-8") as fh:
         raw = json.load(fh)
     raw["sections"]["bad"] = "sqrt(t-2)"
@@ -797,6 +807,7 @@ def test_named_entry_errors(tmp_path, capsys, args, line):
     assert rc == 2
     assert len(err.splitlines()) == 1
     assert err.startswith(f"config error: {line}")
+    assert list((tmp_path / "out").rglob("*.csv")) == []
 
 
 @pytest.mark.parametrize(

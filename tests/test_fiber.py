@@ -414,11 +414,6 @@ def test_rank_truncation_drops_tiny_curves(grids):
     assert np.all(d.ranks == 1)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 9: _retain drops |lambda| <= rank_tol * max(1, "
-    "|lambda|_max(omega)), so a kernel scaled far below 1 loses curves",
-)
 @pytest.mark.parametrize("alpha", [1e-9, 1e-12])
 def test_rank_truncation_keeps_a_small_scale_kernel(cfg, alpha):
     # trig_rank3 with every curve scaled by alpha: its three curves are

@@ -1,11 +1,12 @@
 import re
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
 import fiberspec as fs
-from fiberspec import errors
+from fiberspec import csvio, errors
 from fiberspec.spectrum import Partition
 
 from conftest import curve1, curve2, curve3
@@ -163,7 +164,17 @@ def test_membership_respects_tolerance(cfg, decomposition):
     assert ok_loose and not ok_tight
 
 
-def test_membership_refuses_field_on_another_grid(decomposition):
-    field = fs.ScalarField.constant(fs.build_omega_grid(63), 0.0)
-    with pytest.raises(errors.GridMismatch, match="^field lives on a different"):
-        fs.membership_distances(decomposition, field)
+def test_membership_refuses_field_on_another_grid(decomposition, tmp_path):
+    # a shorter grid, and one of the same length with the left end of each
+    # cell: membership.csv would pair the decomposition's nodes with the
+    # other grid's values, so the writer refuses before opening the file
+    path = tmp_path / "membership.csv"
+    for grid in (
+        fs.build_omega_grid(63),
+        fs.OmegaGrid(np.arange(64) / 64, np.full(64, 1 / 64)),
+    ):
+        field = fs.ScalarField.constant(grid, 0.0)
+        for measure in (fs.membership_distances, partial(csvio.write_membership, path)):
+            with pytest.raises(errors.GridMismatch, match="^field lives on a different"):
+                measure(decomposition, field)
+        assert not path.exists()

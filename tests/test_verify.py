@@ -798,8 +798,11 @@ def test_chunked_checks_match_full_stack(tmp_path, n_fibers):
         by_name = {r.name: r.value for r in verify.run_suite(cfg)}
         for name, want in full_stack_checks(cfg).items():
             assert by_name[name] == float(want), (path, name)
-    # the drawn probes are compared through a value above 0
-    assert by_name["rayleigh_bounds"] > 0.0
+    # the drawn probes are compared through a value above 0; one fiber
+    # holds ||T|| itself, so the operator-wide rank rule truncates nothing
+    # there and every Rayleigh quotient stays inside [m, M]
+    if n_fibers > 1:
+        assert by_name["rayleigh_bounds"] > 0.0
 
 
 def test_suite_holds_one_kernel_stack():
