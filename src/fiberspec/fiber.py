@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -32,9 +31,6 @@ from .kernel import KernelSpec, SeparableKernel, kernel_matrices
 DEFAULT_EIG_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
 MAX_SWEEPS = 64
-# Eigenvalues closer than this are treated as one degenerate block when
-# aligning curves across the parameter grid.
-DEGENERACY_TOL = 1e-10
 # Components within this relative distance of an eigenfunction's peak
 # magnitude count as tied for the sign convention.
 SIGN_TIE = 1e-8
@@ -385,7 +381,7 @@ def _mutual_best(overlap, free):
     return np.where(mutual & free, col_best, -1)
 
 
-def _align_labels(eigenvalues, functions, ranks, weights):
+def _align_labels(functions, ranks, weights):
     """Greedy eigenvector matching between consecutive fibers.
 
     The greedy scan takes the overlaps |<x_n(omega_i), x_m(omega_i+1)>| of
@@ -402,13 +398,13 @@ def _align_labels(eigenvalues, functions, ranks, weights):
     free entry in the scan's order is again first in its row and in its
     column, since every earlier entry there lies in a taken row or column,
     so each step takes the scan's next entries and matches at least one
-    more entry of every pair.  Curves absent at a fiber keep their ids
-    free, and curves that appear get fresh ids.  Near-degenerate
-    eigenvalues are relabeled as a block, in descending order, because
-    their individual eigenvectors are arbitrary within the eigenspace.
+    more entry of every pair.  The ids follow the matching alone: a
+    matched slot continues its predecessor's curve, so a curve stays on
+    its eigenfunction through a crossing on a node, and every other
+    retained slot starts a new curve, numbered in (fiber, slot) order.
     Returns labels in the padded layout of FiberDecomposition.
     """
-    F, r_max = eigenvalues.shape
+    F, r_max = functions.shape[:2]
     if not r_max:
         return np.full((F, 0), -1)
     slots = np.arange(r_max)
@@ -433,24 +429,17 @@ def _align_labels(eigenvalues, functions, ranks, weights):
         found = _mutual_best(step, free[todo] & (taken < 0))
         match[todo] = np.maximum(taken, found)
         todo = todo[np.sum(match[todo] >= 0, axis=1) < need[todo]]
-    gaps = (eigenvalues[:, :-1] - eigenvalues[:, 1:] >= DEGENERACY_TOL).tolist()
-    rows = []
-    next_id = 0
-    ids = []
-    for r, pairs, gap in zip(ranks.tolist(), [[-1] * r_max] + match.tolist(), gaps):
-        prev, ids = ids, []
-        for n in pairs[:r]:
-            if n >= 0:
-                ids.append(prev[n])
-            else:
-                ids.append(next_id)
-                next_id += 1
-        if r > 1 and not all(gap[: r - 1]):
-            # sorting (block, id) pairs sorts the ids inside every block
-            blocks = accumulate(gap[: r - 1], initial=0)
-            ids = [label for _, label in sorted(zip(blocks, ids))]
-        rows.append(ids + [-1] * (r_max - r))
-    return np.array(rows, dtype=int)
+    # every slot points at the flat index of the slot it continues, a
+    # chain start at itself; pointer doubling takes every slot to the
+    # start of its chain in about log2(F) rounds
+    flat = np.arange(F * r_max).reshape(F, r_max)
+    pred = flat.copy()
+    pred[1:] = np.where(match >= 0, flat[:-1, :1] + match, flat[1:])
+    root = pred.ravel()
+    while not np.array_equal(jumped := root[root], root):
+        root = jumped
+    ids = np.cumsum(retained.ravel() & (pred.ravel() == flat.ravel())) - 1
+    return np.where(retained, ids[root].reshape(F, r_max), -1)
 
 
 def _solve_fibers(k: KernelSpec, ogrid, squad):
@@ -515,12 +504,13 @@ def decompose_all_fibers(
     Eigenvalues with |lambda| <= rank_tol * ||T|| are dropped, where
     ||T|| = max over omega of |lambda|_max(omega) is the operator norm on
     the grid.  The eigenfunction sign convention makes the first component
-    within SIGN_TIE of the largest magnitude positive; ties inside
-    degenerate blocks are resolved during alignment.
+    within SIGN_TIE of the largest magnitude positive.  Alignment follows
+    the eigenvectors alone and never reads the eigenvalues, so a curve
+    keeps its id through a crossing.
     """
     vals, vecs = _solve_fibers(k, ogrid, squad)
     eigenvalues, functions, ranks = _retain(vals, vecs, squad, rank_tol)
-    labels = _align_labels(eigenvalues, functions, ranks, squad.weights)
+    labels = _align_labels(functions, ranks, squad.weights)
     return FiberDecomposition(
         ogrid=ogrid,
         squad=squad,

@@ -2,9 +2,10 @@
 ragged implementations they replaced.
 
 loop_align_labels sorts every (n, m) pair of two consecutive fibers with a
-Python key and walks the degenerate blocks one slot at a time, where
+Python key and carries the ids forward one fiber at a time, where
 _align_labels takes the mutual best overlaps without a sort, again and
-again on the rows and columns they leave free;
+again on the rows and columns they leave free, and numbers the chains of
+matches by pointer doubling;
 TuplePartition holds ((label, (node indices...)), ...) sets and checks
 them index by index.  Both are kept here as oracles: labels and error
 messages must agree exactly.
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 import fiberspec as fs
 from fiberspec import errors
 from fiberspec.expr import parse
-from fiberspec.fiber import DEGENERACY_TOL, _align_labels
+from fiberspec.fiber import _align_labels
 from fiberspec.spectrum import Partition
 from fiberspec.verify import _random_node_partition, _SplitMix64
 
@@ -31,8 +32,8 @@ BRIDGE_PATH = os.path.join(
 )
 
 
-def loop_align_labels(eigenvalues, functions, ranks, weights):
-    labels = np.full(eigenvalues.shape, -1, dtype=int)
+def loop_align_labels(functions, ranks, weights):
+    labels = np.full(functions.shape[:2], -1, dtype=int)
     next_id = 0
     for i, r_cur in enumerate(ranks):
         r_prev = ranks[i - 1] if i else 0
@@ -55,13 +56,6 @@ def loop_align_labels(eigenvalues, functions, ranks, weights):
             if assigned[m] < 0:
                 assigned[m] = next_id
                 next_id += 1
-        vals = eigenvalues[i]
-        start = 0
-        for stop in range(1, r_cur + 1):
-            if stop == r_cur or vals[stop - 1] - vals[stop] >= DEGENERACY_TOL:
-                if stop - start > 1:
-                    assigned[start:stop] = np.sort(assigned[start:stop])
-                start = stop
         labels[i, :r_cur] = assigned
     return labels
 
@@ -110,7 +104,7 @@ class TuplePartition:
 
 
 def assert_alignment_matches(d):
-    args = (d.eigenvalues, d.functions, d.ranks, d.squad.weights)
+    args = (d.functions, d.ranks, d.squad.weights)
     want = loop_align_labels(*args)
     assert np.array_equal(_align_labels(*args), want)
     assert np.array_equal(d.labels, want)
@@ -135,11 +129,24 @@ def test_alignment_matches_loop_on_sampled_kernel(bridge):
     assert_alignment_matches(bridge)
 
 
+def test_aligned_curves_stay_on_their_eigenfunctions(bridge):
+    # wherever a curve is present at two consecutive fibers, its
+    # eigenfunctions there overlap by at least 1/2 in the quadrature inner
+    # product, also inside bridge_sampled's near-degenerate pairs
+    d = bridge
+    f = d.functions
+    overlap = np.abs(f[:-1] @ (d.squad.weights * f[1:]).transpose(0, 2, 1))
+    labels = d.labels
+    same = (labels[:-1, :, None] == labels[1:, None, :]) & (labels[:-1, :, None] >= 0)
+    assert same.any()
+    assert overlap[same].min() >= 0.5
+
+
 def test_alignment_sorts_nothing_when_every_slot_has_a_mutual_best(
     decomposition, bridge
 ):
     for d in (decomposition, bridge):
-        args = (d.eigenvalues, d.functions, d.ranks, d.squad.weights)
+        args = (d.functions, d.ranks, d.squad.weights)
         assert np.array_equal(_align_labels(*args), d.labels)
 
 
@@ -147,9 +154,8 @@ def test_alignment_scans_the_rows_left_free():
     # overlaps [[1, 3/4], [1/2, 1/4]]: (0, 0) is the one mutual best entry,
     # and the second step matches (1, 1); a fresh id would give slot 1
     # label 2
-    eigenvalues = np.array([[2.0, 1.0], [2.0, 1.0]])
     functions = np.array([[[4.0, 0.0], [0.0, 4.0]], [[4.0, 2.0], [3.0, 1.0]]]) / 4
-    args = (eigenvalues, functions, np.array([2, 2]), np.ones(2))
+    args = (functions, np.array([2, 2]), np.ones(2))
     assert _align_labels(*args).tolist() == [[0, 1], [0, 1]]
     assert np.array_equal(_align_labels(*args), loop_align_labels(*args))
 
@@ -161,9 +167,8 @@ def test_alignment_matches_a_staircase_one_entry_per_step():
     overlap = np.array([[4.0, 3.0, 2.0], [3.0, 2.0, 1.0], [2.0, 1.0, 0.0]]) / 4
     col_best = np.argmax(overlap, axis=0)
     assert (np.argmax(overlap, axis=1)[col_best] == np.arange(3)).sum() == 1
-    eigenvalues = np.array([[3.0, 2.0, 1.0], [3.0, 2.0, 1.0]])
     functions = np.stack([np.eye(3), overlap.T])
-    args = (eigenvalues, functions, np.array([3, 3]), np.ones(3))
+    args = (functions, np.array([3, 3]), np.ones(3))
     assert _align_labels(*args).tolist() == [[0, 1, 2], [0, 1, 2]]
     assert np.array_equal(_align_labels(*args), loop_align_labels(*args))
 
@@ -207,8 +212,8 @@ def test_alignment_matches_loop_on_random_kernels(seed):
 
 @st.composite
 def tied_inputs(draw):
-    """Padded alignment inputs with exact overlap ties and repeated
-    eigenvalues: entries in {-1, 0, 1}, power-of-two weights.  Up to 8
+    """Padded alignment inputs with exact overlap ties: entries in
+    {-1, 0, 1}, power-of-two weights.  Up to 8
     slots give 64 overlaps per pair, past the 16 below which numpy's
     default sort happens to be stable."""
     n_fibers = draw(st.integers(1, 6))
@@ -217,16 +222,7 @@ def tied_inputs(draw):
     )
     r_max = int(ranks.max())
     n_s = 4
-    slots = np.arange(r_max)
-    retained = slots < ranks[:, None]
-    levels = draw(
-        st.lists(
-            st.sampled_from((1.0, 0.5, 0.5 + 1e-11, 0.25, -0.5)),
-            min_size=n_fibers * r_max,
-            max_size=n_fibers * r_max,
-        )
-    )
-    vals = -np.sort(-np.array(levels).reshape(n_fibers, r_max), axis=1)
+    retained = np.arange(r_max) < ranks[:, None]
     entries = draw(
         st.lists(
             st.sampled_from((-1.0, 0.0, 1.0)),
@@ -236,7 +232,6 @@ def tied_inputs(draw):
     )
     funcs = np.array(entries).reshape(n_fibers, r_max, n_s)
     return (
-        np.where(retained, vals, 0.0),
         np.where(retained[..., None], funcs, 0.0),
         ranks,
         np.full(n_s, 1.0 / n_s),
@@ -266,14 +261,6 @@ def ragged_inputs(draw):
     r_max = int(ranks.max())
     n_s = 5
     retained = np.arange(r_max) < ranks[:, None]
-    levels = draw(
-        st.lists(
-            st.floats(-1.0, 1.0) | st.sampled_from((0.5, 0.5 + 1e-11)),
-            min_size=n_fibers * r_max,
-            max_size=n_fibers * r_max,
-        )
-    )
-    vals = -np.sort(-np.array(levels).reshape(n_fibers, r_max), axis=1)
     size = n_fibers * r_max * n_s
     entries = draw(st.lists(st.integers(-16, 16), min_size=size, max_size=size))
     funcs = np.array(entries, dtype=float).reshape(n_fibers, r_max, n_s) / 8
@@ -287,7 +274,6 @@ def ragged_inputs(draw):
         st.lists(st.sampled_from((0.5, 0.25, 0.125)), min_size=n_s, max_size=n_s)
     )
     return (
-        np.where(retained, vals, 0.0),
         np.where(retained[..., None], funcs, 0.0),
         ranks,
         np.array(weights),

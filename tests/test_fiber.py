@@ -362,9 +362,13 @@ def test_fixture_eigenfunctions_match_sines(cfg, decomposition):
         assert np.max(np.abs(got - want)) < 1e-6
 
 
-def test_alignment_tracks_through_crossing(cfg, decomposition):
-    # curve1 and curve2 cross at omega = 1/2; past it the sorted order
-    # permutes while aligned ids keep following their curves
+@pytest.mark.parametrize("omega_n", [64, 63, 13])
+def test_alignment_tracks_through_crossing(omega_n):
+    # curve1 and curve2 cross at omega = 1/2, a node of every odd grid;
+    # past it the sorted order permutes while aligned ids keep following
+    # their curves
+    cfg = fs.load_config(CONFIG_PATH, omega_n=omega_n)
+    decomposition = fs.decompose(cfg)
     nodes = cfg.ogrid.nodes
     for cid, form in ((0, curve1), (1, curve2), (2, curve3)):
         curve = decomposition.aligned_curve(cid)
