@@ -26,7 +26,7 @@ import numpy as np
 from ._record import Record
 from .errors import DomainError, NoConvergence, NotSymmetric
 from .grid import OmegaGrid, ScalarField, SQuadrature
-from .kernel import KernelSpec, SeparableKernel, kernel_matrices
+from .kernel import KernelSpec, _on_grid, kernel_matrices
 
 DEFAULT_EIG_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
@@ -445,19 +445,21 @@ def _align_labels(functions, ranks, weights):
 def _solve_fibers(k: KernelSpec, ogrid, squad):
     """Eigenpairs of every fiber from one stacked LAPACK solve.
 
-    Returns eigenvalues (F, r) and eigenvectors (F, n_s, r).  A sampled
-    kernel solves the stack of its assembled n_s x n_s fiber matrices
-    (r = n_s).  Every fiber matrix of a separable kernel is
-    C^T diag(c(omega_i)) C with C = B diag(sqrt(w)) of shape (R, n_s).
-    With the reduced QR C^T = Q Rm, the fiber is Q (Rm diag(c) Rm^T) Q^T,
-    so its nonzero eigenpairs are those of the r x r core
-    (r = min(R, n_s)) with eigenvectors Q U.
+    Returns eigenvalues (F, r) and eigenvectors (F, n_s, r).  The kernel is
+    put on the grids once, by kernel._on_grid.  A kernel without factors
+    (a sampled one) solves the stack of its assembled n_s x n_s fiber
+    matrices (r = n_s).  With the factors (curves c, basis B) of a
+    separable kernel, every fiber matrix is C^T diag(c(omega_i)) C with
+    C = B diag(sqrt(w)) of shape (R, n_s).  With the reduced QR
+    C^T = Q Rm, the fiber is Q (Rm diag(c) Rm^T) Q^T, so its nonzero
+    eigenpairs are those of the r x r core (r = min(R, n_s)) with
+    eigenvectors Q U.
     """
-    if not isinstance(k, SeparableKernel):
-        return _eigh(fiber_matrices(k, ogrid, squad))
-    C = k.basis_matrix(squad) * np.sqrt(squad.weights)
-    Q, Rm = np.linalg.qr(C.T)
-    curves = k.curve_matrix(ogrid)
+    values, _, factors = _on_grid(k, ogrid, squad)
+    if factors is None:
+        return _eigh(_assemble(values(slice(None)), squad))
+    curves, basis = factors
+    Q, Rm = np.linalg.qr((basis * np.sqrt(squad.weights)).T)
     cores = (Rm * curves[:, None, :]) @ Rm.T
     vals, U = _eigh(0.5 * (cores + cores.transpose(0, 2, 1)))
     return vals, Q @ U

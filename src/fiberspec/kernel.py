@@ -7,10 +7,10 @@ its own scale.  Both carry asymmetry, the worst |k(omega,t,s) -
 k(omega,s,t)| of the values they were given: 0 for a separable kernel.
 Basis terms do not have to be orthonormal; the per-fiber eigensolver is
 the ground truth downstream.
-The private _on_grid gives the fiber values and the quadrature action
-from one sampling, and fiber._solve_fibers reads a separable kernel's
-basis and curves for its factored cores; nothing else knows how each kind
-is stored.
+The private _on_grid gives the fiber values, the quadrature action and a
+separable kernel's sampled factors from one sampling, and
+fiber._solve_fibers takes those factors for its factored cores; nothing
+else knows how each kind is stored.
 """
 
 from __future__ import annotations
@@ -57,16 +57,6 @@ class SeparableKernel(Record):
                     f"term {idx}: basis may only depend on t, found {sorted(extra)}"
                 )
         super().__init__(terms)
-
-    def curve_matrix(self, ogrid: OmegaGrid) -> np.ndarray:
-        """Curve samples, shape (n_omega, n_terms)."""
-        return np.stack(
-            [expr.evaluate(c, {"omega": ogrid.nodes}) for c, _ in self.terms], axis=1
-        )
-
-    def basis_matrix(self, squad: SQuadrature) -> np.ndarray:
-        """Basis samples, shape (n_terms, n_s)."""
-        return np.stack([expr.evaluate(b, {"t": squad.nodes}) for _, b in self.terms])
 
 
 class SampledKernel(Record):
@@ -131,27 +121,32 @@ def sample_kernel(
 
 
 def _on_grid(k: KernelSpec, ogrid: OmegaGrid, squad: SQuadrature):
-    """The kernel on these grids: (values, apply), both from one sampling.
+    """The kernel on these grids: (values, apply, factors), from one sampling.
 
     values(index) gives K[index], shape (len, n_s, n_s), with K[i][j][l] =
     k(omega_i, t_j, t_l) for an index of fibers (a slice or a list).
     apply(x) is the quadrature action sum_l K[i][j][l] w_l x[..., i, l] on
     section values x of shape (..., n_omega, n_s).  A sampled kernel must
     have been sampled on these grids (this is the one grid check of sampled
-    kernels) and gives views of its own tensor for slices; a separable
-    kernel samples each curve and basis expression once, here, and forms
-    both from those samples without the (n_omega, n_s, n_s) stack.
+    kernels), gives views of its own tensor for slices and has factors
+    None.  A separable kernel samples each curve and basis expression once,
+    here, into factors = (curves (n_omega, R), basis (R, n_s)), and forms
+    values and apply from those without the (n_omega, n_s, n_s) stack.
     """
     w = squad.weights
     if isinstance(k, SampledKernel):
         if not (same_rule(k.ogrid, ogrid) and same_rule(k.squad, squad)):
             raise GridMismatch("sampled kernel was sampled on different grids")
         K = k.values
-        return K.__getitem__, lambda x: np.einsum("ijl,...il->...ij", K, x * w)
-    basis, curves = k.basis_matrix(squad), k.curve_matrix(ogrid)
+        return K.__getitem__, lambda x: np.einsum("ijl,...il->...ij", K, x * w), None
+    curves = np.stack(
+        [expr.evaluate(c, {"omega": ogrid.nodes}) for c, _ in k.terms], axis=1
+    )
+    basis = np.stack([expr.evaluate(b, {"t": squad.nodes}) for _, b in k.terms])
     return (
         lambda fibers: (basis.T * curves[fibers, None, :]) @ basis,
         lambda x: (curves * ((x * w) @ basis.T)) @ basis,
+        (curves, basis),
     )
 
 

@@ -432,7 +432,7 @@ def run_suite(cfg: Config) -> list:
     # with the trace of its assembled matrix.  The kernel reconstruction
     # sum_n lambda_n x_n x_n^T from the retained eigenpairs, whose check is
     # reported further down, uses the same chunks; padded slots add nothing
-    kernel, apply_k = _on_grid(cfg.kernel, ogrid, squad)
+    kernel, apply_k, _ = _on_grid(cfg.kernel, ogrid, squad)
     funcs = d.functions
     scale = np.maximum(1.0, np.max(np.abs(d.eigenvalues), axis=1, initial=0.0))
     resid = ortho = trace_gap = sup_err = 0.0

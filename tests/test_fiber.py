@@ -440,6 +440,43 @@ def test_zero_kernel_decomposition(grids):
     assert np.all(d.M.values == 0.0)
 
 
+@pytest.mark.parametrize("kind", ["separable", "sampled"])
+def test_solve_puts_the_kernel_on_its_grids_once(grids, monkeypatch, kind):
+    # kernel._on_grid is the one place that knows how each kind is stored:
+    # the solve takes the values or the separable factors from one call
+    ogrid, squad = grids
+    k = fs.SeparableKernel(
+        (
+            (parse("1+omega"), parse("sqrt(2)*sin(pi*t)")),
+            (parse("omega/2"), parse("sqrt(2)*sin(2*pi*t)")),
+        )
+    )
+    if kind == "sampled":
+        k = fs.sample_kernel(parse("(1+omega)*t*s+min(t,s)"), ogrid, squad)
+    calls = []
+    on_grid = fs.kernel._on_grid
+
+    def spy(kernel, og, sq):
+        calls.append(kernel)
+        return on_grid(kernel, og, sq)
+
+    monkeypatch.setattr(fs.kernel, "_on_grid", spy)
+    monkeypatch.setattr(fiber, "_on_grid", spy)
+    fs.decompose_all_fibers(k, ogrid, squad)
+    assert len(calls) == 1 and calls[0] is k
+
+
+def test_solve_refuses_a_sampled_kernel_on_another_rule(grids):
+    # verify's grid check solves on the doubled rule, which a sampled
+    # kernel has no values for
+    ogrid, squad = grids
+    k = fs.sample_kernel(parse("t*s"), ogrid, squad)
+    doubled = fs.build_s_quadrature("gauss_legendre", 2 * len(squad))
+    text = "^sampled kernel was sampled on different grids$"
+    with pytest.raises(errors.GridMismatch, match=text):
+        fiber._solve_fibers(k, ogrid, doubled)
+
+
 def test_spectral_bounds_cover_zero(decomposition):
     m, M = decomposition.m, decomposition.M
     assert np.all(m.values <= 0.0)

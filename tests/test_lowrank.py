@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import fiberspec as fs
 from fiberspec.expr import parse
+from fiberspec.kernel import _on_grid
 
 from conftest import random_separable_kernel
 
@@ -109,8 +110,6 @@ def test_nonfinite_basis_is_domain_error(grids):
 
 
 def test_kernel_matrices_evaluate_each_expression_once(cfg, monkeypatch):
-    B = cfg.kernel.basis_matrix(cfg.squad)
-    curves = cfg.kernel.curve_matrix(cfg.ogrid)
     calls = []
     evaluate = fs.expr.evaluate
 
@@ -119,14 +118,17 @@ def test_kernel_matrices_evaluate_each_expression_once(cfg, monkeypatch):
         return evaluate(e, env)
 
     monkeypatch.setattr(fs.expr, "evaluate", spy)
-    K = fs.kernel_matrices(cfg.kernel, cfg.ogrid, cfg.squad)
+    values, _, (curves, B) = _on_grid(cfg.kernel, cfg.ogrid, cfg.squad)
+    K = values(slice(None))
     # one call per curve on the whole parameter grid, one per basis on the
-    # whole quadrature
+    # whole quadrature; the fiber values reuse the factors' samples
     omegas = [env["omega"] for env in calls if "omega" in env]
     ts = [env["t"] for env in calls if "t" in env]
     assert len(calls) == 2 * len(cfg.kernel.terms)
     assert all(np.array_equal(w, cfg.ogrid.nodes) for w in omegas)
     assert all(np.array_equal(t, cfg.squad.nodes) for t in ts)
+    assert curves.shape == (len(cfg.ogrid), len(cfg.kernel.terms))
+    assert B.shape == (len(cfg.kernel.terms), len(cfg.squad))
     # every fiber matrix is bitwise the one built from its own curve values
     for i in (0, 11, 63):
         assert np.array_equal(K[i], (B.T * curves[i]) @ B)
