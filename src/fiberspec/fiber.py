@@ -9,8 +9,9 @@ x_n(t_j) = v_n[j] / sqrt(w_j).  The fibers are independent, so all of them
 are solved as one stack by LAPACK's symmetric eigensolver (np.linalg.eigh),
 behind the same input checks, power-of-two prescale and descending stable
 order as the Jacobi solver implemented here.  That Jacobi solver, whose
-rounds of rotations act on every matrix of a stack at once, is kept as the
-independent oracle that verify checks the production eigenvalues against.
+odd-even rounds rotate adjacent rows of every matrix of a stack at once,
+is kept as the independent oracle that verify checks the production
+eigenvalues against.
 A separable kernel of R terms has fiber rank at most R, so its fibers are
 solved as R x R (at most n x n) cores of one shared QR factorization
 instead.
@@ -36,63 +37,59 @@ MAX_SWEEPS = 64
 SIGN_TIE = 1e-8
 
 
-def _round_robin(n):
-    """Parallel ordering of Brent and Luk: rounds of disjoint (p, q) pairs.
+def _sweep(A, W, skip_below):
+    """One sweep of Jacobi rotations over a stack of matrices.
 
-    The circle method fixes index 0 and turns the others by one place per
-    round, so the rounds cover every pair p < q exactly once.  An odd n
-    gets a dummy index n whose pairs are dropped.  Returns one (p, q) pair
-    of index arrays per round, with p < q elementwise.
+    A has shape (F, n, n), W (F, n, n) or (F, n, 0) and skip_below (F, 1).
+    Round r of the odd-even ordering takes the adjacent pairs
+    (o + 2k, o + 2k + 1), o = r % 2, of every matrix at once, rotates each
+    pair and swaps its two positions, so the n rounds meet every pair once
+    and leave the positions reversed (Luk and Park, 1989).  The
+    rotate-and-swap [[s, c], [c, -s]] of every pair is one batched product
+    on the pair rows of A, again on the rows of a transposed copy and on
+    the rows of W, unless W has no columns; the 2 x 2 blocks are then set
+    exactly.  A pair with |a_pq| <= skip_below gets t = 0, a plain swap.
+    Returns the swept copy of A; W is updated in place.
     """
-    m = n + n % 2
-    turn = np.arange(m - 1)[:, None]
-    players = np.zeros((turn.size, m), dtype=int)
-    players[:, 1:] = (np.arange(m - 1) - turn) % (m - 1) + 1
-    a, b = players[:, : m // 2], players[:, ::-1][:, : m // 2]
-    p, q = np.minimum(a, b), np.maximum(a, b)
-    # an odd n drops the one pair of each round that holds the dummy
-    keep, shape = q < n, (turn.size, m // 2 - n % 2)
-    return list(zip(p[keep].reshape(shape), q[keep].reshape(shape)))
-
-
-def _sweep(A, V, skip_below, rounds):
-    """One sweep of Jacobi rotations over a stack of matrices, in place.
-
-    A has shape (F, n, n), V (F, n, n) or (F, 0, n) and skip_below
-    (F, 1); rounds is _round_robin(n).  Every round rotates its disjoint
-    pairs of every matrix at once: columns, then rows, then the exact
-    2 x 2 block, then the columns of V, unless V has no rows.  A pair with
-    |a_pq| <= skip_below gets t = 0, which leaves its entries as they are.
-    """
-    for p, q in rounds:
-        apq = A[:, p, q]
-        app = A[:, p, p]
-        aqq = A[:, q, q]
+    F, n = A.shape[:2]
+    for r in range(n):
+        o, h = r % 2, (n - r % 2) // 2
+        # flat offsets of the entries (p, p), (p, q), (q, p) and (q, q)
+        p0, step = o * (n + 1), 2 * n + 2
+        at = [slice(p0 + k, p0 + k + step * h, step) for k in (0, 1, n, n + 1)]
+        flat = A.reshape(F, n * n)
+        app, apq, aqq = flat[:, at[0]], flat[:, at[1]], flat[:, at[3]]
         diff = aqq - app
         rotate = np.abs(apq) > skip_below
         # skipped pairs may divide by zero here; np.where discards them
         theta = diff / (2.0 * apq)
-        t = 1.0 / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-        t = np.where(theta < 0.0, -t, t)
-        t = np.where(np.abs(apq) < 1e-36 * np.abs(diff), apq / diff, t)
+        slope = np.abs(theta)
+        t = np.copysign(1.0 / (slope + np.hypot(theta, 1.0)), theta)
+        # the overflow guard: where |a_pq| < 1e-36 |a_qq - a_pp|, t is
+        # a_pq / (a_qq - a_pp) to working precision
+        t = np.where(slope > 0.5e36, apq / diff, t)
         t = np.where(rotate, t, 0.0)
-        c = 1.0 / np.sqrt(t * t + 1.0)
-        s = t * c
-        cc, sc = c[:, None, :], s[:, None, :]
-        col_p, col_q = A[:, :, p], A[:, :, q]
-        A[:, :, p] = cc * col_p - sc * col_q
-        A[:, :, q] = sc * col_p + cc * col_q
-        cr, sr = c[:, :, None], s[:, :, None]
-        row_p, row_q = A[:, p, :], A[:, q, :]
-        A[:, p, :] = cr * row_p - sr * row_q
-        A[:, q, :] = sr * row_p + cr * row_q
-        A[:, p, q] = A[:, q, p] = np.where(rotate, 0.0, apq)
-        A[:, p, p] = np.where(rotate, app - t * apq, app)
-        A[:, q, q] = np.where(rotate, aqq + t * apq, aqq)
-        if V.shape[1]:
-            vcol_p, vcol_q = V[:, :, p], V[:, :, q]
-            V[:, :, p] = cc * vcol_p - sc * vcol_q
-            V[:, :, q] = sc * vcol_p + cc * vcol_q
+        # the exact new 2 x 2 blocks; the swap puts the rotated q first
+        shift = t * apq
+        pp, pq, qq = aqq + shift, np.where(rotate, 0.0, apq), app - shift
+        # R = [[s, c], [c, -s]], with c and s written in place
+        R = np.empty((F, h, 2, 2))
+        c = np.divide(1.0, np.hypot(t, 1.0), out=R[..., 0, 1])
+        s = np.multiply(t, c, out=R[..., 0, 0])
+        np.negative(s, out=R[..., 1, 1])
+        R[..., 1, 0] = c
+        rows = A[:, o : o + 2 * h].reshape(F, h, 2, n)
+        rows[...] = R @ rows
+        A = A.transpose(0, 2, 1).copy()
+        rows = A[:, o : o + 2 * h].reshape(F, h, 2, n)
+        rows[...] = R @ rows
+        flat = A.reshape(F, n * n)
+        flat[:, at[0]], flat[:, at[3]] = pp, qq
+        flat[:, at[1]] = flat[:, at[2]] = pq
+        if W.shape[2]:
+            rows = W[:, o : o + 2 * h].reshape(F, h, 2, n)
+            rows[...] = R @ rows
+    return A
 
 
 def _frobenius(A, off_diagonal=False):
@@ -174,12 +171,13 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL):
     and its result is bitwise the same whether it is solved alone or inside
     a stack.  Each matrix is first scaled by the power of two that brings
     its largest entry into [1/2, 1), which is exact and keeps the norms
-    from overflowing.  Up to MAX_SWEEPS sweeps of the round-robin ordering
-    run until the Frobenius norm of a matrix's off-diagonal part drops to
-    tol times the Frobenius norm of the matrix; a matrix that gets there
-    takes no further rotations.  Returns (eigenvalues, eigenvectors) of
-    shapes (..., n) and (..., n, n), with eigenvalues sorted descending and
-    eigenvectors as the matching orthonormal columns.  Raises ValueError
+    from overflowing.  Up to MAX_SWEEPS sweeps of the odd-even ordering
+    (n rounds of adjacent pairs each, see _sweep) run until the Frobenius
+    norm of a matrix's off-diagonal part drops to tol times the Frobenius
+    norm of the matrix; a matrix that gets there takes no further
+    rotations.  Returns (eigenvalues, eigenvectors) of shapes (..., n) and
+    (..., n, n), with eigenvalues sorted descending and eigenvectors as the
+    matching orthonormal columns.  Raises ValueError
     when the input is not a square matrix or a stack of them, DomainError
     when an entry or an eigenvalue is not finite, NotSymmetric when a
     scaled matrix is asymmetric beyond 1e-12 and NoConvergence when any
@@ -191,27 +189,28 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL):
 def _jacobi(a, tol, vectors):
     """jacobi_eigh, with or without the eigenvectors.
 
-    Without them the rotation accumulator V has no rows, so _sweep skips
-    its updates of V, and the eigenvectors come back with shape
-    (..., 0, n).  The eigenvalues are bitwise the same either way.
+    The rotations accumulate in W, whose rows are the eigenvectors.
+    Without them W has no columns, so _sweep skips its updates, and the
+    eigenvectors come back with shape (..., 0, n).  The eigenvalues are
+    bitwise the same either way.
     """
     A, exponent, lead = _prepare(a)
     n = A.shape[-1]
     vals = np.empty(A.shape[:-1])
-    vecs = np.empty((len(A), n if vectors else 0, n))
+    m = n if vectors else 0
+    vecs = np.empty((len(A), m, n))
     live = np.arange(len(A))
-    V = np.broadcast_to(np.eye(n)[: vecs.shape[1]], vecs.shape).copy()
+    W = np.broadcast_to(np.eye(n)[:, :m], (len(A), n, m)).copy()
     anorm = _frobenius(A)
     limit = tol * anorm
     skip_below = (tol * anorm * 1e-2 / max(1, n * n))[:, None]
-    rounds = _round_robin(n)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(MAX_SWEEPS + 1):
             done = _frobenius(A, off_diagonal=True) <= limit
             vals[live[done]] = np.diagonal(A[done], axis1=1, axis2=2)
-            vecs[live[done]] = V[done]
+            vecs[live[done]] = W[done].transpose(0, 2, 1)
             going = ~done
-            live, A, V = live[going], A[going], V[going]
+            live, A, W = live[going], A[going], W[going]
             limit, skip_below = limit[going], skip_below[going]
             if not live.size:
                 break
@@ -220,7 +219,7 @@ def _jacobi(a, tol, vectors):
                     f"Jacobi sweeps exhausted ({MAX_SWEEPS}) before reaching "
                     f"relative off-diagonal mass {tol:.0e}"
                 )
-            _sweep(A, V, skip_below, rounds)
+            A = _sweep(A, W, skip_below)
     return _finish(vals, vecs, exponent, lead)
 
 

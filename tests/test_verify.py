@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,9 @@ from conftest import (
     scalar_integer,
     scalar_uniform,
 )
+
+PERFBENCH = os.path.join(os.path.dirname(CONFIG_PATH), "..", "perfbench")
+BRIDGE_PATH = os.path.join(PERFBENCH, "bridge_sampled.json")
 
 
 @pytest.fixture(scope="module")
@@ -680,6 +685,46 @@ def test_jacobi_and_mercer_checks_cover_both_kernel_kinds(tmp_path):
         by_name = {r.name: r for r in results}
         assert by_name["eigenvalues_match_jacobi"].passed
         assert by_name["mercer_reconstruction"].passed
+
+
+@pytest.mark.parametrize(
+    "path", [CONFIG_PATH, BRIDGE_PATH], ids=["trig_rank3", "bridge_sampled"]
+)
+def test_jacobi_oracle_matches_lapack_on_the_picked_fibers(path):
+    # the values-only oracle on the first, middle and last fiber, as
+    # run_suite picks and assembles them
+    cfg = fs.load_config(path)
+    n_fibers = len(cfg.ogrid)
+    picked = sorted({0, n_fibers // 2, n_fibers - 1})
+    values = _on_grid(cfg.kernel, cfg.ogrid, cfg.squad)[0]
+    A = fiber._assemble(values(picked), cfg.squad)
+    oracle, vecs = fiber._jacobi(A, cfg.tolerances.eig_tol, vectors=False)
+    assert vecs.shape == (3, 0, len(cfg.squad))
+    want = np.linalg.eigvalsh(A)[:, ::-1]
+    anorm = np.sqrt(np.sum(A * A, axis=(1, 2)))
+    assert np.all(np.max(np.abs(oracle - want), axis=1) <= 1e-13 * anorm)
+
+
+def test_bridge_verify_runs_the_oracle_before_its_known_defect(monkeypatch, capsys):
+    # the oracle of eigenvalues_match_jacobi runs before the grid check,
+    # which still stops bridge_sampled with the defect perfbench expects
+    spec = importlib.util.spec_from_file_location(
+        "checks", os.path.join(PERFBENCH, "checks.py")
+    )
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    code, message = checks.KNOWN_DEFECT
+    calls, jacobi = [], verify._jacobi
+
+    def spy(a, tol, vectors):
+        calls.append((a.shape, vectors))
+        return jacobi(a, tol, vectors)
+
+    monkeypatch.setattr(verify, "_jacobi", spy)
+    assert main(["verify", "--config", BRIDGE_PATH]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    assert calls == [((3, 48, 48), False)]
 
 
 def test_kernel_symmetry_check_fails_on_asymmetric_input():
