@@ -26,7 +26,7 @@ import numpy as np
 
 from ._record import Record
 from .errors import DomainError, NoConvergence, NotSymmetric
-from .grid import OmegaGrid, ScalarField, SQuadrature
+from .grid import OmegaGrid, ScalarField, SQuadrature, _require_finite, _symmetrized
 from .kernel import KernelSpec, _on_grid, kernel_matrices
 
 DEFAULT_EIG_TOL = 1e-12
@@ -113,21 +113,20 @@ def _prepare(a):
     largest entry and the leading shape of the input.  Each matrix is
     scaled by the power of two that brings its largest entry into
     [1/2, 1), which is exact and keeps norms from overflowing; a matrix
-    asymmetric beyond 1e-12 after the scaling is NotSymmetric.
+    asymmetric beyond 1e-12 after the scaling is NotSymmetric.  The checks
+    and the averaging are grid's _require_finite and _symmetrized.
     """
-    A = np.array(a, dtype=float, copy=True)
+    A = np.asarray(a, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("input must be a square matrix or a stack of them")
     lead, n = A.shape[:-2], A.shape[-1]
-    A = A.reshape((math.prod(lead), n, n))
-    if not np.all(np.isfinite(A)):
-        raise DomainError("matrix has non-finite entries")
+    A = _require_finite(A.reshape((math.prod(lead), n, n)), "matrix")
     _, exponent = np.frexp(np.max(np.abs(A), axis=(1, 2), initial=0.0))
     A = np.ldexp(A, -exponent[:, None, None])
     asymmetry = float(np.max(np.abs(A - A.transpose(0, 2, 1)), initial=0.0))
     if asymmetry > 1e-12:
         raise NotSymmetric(f"relative matrix asymmetry {asymmetry:.3e} exceeds 1e-12")
-    return 0.5 * (A + A.transpose(0, 2, 1)), exponent, lead
+    return _symmetrized(A), exponent, lead
 
 
 def _finish(vals, vecs, exponent, lead):
@@ -224,18 +223,17 @@ def _jacobi(a, tol, vectors):
 
 
 def _assemble(K, squad: SQuadrature) -> np.ndarray:
-    """Symmetrized collocation matrices 0.5 (A + A^T), A = sqrt(w) K sqrt(w),
+    """Symmetrized collocation matrices (A + A^T) / 2, A = sqrt(w) K sqrt(w),
     of kernel values K of shape (F, n_s, n_s), for any F fibers.
 
-    The scaled copy of K is scaled and the sum A + A^T halved in place, so
-    next to K at most two arrays of its size are alive at a time.
+    The copy of K is scaled in place and grid._symmetrized, overflow-safe,
+    writes the average into one new array, so next to K at most two arrays
+    of its size are alive at a time.
     """
     sw = np.sqrt(squad.weights)
     A = sw[:, None] * K
     A *= sw
-    S = A + A.transpose(0, 2, 1)
-    S *= 0.5
-    return S
+    return _symmetrized(A)
 
 
 def fiber_matrices(
@@ -460,7 +458,7 @@ def _solve_fibers(k: KernelSpec, ogrid, squad):
     curves, basis = factors
     Q, Rm = np.linalg.qr((basis * np.sqrt(squad.weights)).T)
     cores = (Rm * curves[:, None, :]) @ Rm.T
-    vals, U = _eigh(0.5 * (cores + cores.transpose(0, 2, 1)))
+    vals, U = _eigh(_symmetrized(cores))
     return vals, Q @ U
 
 

@@ -32,6 +32,23 @@ def _require_finite(values, what):
     return values
 
 
+def _symmetrized(a, out=None):
+    """(a + a^T) / 2 of every matrix of a stack, into out when given.
+
+    The sum is halved, which keeps subnormal sums exact; where it overflows
+    the halves are added instead, so the largest finite entries keep their
+    value.  For finite input the sum is infinite exactly where it overflows.
+    """
+    swapped = np.swapaxes(a, -1, -2)
+    with np.errstate(over="ignore"):
+        total = np.add(a, swapped, out=out)
+    total *= 0.5
+    over = np.isinf(total)
+    if over.any():
+        total[over] = 0.5 * a[over] + 0.5 * swapped[over]
+    return total
+
+
 def _require_1d_float(values, name):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:

@@ -21,14 +21,8 @@ import numpy as np
 
 from . import expr
 from ._record import Record
-from .errors import (
-    DomainError,
-    GridMismatch,
-    InvalidKernel,
-    NotSymmetric,
-    RankTooLarge,
-)
-from .grid import OmegaGrid, SQuadrature, same_rule
+from .errors import GridMismatch, InvalidKernel, NotSymmetric, RankTooLarge
+from .grid import OmegaGrid, SQuadrature, _require_finite, _symmetrized, same_rule
 
 # A sampled fiber may be asymmetric up to this much of its largest entry
 # and still be usable after symmetrization; anything worse is rejected.
@@ -61,10 +55,11 @@ class SeparableKernel(Record):
 
 class SampledKernel(Record):
     """Dense kernel samples, shape (n_omega, n_s, n_s), averaged with their
-    fiberwise transpose; a fiber asymmetric by more than SYMMETRIZE_TOL
-    times its largest |entry| is NotSymmetric.  asymmetry keeps the
-    absolute max |k(omega,t,s) - k(omega,s,t)| of the input, before the
-    averaging."""
+    fiberwise transpose by grid._symmetrized, in the buffer that measured
+    the asymmetry; a non-finite sample is a DomainError, and a fiber
+    asymmetric by more than SYMMETRIZE_TOL times its largest |entry| is
+    NotSymmetric.  asymmetry keeps the absolute max |k(omega,t,s) -
+    k(omega,s,t)| of the input, before the averaging."""
 
     __slots__ = ("ogrid", "squad", "values", "asymmetry")
 
@@ -75,8 +70,7 @@ class SampledKernel(Record):
             raise ValueError(
                 f"sampled kernel shape {values.shape} does not match grids"
             )
-        if not np.all(np.isfinite(values)):
-            raise DomainError("sampled kernel contains non-finite values")
+        _require_finite(values, "sampled kernel")
         swapped = values.transpose(0, 2, 1)
         # one buffer of the tensor's size takes |v - v^T|, |v| and the sum
         buf = np.subtract(values, swapped)
@@ -89,15 +83,7 @@ class SampledKernel(Record):
                 f"sampled kernel fiber {i} asymmetry {gaps[i]:.3e} exceeds "
                 f"{SYMMETRIZE_TOL:.0e} of its largest entry {sizes[i]:.3e}"
             )
-        # the sum is exact for subnormals; halving first only where the sum
-        # overflows keeps the largest finite samples.  The samples are
-        # finite, so their sum is infinite exactly where it overflows.
-        with np.errstate(over="ignore"):
-            total = np.add(values, swapped, out=buf)
-        total *= 0.5
-        over = np.isinf(total)
-        if over.any():
-            total[over] = 0.5 * values[over] + 0.5 * swapped[over]
+        total = _symmetrized(values, out=buf)
         super().__init__(ogrid, squad, total, float(np.max(gaps, initial=0.0)))
 
 
@@ -169,7 +155,8 @@ def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:
     to the lower slot.  For a symmetric operator that is the best rank-r
     approximation (Eckart-Young-Mirsky); a positive kernel keeps its top
     rank slots.  rank must not exceed the retained rank of any fiber;
-    rank 0 gives the zero kernel.
+    rank 0 gives the zero kernel.  grid._symmetrized averages the sum with
+    its transpose, so a finite sum never overflows there.
     """
     d = decomposition
     if rank < 0:
@@ -188,5 +175,4 @@ def mercer_reconstruct(decomposition, rank: int) -> SampledKernel:
     block = (funcs.transpose(0, 2, 1) * vals[:, None, :]) @ funcs
     # exact symmetrization, so the recorded asymmetry is 0 rather than the
     # rounding of the products
-    values = 0.5 * (block + block.transpose(0, 2, 1))
-    return SampledKernel(d.ogrid, d.squad, values)
+    return SampledKernel(d.ogrid, d.squad, _symmetrized(block))

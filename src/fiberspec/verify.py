@@ -26,7 +26,6 @@ import numpy as np
 from . import expr
 from ._record import Record
 from .calculus import (
-    DEFAULT_TIE_TOL,
     _interval,
     _multiply,
     _project,
@@ -344,7 +343,7 @@ def _chunks(count):
     return [slice(lo, min(lo + _CHUNK, count)) for lo in range(0, count, _CHUNK)]
 
 
-def _rs_identity_error(d: FiberDecomposition, f, mesh: float, epsilon: float):
+def _rs_identity_error(d: FiberDecomposition, f, mesh, epsilon, tie_tol):
     """What the Riemann-Stieltjes sum for g = lambda minus T f must be.
 
     Each spectral value lambda moves to the right end c_{k(lambda)} of its
@@ -357,7 +356,7 @@ def _rs_identity_error(d: FiberDecomposition, f, mesh: float, epsilon: float):
     """
     lo, hi = _interval(d, epsilon)
     cuts = np.linspace(lo, hi, max(1, math.ceil((hi - lo) / mesh)) + 1)
-    reach = cuts + DEFAULT_TIE_TOL
+    reach = cuts + tie_tol
 
     def right_end(lam):
         return cuts[np.count_nonzero(reach < lam[..., None], axis=-1)]
@@ -545,17 +544,17 @@ def run_suite(cfg: Config) -> list:
     # Riemann-Stieltjes sums
     span = hi - lo
     single = riemann_stieltjes_apply(
-        d, expr.parse("2"), f0, mesh=2.0 * span, epsilon=cfg.epsilon
+        d, expr.parse("2"), f0, 2.0 * span, cfg.epsilon, tie_tol=tol.tie_tol
     )
     values["rs_single_cell_constant"] = np.max(np.abs(single.values - 2.0 * f0.values))
     mismatch = 0.0
     for mesh in _RS_MESHES:
         rs = riemann_stieltjes_apply(
-            d, expr.parse("lambda"), f0, mesh=mesh, epsilon=cfg.epsilon
+            d, expr.parse("lambda"), f0, mesh, cfg.epsilon, tie_tol=tol.tie_tol
         )
         err = rs.values - tf0.values
         values[f"rs_mesh_bound_{mesh:g}"] = _l22(ogrid, squad, err)
-        predicted = _rs_identity_error(d, f0.values, mesh, cfg.epsilon)
+        predicted = _rs_identity_error(d, f0.values, mesh, cfg.epsilon, tol.tie_tol)
         mismatch = max(mismatch, float(_l22(ogrid, squad, err - predicted)))
     # the two routes to T f0 differ by at most the two-path bound
     values["rs_error_matches_prediction"] = mismatch

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -39,6 +40,34 @@ def random_separable_kernel(rng, max_rank=5):
         basis = f"{u}*sin({k1}*pi*t)+{v}*sin({k2}*pi*t)+{z}*cos({k3}*pi*t)"
         terms.append((parse(curve), parse(basis)))
     return fs.SeparableKernel(tuple(terms))
+
+
+# kernels whose fiber matrices overflow a naive (A + A^T) / 2: curve 1e308
+# on 16 Gauss nodes, its largest eigenvalue above half the float maximum,
+# and 1.5e308 on one node, whose fiber matrix is the kernel itself
+NEAR_MAX_KERNELS = {
+    "separable": (
+        16,
+        {
+            "type": "separable",
+            "terms": [{"curve": "1e308", "basis": "sqrt(2)*sin(pi*t)"}],
+        },
+    ),
+    "sampled": (1, {"type": "sampled", "expression": "1.5e308"}),
+}
+
+
+def write_near_max_config(tmp_path, kind):
+    """Config file of NEAR_MAX_KERNELS[kind] on 8 parameter nodes."""
+    n, kernel = NEAR_MAX_KERNELS[kind]
+    raw = {
+        "omega_grid": {"n": 8},
+        "s_quadrature": {"rule": "gauss_legendre", "n": n},
+        "kernel": kernel,
+    }
+    path = tmp_path / f"near_max_{kind}.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return str(path)
 
 
 def scalar_uniform(w, low, high):

@@ -12,7 +12,7 @@ from fiberspec.calculus import _rs_cuts
 from fiberspec.cli import main
 from fiberspec.config import OVERRIDES
 
-from conftest import CONFIG_PATH, curve1, tf_ref
+from conftest import CONFIG_PATH, curve1, tf_ref, write_near_max_config
 
 
 def read_csv(path):
@@ -509,7 +509,7 @@ def test_symmetry_gate_follows_the_kernel_scale(tmp_path, capsys, expression, co
 
 
 def test_huge_finite_sampled_kernel_is_symmetrized(tmp_path, capsys):
-    # 0.5 * (k + k^T) would overflow; the halves are added instead
+    # k + k^T overflows, so grid._symmetrized adds the halves there
     config = write_sampled(tmp_path, "1.5e308")
     out = tmp_path / "out"
     assert main(["decompose", "--config", config, "--out", str(out)]) == 0
@@ -521,6 +521,23 @@ def test_huge_finite_sampled_kernel_is_symmetrized(tmp_path, capsys):
     assert main(["verify", "--config", config, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["separable", "sampled"])
+def test_near_max_kernels_decompose_and_reconstruct(tmp_path, capsys, kind):
+    config = write_near_max_config(tmp_path, kind)
+    out = str(tmp_path / "out")
+    assert main(["decompose", "--config", config, "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    rc = main(["reconstruct", "--rank", "1", "--config", config, "--out", out])
+    if kind == "sampled":
+        assert rc == 0
+        assert "sup error 0.000000e+00" in capsys.readouterr().out
+    else:
+        # the kernel values themselves reach 2e308 near t = s = 1/2
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_syntax_diagnostic_reaches_stderr(tmp_path, capsys):

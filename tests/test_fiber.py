@@ -3,7 +3,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fiberspec as fs
@@ -11,7 +11,7 @@ from fiberspec import errors, fiber
 from fiberspec.expr import BinOp, Num, parse
 from fiberspec.fiber import DEFAULT_EIG_TOL, _eigh, _jacobi
 
-from conftest import CONFIG_PATH, curve1, curve2, curve3
+from conftest import CONFIG_PATH, curve1, curve2, curve3, write_near_max_config
 from test_mixed_rank import TERMS as MIXED_TERMS
 
 BRIDGE_PATH = os.path.join(
@@ -448,6 +448,89 @@ def test_rank_truncation_drops_tiny_curves(grids):
     )
     d = fs.decompose_all_fibers(k, ogrid, squad, rank_tol=1e-10)
     assert np.all(d.ranks == 1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["separable", "sampled"])
+def test_near_max_kernels_decompose(tmp_path, kind):
+    # A + A^T of the separable cores and of the one-node fiber matrices
+    # overflows; the symmetrization adds the halves there
+    cfg = fs.load_config(write_near_max_config(tmp_path, kind))
+    squad = cfg.squad
+    d = fs.decompose_all_fibers(cfg.kernel, cfg.ogrid, squad)
+    if kind == "separable":
+        top = 1e308 * float(squad.weights @ (2.0 * np.sin(np.pi * squad.nodes) ** 2))
+    else:
+        top = 1.5e308
+    assert np.all(d.ranks == 1)
+    np.testing.assert_array_max_ulp(d.eigenvalues[:, 0], np.full(8, top), maxulp=4)
+
+
+def test_one_node_fiber_matrices_are_the_near_max_kernel(tmp_path):
+    cfg = fs.load_config(write_near_max_config(tmp_path, "sampled"))
+    A = fs.fiber_matrices(cfg.kernel, cfg.ogrid, cfg.squad)
+    # weight 1: each 1 x 1 fiber matrix is the finite kernel value
+    assert A.shape == (8, 1, 1) and np.all(A == 1.5e308)
+    vals, vecs = fs.jacobi_eigh(A)
+    assert np.all(vals == 1.5e308) and np.all(np.abs(vecs) == 1.0)
+
+
+# kernels for the power-of-two scaling property: a separable source is its
+# (curve, basis) terms, a sampled one its expression of omega, t and s
+SCALING_KERNELS = {
+    "trig_rank3": (
+        ("cos(pi*omega/2)^2", "sqrt(2)*sin(pi*t)"),
+        ("sin(pi*omega)^2/2", "sqrt(2)*sin(2*pi*t)"),
+        ("omega^2/3", "sqrt(2)*sin(3*pi*t)"),
+    ),
+    "trig_indefinite": (
+        ("cos(pi*omega/2)^2", "sqrt(2)*sin(pi*t)"),
+        ("-(sin(pi*omega)^2)/2", "sqrt(2)*sin(2*pi*t)"),
+        ("omega^2/3", "sqrt(2)*sin(3*pi*t)"),
+    ),
+    # its largest eigenvalue on 16 Gauss nodes reaches the top binade at
+    # k = 1023
+    "steep": (("1.5*cos(pi*omega/2)^2", "sqrt(2)*sin(pi*t)"),),
+    "sampled": "cos(pi*omega/2)^2*2*sin(pi*t)*sin(pi*s)+min(t,s)-t*s",
+}
+SCALING_RULES = (("gauss_legendre", 1), ("gauss_legendre", 16), ("trapezoid", 9))
+
+
+def scaled_kernel(name, k, ogrid, squad):
+    """SCALING_KERNELS[name] with its curves or samples times 2^k."""
+    source, scale = SCALING_KERNELS[name], Num(2.0**k)
+    if isinstance(source, str):
+        return fs.sample_kernel(BinOp("*", scale, parse(source)), ogrid, squad)
+    return fs.SeparableKernel(
+        tuple((BinOp("*", scale, parse(c)), parse(b)) for c, b in source)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SCALING_KERNELS)),
+    rule=st.sampled_from(SCALING_RULES),
+    k=st.integers(-400, 1023),
+)
+@example(name="steep", rule=("gauss_legendre", 16), k=1023)
+def test_power_of_two_scaling_is_exact(name, rule, k):
+    # decomposing 2^k K gives the functions and labels of K and its
+    # eigenvalues and eigensums times 2^k, bitwise.  k runs up to the top
+    # binade of the largest eigenvalue, eigensum or sample, and down to
+    # -400: near -960 the products that form the cores or the fiber
+    # matrices turn subnormal
+    ogrid, squad = fs.build_omega_grid(8), fs.build_s_quadrature(*rule)
+    kernel = scaled_kernel(name, 0, ogrid, squad)
+    d = fs.decompose_all_fibers(kernel, ogrid, squad)
+    sizes = [d.eigenvalues, d.eigensums]
+    if isinstance(kernel, fs.SampledKernel):
+        sizes.append(kernel.values)
+    k = min(k, 1024 - int(np.frexp(max(np.max(np.abs(x)) for x in sizes))[1]))
+    s = fs.decompose_all_fibers(scaled_kernel(name, k, ogrid, squad), ogrid, squad)
+    assert s.eigenvalues.tobytes() == np.ldexp(d.eigenvalues, k).tobytes()
+    assert s.eigensums.tobytes() == np.ldexp(d.eigensums, k).tobytes()
+    assert s.functions.tobytes() == d.functions.tobytes()
+    assert np.array_equal(s.labels, d.labels)
 
 
 @pytest.mark.parametrize("alpha", [1e-9, 1e-12])

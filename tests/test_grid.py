@@ -4,7 +4,7 @@ import pytest
 import fiberspec as fs
 from fiberspec import errors
 from fiberspec.expr import parse
-from fiberspec.grid import _l22
+from fiberspec.grid import _l22, _symmetrized
 
 
 def test_midpoint_grid():
@@ -193,3 +193,26 @@ def test_field_and_section_refuse_other_shapes(grids):
     text = r"^section shape \(16, 23\) does not match grids \(16, 24\)$"
     with pytest.raises(ValueError, match=text):
         fs.Section(ogrid, squad, np.zeros((16, 23)))
+
+
+def test_symmetrized_is_exact_and_never_overflows():
+    rng = np.random.default_rng(38)
+    big = np.finfo(float).max
+    # a symmetric stack comes back bitwise, subnormal and near-max entries too
+    upper = rng.standard_normal((3, 5, 5))
+    upper[0, 1, 2], upper[1, 0, 4], upper[2, 3, 3] = 5e-324, 1.5e308, -big
+    a = np.triu(upper) + np.triu(upper, 1).transpose(0, 2, 1)
+    assert _symmetrized(a).tobytes() == a.tobytes()
+    buf = np.empty_like(a)
+    assert _symmetrized(a, out=buf) is buf and buf.tobytes() == a.tobytes()
+    # near-max entries of either sign average to finite values between each
+    # pair
+    huge = rng.uniform(0.5, 1.0, (4, 6, 6)) * rng.choice([-big, big], (4, 6, 6))
+    got = _symmetrized(huge)
+    pair = np.stack([huge, huge.transpose(0, 2, 1)])
+    assert np.all(np.isfinite(got)) and np.array_equal(got, got.transpose(0, 2, 1))
+    assert np.all((pair.min(axis=0) <= got) & (got <= pair.max(axis=0)))
+    # subnormals are summed before halving: 1 and 5 units of 2^-1074 give
+    # 3, where the halves would round to 0 and 2
+    tiny = np.ldexp(np.array([[0.0, 1.0], [5.0, 0.0]]), -1074)
+    assert _symmetrized(tiny)[0, 1] == np.ldexp(3.0, -1074)

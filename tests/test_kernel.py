@@ -5,6 +5,8 @@ import fiberspec as fs
 from fiberspec import errors
 from fiberspec.expr import parse
 
+from conftest import write_near_max_config
+
 
 def separable_fixture():
     return fs.SeparableKernel(
@@ -283,6 +285,16 @@ def test_sampled_kernel_averages_mild_asymmetry():
 @pytest.mark.parametrize("rank", [2, 3])
 def test_mercer_reconstruct_records_no_asymmetry(decomposition, rank):
     assert fs.mercer_reconstruct(decomposition, rank).asymmetry == 0.0
+
+
+def test_mercer_reconstruct_rebuilds_a_near_max_kernel(tmp_path):
+    # the rank-1 sum of the one-node kernel is the kernel, 1.5e308, whose
+    # doubled value overflows
+    cfg = fs.load_config(write_near_max_config(tmp_path, "sampled"))
+    d = fs.decompose_all_fibers(cfg.kernel, cfg.ogrid, cfg.squad)
+    rebuilt = fs.mercer_reconstruct(d, 1)
+    assert np.array_equal(rebuilt.values, cfg.kernel.values)
+    assert rebuilt.asymmetry == 0.0
 
 
 def test_sampled_kernel_refuses_other_shapes_and_non_finite_values(grids):

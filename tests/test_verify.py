@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import os
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import fiberspec as fs
 from fiberspec import fiber, verify
-from fiberspec.calculus import DEFAULT_TIE_TOL, _interval, _multiply, _rs_cuts
+from fiberspec.calculus import _interval, _multiply, _rs_cuts
 from fiberspec.cli import main
 from fiberspec.config import section_by_name
 from fiberspec.kernel import _on_grid
@@ -866,12 +867,12 @@ def test_suite_holds_one_kernel_stack():
     assert peak <= 1.25 * 32 * 128 * 128 * 8
 
 
-def left_end_rs(d, g, f, mesh, epsilon):
+def left_end_rs(d, g, f, mesh, epsilon, tie_tol):
     """riemann_stieltjes_apply with every value one cell too low: g at the
     left end of its cell.  Its error is still at most mesh * |f|."""
     cuts = _rs_cuts(d, mesh, epsilon)
     g_cuts = fs.evaluate(g, {"lambda": cuts})
-    reach = cuts + DEFAULT_TIE_TOL
+    reach = cuts + tie_tol
     h = g_cuts[np.maximum(np.searchsorted(reach, d.eigenvalues) - 1, 0)]
     h0 = g_cuts[max(int(np.searchsorted(reach, 0.0)) - 1, 0)]
     return fs.Section(d.ogrid, d.squad, _multiply(d, f.values, h, h0))
@@ -893,6 +894,25 @@ def test_rs_check_catches_a_shifted_cell(tmp_path, monkeypatch, config):
     # the mesh bounds cannot tell a sum one cell off
     assert by_name["rs_mesh_bound_0.04"].passed
     assert by_name["rs_mesh_bound_0.02"].passed
+
+
+def test_rs_rows_use_the_configured_tie(monkeypatch):
+    # as in the projector axioms and the CLI's rs, the tie tolerance of the
+    # config reaches every Riemann-Stieltjes sum of the suite
+    cfg = fs.load_config(CONFIG_PATH, omega_n=16, quad_n=24, tie_tol=1e-3)
+    rs = verify.riemann_stieltjes_apply
+    ties = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(rs).bind(*args, **kwargs)
+        bound.apply_defaults()
+        ties.append(bound.arguments["tie_tol"])
+        return rs(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "riemann_stieltjes_apply", spy)
+    by_name = {r.name: r for r in verify.run_suite(cfg)}
+    assert ties == [1e-3] * (1 + len(verify._RS_MESHES))
+    assert by_name["rs_error_matches_prediction"].passed
 
 
 def test_suite_samples_each_kernel_once(cfg, monkeypatch):
