@@ -25,8 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from ._record import Record
-from .errors import DomainError, NoConvergence, NotSymmetric
-from .grid import OmegaGrid, ScalarField, SQuadrature, _require_finite, _symmetrized
+from .errors import DomainError, NoConvergence
+from .grid import OmegaGrid, ScalarField, SQuadrature, _symmetric_part, _symmetrized
 from .kernel import KernelSpec, _on_grid, kernel_matrices
 
 DEFAULT_EIG_TOL = 1e-12
@@ -107,26 +107,23 @@ def _frobenius(A, off_diagonal=False):
 
 
 def _prepare(a):
-    """Checked, scaled and symmetrized float copy of a matrix stack.
+    """Checked, symmetrized and scaled float copy of a matrix stack.
 
     Returns the stack as (F, n, n), the binary exponent of every matrix's
-    largest entry and the leading shape of the input.  Each matrix is
-    scaled by the power of two that brings its largest entry into
-    [1/2, 1), which is exact and keeps norms from overflowing; a matrix
-    asymmetric beyond 1e-12 after the scaling is NotSymmetric.  The checks
-    and the averaging are grid's _require_finite and _symmetrized.
+    largest entry and the leading shape of the input.  grid._symmetric_part
+    gates the input at 1e-12 of each matrix's own largest entry and
+    averages it into one new array, which is then scaled in place by the
+    power of two that brings each largest entry into [1/2, 1): exact, and
+    it keeps norms from overflowing.
     """
     A = np.asarray(a, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError("input must be a square matrix or a stack of them")
     lead, n = A.shape[:-2], A.shape[-1]
-    A = _require_finite(A.reshape((math.prod(lead), n, n)), "matrix")
-    _, exponent = np.frexp(np.max(np.abs(A), axis=(1, 2), initial=0.0))
-    A = np.ldexp(A, -exponent[:, None, None])
-    asymmetry = float(np.max(np.abs(A - A.transpose(0, 2, 1)), initial=0.0))
-    if asymmetry > 1e-12:
-        raise NotSymmetric(f"relative matrix asymmetry {asymmetry:.3e} exceeds 1e-12")
-    return _symmetrized(A), exponent, lead
+    A, _, sizes = _symmetric_part(A.reshape((math.prod(lead), n, n)), 1e-12, "matrix")
+    _, exponent = np.frexp(sizes)
+    np.ldexp(A, -exponent[:, None, None], out=A)
+    return A, exponent, lead
 
 
 def _finish(vals, vecs, exponent, lead):
@@ -176,11 +173,11 @@ def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL):
     norm of the matrix; a matrix that gets there takes no further
     rotations.  Returns (eigenvalues, eigenvectors) of shapes (..., n) and
     (..., n, n), with eigenvalues sorted descending and eigenvectors as the
-    matching orthonormal columns.  Raises ValueError
-    when the input is not a square matrix or a stack of them, DomainError
-    when an entry or an eigenvalue is not finite, NotSymmetric when a
-    scaled matrix is asymmetric beyond 1e-12 and NoConvergence when any
-    matrix runs out of sweeps.
+    matching orthonormal columns.  Raises ValueError when the input is not
+    a square matrix or a stack of them, DomainError when an entry or an
+    eigenvalue is not finite, NotSymmetric, naming the matrix, when one is
+    asymmetric beyond 1e-12 of its own largest entry, and NoConvergence
+    when any matrix runs out of sweeps.
     """
     return _jacobi(a, tol, vectors=True)
 
@@ -254,7 +251,8 @@ class FiberDecomposition(Record):
     fiber i is their count, ranks[i]; slots n >= ranks[i] hold eigenvalue
     0.0, a zero function row and label -1, so a padded slot is one more
     null direction and adds nothing to any spectral sum.  eigensums keeps
-    the sum of every fiber's eigenvalues before truncation.
+    the sum of every fiber's eigenvalues before truncation, +-inf where
+    that sum is beyond the float range though every eigenvalue is finite.
 
     Everything else is derived from these and kept on first use: ranks;
     the fiber spectra _spectra, the retained eigenvalues together with 0;
@@ -457,8 +455,10 @@ def _solve_fibers(k: KernelSpec, ogrid, squad):
         return _eigh(_assemble(values(slice(None)), squad))
     curves, basis = factors
     Q, Rm = np.linalg.qr((basis * np.sqrt(squad.weights)).T)
-    cores = (Rm * curves[:, None, :]) @ Rm.T
-    vals, U = _eigh(_symmetrized(cores))
+    # cores beyond the float range are left to _eigh's finiteness check
+    with np.errstate(over="ignore", invalid="ignore"):
+        cores = _symmetrized((Rm * curves[:, None, :]) @ Rm.T)
+    vals, U = _eigh(cores)
     return vals, Q @ U
 
 
@@ -510,12 +510,7 @@ def decompose_all_fibers(
     vals, vecs = _solve_fibers(k, ogrid, squad)
     eigenvalues, functions, ranks = _retain(vals, vecs, squad, rank_tol)
     labels = _align_labels(functions, ranks, squad.weights)
-    return FiberDecomposition(
-        ogrid=ogrid,
-        squad=squad,
-        eigenvalues=eigenvalues,
-        functions=functions,
-        labels=labels,
-        eigensums=vals.sum(axis=1),
-    )
+    with np.errstate(over="ignore"):
+        eigensums = vals.sum(axis=1)
+    return FiberDecomposition(ogrid, squad, eigenvalues, functions, labels, eigensums)
 

@@ -18,6 +18,7 @@ from .errors import (
     GridMismatch,
     InvalidCount,
     InvalidQuadratureRule,
+    NotSymmetric,
 )
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -47,6 +48,29 @@ def _symmetrized(a, out=None):
     if over.any():
         total[over] = 0.5 * a[over] + 0.5 * swapped[over]
     return total
+
+
+def _symmetric_part(a, tol, what):
+    """Gate a stack of matrices (F, n, n) and average it with its transpose.
+
+    A non-finite entry is a DomainError, and a matrix asymmetric by more
+    than tol times its own largest |entry| is NotSymmetric, named by its
+    index.  One new buffer takes |a - a^T|, |a| and then the average, and
+    is returned with every matrix's asymmetry and largest |entry|.
+    """
+    _require_finite(a, what)
+    with np.errstate(over="ignore"):
+        buf = np.subtract(a, a.transpose(0, 2, 1))
+    gaps = np.max(np.abs(buf, out=buf), axis=(1, 2), initial=0.0)
+    sizes = np.max(np.abs(a, out=buf), axis=(1, 2), initial=0.0)
+    bad = gaps > tol * sizes
+    if bad.any():
+        i = np.argmax(bad)
+        raise NotSymmetric(
+            f"{what} fiber {i} asymmetry {gaps[i]:.3e} exceeds "
+            f"{tol:.0e} of its largest entry {sizes[i]:.3e}"
+        )
+    return _symmetrized(a, out=buf), gaps, sizes
 
 
 def _require_1d_float(values, name):

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import expr
 from ._record import Record
-from .errors import GridMismatch, InvalidKernel, NotSymmetric, RankTooLarge
-from .grid import OmegaGrid, SQuadrature, _require_finite, _symmetrized, same_rule
+from .errors import GridMismatch, InvalidKernel, RankTooLarge
+from .grid import OmegaGrid, SQuadrature, _symmetric_part, _symmetrized, same_rule
 
 # A sampled fiber may be asymmetric up to this much of its largest entry
 # and still be usable after symmetrization; anything worse is rejected.
@@ -54,10 +54,10 @@ class SeparableKernel(Record):
 
 
 class SampledKernel(Record):
-    """Dense kernel samples, shape (n_omega, n_s, n_s), averaged with their
-    fiberwise transpose by grid._symmetrized, in the buffer that measured
-    the asymmetry; a non-finite sample is a DomainError, and a fiber
-    asymmetric by more than SYMMETRIZE_TOL times its largest |entry| is
+    """Dense kernel samples, shape (n_omega, n_s, n_s), gated and averaged
+    with their fiberwise transpose by grid._symmetric_part, the gate the
+    solvers share: a non-finite sample is a DomainError, and a fiber
+    asymmetric by more than SYMMETRIZE_TOL times its own largest |entry| is
     NotSymmetric.  asymmetry keeps the absolute max |k(omega,t,s) -
     k(omega,s,t)| of the input, before the averaging."""
 
@@ -70,20 +70,7 @@ class SampledKernel(Record):
             raise ValueError(
                 f"sampled kernel shape {values.shape} does not match grids"
             )
-        _require_finite(values, "sampled kernel")
-        swapped = values.transpose(0, 2, 1)
-        # one buffer of the tensor's size takes |v - v^T|, |v| and the sum
-        buf = np.subtract(values, swapped)
-        gaps = np.max(np.abs(buf, out=buf), axis=(1, 2), initial=0.0)
-        sizes = np.max(np.abs(values, out=buf), axis=(1, 2), initial=0.0)
-        bad = gaps > SYMMETRIZE_TOL * sizes
-        if bad.any():
-            i = np.argmax(bad)
-            raise NotSymmetric(
-                f"sampled kernel fiber {i} asymmetry {gaps[i]:.3e} exceeds "
-                f"{SYMMETRIZE_TOL:.0e} of its largest entry {sizes[i]:.3e}"
-            )
-        total = _symmetrized(values, out=buf)
+        total, gaps, _ = _symmetric_part(values, SYMMETRIZE_TOL, "sampled kernel")
         super().__init__(ogrid, squad, total, float(np.max(gaps, initial=0.0)))
 
 

@@ -294,7 +294,8 @@ def projector_axiom_residuals(
         bump("projector_commutes_with_op", _l22(ogrid, squad, etx - tex))
         ex_ip = _pairing(squad, ex, x)
         etx_ip = _pairing(squad, etx, x)
-        bump("projector_order_upper", etx_ip - lam_vals * ex_ip)
+        # E keeps every eigenvalue up to lambda + tie
+        bump("projector_order_upper", etx_ip - (lam_vals + tie) * ex_ip)
         lower = lam_vals * (self_ip - ex_ip) - (tf_ip - etx_ip)
         bump("projector_order_lower", lower)
         # ex_ip[0] is <f, E f> at this threshold

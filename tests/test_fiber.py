@@ -1,5 +1,7 @@
 import math
 import os
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +171,69 @@ def test_symmetry_gate_is_relative_to_the_matrix_scale():
             solve(tiny)
         vals, _ = solve(huge)
         np.testing.assert_allclose(vals, [3e20, -1e20], rtol=1e-15)
+
+
+@pytest.mark.parametrize("solve", [fs.jacobi_eigh, _eigh])
+def test_symmetry_gate_margin_is_the_matrix_own_entry(solve):
+    # 1e-12 of matrix 2's largest entry 0.75 is 7.5e-13: 9e-13 off the
+    # diagonal is refused, naming the matrix, and 7e-13 passes
+    a = np.stack([np.eye(3), np.eye(3), np.diag([0.75, 0.5, 0.25])])
+    a[2, 0, 1] = 9e-13
+    text = "^matrix fiber 2 asymmetry 9.000e-13 exceeds 1e-12 of its largest entry "
+    with pytest.raises(errors.NotSymmetric, match=text):
+        solve(a)
+    a[2, 0, 1] = 7e-13
+    vals, _ = solve(a)
+    np.testing.assert_allclose(vals[2], [0.75, 0.5, 0.25], rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 5), st.integers(2, 6)),
+    k=st.integers(-400, 1023),
+    r=st.one_of(st.just(0.0), st.floats(1e-16, 1e-10)),
+)
+@example(seed=0, shape=(3, 3), k=0, r=1e-12)
+@example(seed=0, shape=(3, 3), k=0, r=float(np.nextafter(1e-12, 1.0)))
+def test_symmetry_gate_is_relative_and_exact(seed, shape, k, r):
+    # a symmetric stack times 2^k in which one entry of matrix j, whose
+    # largest entry is 2^k, is raised from 0 to r 2^k: _prepare refuses it
+    # exactly when r > 1e-12, naming j, and otherwise returns the bits of
+    # scaling each matrix by a power of two first and averaging after
+    rng = np.random.default_rng(seed)
+    F, n = shape
+    a = rng.uniform(-0.5, 0.5, (F, n, n))
+    a += a.transpose(0, 2, 1)
+    j = int(rng.integers(F))
+    p, q = rng.choice(n, 2, replace=False)
+    a[j, p, p], a[j, p, q], a[j, q, p] = 1.0, 0.0, 0.0
+    a = np.ldexp(a, k)
+    a[j, p, q] = math.ldexp(r, k)
+    if r > 1e-12:
+        with pytest.raises(errors.NotSymmetric, match=f"^matrix fiber {j} asymmetry "):
+            fiber._prepare(a)
+        return
+    _, exponent = np.frexp(np.max(np.abs(a), axis=(1, 2)))
+    scaled = np.ldexp(a, -exponent[:, None, None])
+    got, got_exponent, lead = fiber._prepare(a)
+    assert got.tobytes() == ((scaled + scaled.transpose(0, 2, 1)) * 0.5).tobytes()
+    assert np.array_equal(got_exponent, exponent) and lead == (F,)
+
+
+def test_prepare_holds_one_array_the_size_of_the_stack():
+    # the gate, the averaging and the scaling share one new array; beside
+    # it only boolean masks an eighth of its size are alive
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((16, 128, 128))
+    a += a.transpose(0, 2, 1)
+    tracemalloc.start()
+    try:
+        fiber._prepare(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * a.nbytes
 
 
 def test_jacobi_rejects_nonfinite():
@@ -464,6 +529,45 @@ def test_near_max_kernels_decompose(tmp_path, kind):
         top = 1.5e308
     assert np.all(d.ranks == 1)
     np.testing.assert_array_max_ulp(d.eigenvalues[:, 0], np.full(8, top), maxulp=4)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "terms",
+    [
+        # kernel values up to about 2.7e308
+        (("1.5*cos(pi*omega/2)^2*2^1023", "sqrt(2)*sin(pi*t)"),),
+        # 24 and -6 times 1.5 * 2^1023 at the node: inf - inf in the core
+        (("1.5*2^1023", "4*sin(pi*t)"), ("-1.5*2^1023", "2*sin(pi*t)")),
+    ],
+)
+def test_overflowing_separable_cores_are_a_domain_error(terms):
+    # the kernel values are beyond the float range: the cores overflow, and
+    # the solver's gate refuses them
+    ogrid, squad = fs.build_omega_grid(8), fs.build_s_quadrature("gauss_legendre", 1)
+    k = fs.SeparableKernel(tuple((parse(c), parse(b)) for c, b in terms))
+    with pytest.raises(errors.DomainError, match="^matrix contains non-finite values$"):
+        fs.decompose_all_fibers(k, ogrid, squad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigensums_beyond_the_float_range_are_inf():
+    # trig_rank3's curves times 2^1024: every eigenvalue is finite, the
+    # largest 1.7804e308, and an eigensum is +inf exactly where the exact
+    # sum of its fiber's eigenvalues exceeds the float maximum
+    ogrid, squad = fs.build_omega_grid(8), fs.build_s_quadrature("gauss_legendre", 16)
+    terms = SCALING_KERNELS["trig_rank3"]
+    k = fs.SeparableKernel(tuple((parse(f"({c})*2^1023*2"), parse(b)) for c, b in terms))
+    # rank_tol 0 keeps every nonzero eigenvalue, so each row sums to the
+    # eigensum's exact value
+    d = fs.decompose_all_fibers(k, ogrid, squad, rank_tol=0.0)
+    assert np.all(np.isfinite(d.eigenvalues))
+    assert np.max(d.eigenvalues) == pytest.approx(1.7804e308, rel=1e-4)
+    top = Fraction(np.finfo(float).max)
+    over = [sum(map(Fraction, row.tolist())) > top for row in d.eigenvalues]
+    assert over == [True] * 4 + [False] * 4
+    assert np.array_equal(d.eigensums == np.inf, over)
+    assert np.all(np.isfinite(d.eigensums[4:]))
 
 
 def test_one_node_fiber_matrices_are_the_near_max_kernel(tmp_path):

@@ -155,6 +155,17 @@ def test_sampled_kernel_refuses_a_small_asymmetric_fiber():
         fs.SampledKernel(ogrid, squad, values)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sampled_kernel_refuses_an_overflowing_asymmetry():
+    # the difference of 1e308 and -1e308 overflows: the gate measures it
+    # as an infinite asymmetry, without a warning
+    ogrid, squad = fs.build_omega_grid(1), fs.build_s_quadrature("trapezoid", 2)
+    values = np.array([[[1e308, 1e308], [-1e308, 1e308]]])
+    text = "^sampled kernel fiber 0 asymmetry inf exceeds 1e-09 of its "
+    with pytest.raises(errors.NotSymmetric, match=text):
+        fs.SampledKernel(ogrid, squad, values)
+
+
 def test_sampled_kernel_averages_as_the_where_formula():
     # every stored value equals the two-branch formula: the halved sum, and
     # 0.5 v + 0.5 v^T where the sum overflows.  Fibers 0 and 2 mix pairs
