@@ -1,5 +1,7 @@
-import sys
+"""`python -m fiberspec`: the CLI's process entry, the same `cli.run` that
+the `fiberspec` script of pyproject.toml names."""
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+if __name__ == "__main__":
+    run()

@@ -4,11 +4,17 @@ Every subcommand loads a JSON config, runs one library operation, and
 writes CSV files into the output directory.  Exit codes: 0 success,
 2 configuration or parse error (an output that cannot be written
 included), 3 numerical failure, 4 verification failure.
+
+`main` is the in-process entry: it returns the exit code and leaves the
+collector as it found it.  `run` is the process entry of
+`python -m fiberspec` and of the `fiberspec` script: it calls `main`,
+freezes the collector's objects and exits with the code.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -262,5 +268,18 @@ def main(argv=None) -> int:
     return 2 if config else 3
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run():
+    """Run `main` on the command line and end the process with its code.
+
+    The process is about to be discarded, so gc.freeze() first moves every
+    object the collector tracks (about 21,700 after a decompose) into its
+    permanent generation: interpreter shutdown then skips its cyclic
+    collections over them.  The exit is still a SystemExit, so the
+    `finally` blocks of callers run (`python -m cProfile -o` writes its
+    profile in one), and shutdown still flushes the standard streams and
+    runs atexit handlers and reference-count finalizers.  Every file a
+    subcommand opens is closed before `main` returns.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)

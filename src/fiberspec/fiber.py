@@ -142,20 +142,22 @@ def _finish(vals, vecs, exponent, lead):
     return vals.reshape(lead + vals.shape[1:]), vecs.reshape(lead + vecs.shape[1:])
 
 
-def _eigh(a):
+def _eigh(a, scale=0):
     """Production eigendecomposition of symmetric matrices by LAPACK.
 
     Takes and returns what jacobi_eigh does, with the same checks, prescale
     and order; every matrix of a stack is solved by its own LAPACK call, so
-    its result is bitwise the same alone or inside a stack.  Raises
-    NoConvergence when LAPACK reports that a matrix did not converge.
+    its result is bitwise the same alone or inside a stack.  scale holds the
+    binary exponents by which the caller scaled each matrix down; the
+    eigenvalues are scaled back by them.
+    Raises NoConvergence when LAPACK reports that a matrix did not converge.
     """
     A, exponent, lead = _prepare(a)
     try:
         vals, vecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
-    return _finish(vals, vecs, exponent, lead)
+    return _finish(vals, vecs, exponent + scale, lead)
 
 
 def jacobi_eigh(a, tol: float = DEFAULT_EIG_TOL):
@@ -448,17 +450,22 @@ def _solve_fibers(k: KernelSpec, ogrid, squad):
     C = B diag(sqrt(w)) of shape (R, n_s).  With the reduced QR
     C^T = Q Rm, the fiber is Q (Rm diag(c) Rm^T) Q^T, so its nonzero
     eigenpairs are those of the r x r core (r = min(R, n_s)) with
-    eigenvectors Q U.
+    eigenvectors Q U.  Each fiber's curve samples are first scaled by the
+    power of two that brings their largest |c| into [1/2, 1), and its
+    eigenvalues scaled back: exact, and a core whose terms overflow while
+    its eigenvalues do not stays finite.
     """
     values, _, factors = _on_grid(k, ogrid, squad)
     if factors is None:
         return _eigh(_assemble(values(slice(None)), squad))
     curves, basis = factors
+    _, exponent = np.frexp(np.max(np.abs(curves), axis=1, initial=0.0))
+    curves = np.ldexp(curves, -exponent[:, None])
     Q, Rm = np.linalg.qr((basis * np.sqrt(squad.weights)).T)
     # cores beyond the float range are left to _eigh's finiteness check
     with np.errstate(over="ignore", invalid="ignore"):
         cores = _symmetrized((Rm * curves[:, None, :]) @ Rm.T)
-    vals, U = _eigh(cores)
+    vals, U = _eigh(cores, exponent)
     return vals, Q @ U
 
 

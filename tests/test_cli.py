@@ -1,7 +1,11 @@
+import gc
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -699,7 +703,7 @@ def test_usage_error_is_one_line(capsys):
 SRC = os.path.dirname(os.path.dirname(fiberspec.__file__))
 
 
-def run_python(args, threads=None):
+def run_process(args, threads=None):
     """Run the interpreter on args in a fresh process with fiberspec on its
     path and OPENBLAS_NUM_THREADS set to threads, or unset for None."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -708,9 +712,14 @@ def run_python(args, threads=None):
     )
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def run_python(args, threads=None):
+    """run_process's stdout, for a process that must exit 0."""
+    done = run_process(args, threads)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -864,3 +873,97 @@ def test_kernel_kind_and_term_scope_are_config_errors(tmp_path, capsys, kernel, 
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["decompose", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {line}\n"
+
+
+ROOT = os.path.dirname(os.path.dirname(CONFIG_PATH))
+
+# every subcommand once on trig_rank3, each of its routes
+SUBCOMMANDS = [
+    ["decompose"],
+    ["apply", "--section", "f", "--mode", "quadrature"],
+    ["apply", "--section", "f", "--mode", "spectral"],
+    ["project", "--threshold", "mid", "--section", "f"],
+    ["funcalc", "--function", "exp(-lambda)", "--section", "f"],
+    ["rs", "--function", "sin(3*lambda)", "--mesh", "0.02", "--section", "f"],
+    ["spectrum"],
+    ["spectrum", "--partition", "thirds"],
+    ["mix", "--partition", "thirds"],
+    ["reconstruct", "--rank", "3"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("args", SUBCOMMANDS, ids=" ".join)
+def test_every_subcommand_closes_its_files(tmp_path, monkeypatch, args):
+    # the process entry skips shutdown's cyclic collections, so a file left
+    # open in a reference cycle would never be closed or flushed.  An
+    # unclosed file warns when it is finalized, inside a finalizer, where
+    # the error reaches sys.unraisablehook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main([*args, "--config", CONFIG_PATH, "--out", str(tmp_path)]) == 0
+        gc.collect()
+    assert [u.exc_value for u in unraisable] == []
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["decompose", "--config", CONFIG_PATH], 0),
+        (["apply", "--section", "nope", "--config", CONFIG_PATH], 2),
+        (["verify", "--config", os.path.join(ROOT, "perfbench", "bridge_sampled.json")], 3),
+        (["verify", "--config", os.path.join(ROOT, "configs", "trig_indefinite.json")], 4),
+    ],
+)
+def test_process_entry_matches_main(tmp_path, capsys, args, code):
+    # `python -m fiberspec` ends with the code, streams and files that
+    # cli.main gives in-process, and main leaves the collector unfrozen
+    done = run_process(
+        ["-m", "fiberspec", *args, "--out", str(tmp_path / "process")]
+    )
+    frozen = gc.get_freeze_count()
+    assert main([*args, "--out", str(tmp_path / "main")]) == code
+    assert gc.get_freeze_count() == frozen
+    out, err = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
+    assert len(err.splitlines()) == (0 if code == 0 else 1)
+    written = {}
+    for side in ("process", "main"):
+        folder = tmp_path / side
+        names = sorted(os.listdir(folder)) if folder.exists() else []
+        written[side] = {n: (folder / n).read_bytes() for n in names}
+    assert written["process"] == written["main"]
+    assert len(written["main"]) == (3 if code == 0 else 0)
+
+
+def test_script_and_module_call_one_entry(monkeypatch):
+    # the `fiberspec` script of pyproject.toml names the function that
+    # `python -m fiberspec` calls
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["fiberspec"]
+    called = []
+    monkeypatch.setattr(cli, "run", lambda: called.append("run"))
+    runpy.run_module("fiberspec", run_name="__main__")
+    assert called == ["run"]
+    module, _, name = script.partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+
+
+ENTRY = """
+import atexit, gc, sys
+atexit.register(lambda: print("atexit", gc.get_freeze_count() > 0))
+sys.argv = ["fiberspec", "verify", "--config", sys.argv[1]]
+from fiberspec.cli import run
+run()
+"""
+
+
+def test_process_entry_freezes_and_runs_atexit():
+    # the collector's objects are frozen before shutdown, which still runs
+    # atexit handlers
+    done = run_process(["-c", ENTRY, os.path.join(ROOT, "configs", "trig_indefinite.json")])
+    assert done.returncode == 4
+    assert done.stdout.splitlines()[-1] == "atexit True"

@@ -518,8 +518,9 @@ def test_rank_truncation_drops_tiny_curves(grids):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["separable", "sampled"])
 def test_near_max_kernels_decompose(tmp_path, kind):
-    # A + A^T of the separable cores and of the one-node fiber matrices
-    # overflows; the symmetrization adds the halves there
+    # A + A^T of the one-node fiber matrices overflows, and the
+    # symmetrization adds the halves there; the separable cores are formed
+    # from curves scaled into [1/2, 1)
     cfg = fs.load_config(write_near_max_config(tmp_path, kind))
     squad = cfg.squad
     d = fs.decompose_all_fibers(cfg.kernel, cfg.ogrid, squad)
@@ -542,12 +543,39 @@ def test_near_max_kernels_decompose(tmp_path, kind):
     ],
 )
 def test_overflowing_separable_cores_are_a_domain_error(terms):
-    # the kernel values are beyond the float range: the cores overflow, and
-    # the solver's gate refuses them
+    # the kernel values are beyond the float range: the cores, formed from
+    # scaled curves, stay finite, and the eigenvalues overflow when they
+    # are scaled back
     ogrid, squad = fs.build_omega_grid(8), fs.build_s_quadrature("gauss_legendre", 1)
     k = fs.SeparableKernel(tuple((parse(c), parse(b)) for c, b in terms))
-    with pytest.raises(errors.DomainError, match="^matrix contains non-finite values$"):
+    with pytest.raises(
+        errors.DomainError, match="^eigenvalues exceed the floating-point range$"
+    ):
         fs.decompose_all_fibers(k, ogrid, squad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_separable_terms_that_overflow_decompose():
+    # each term's core, 6 and -5 times 2^1023 at the largest, overflows,
+    # while the kernel, 2^1023 sin(pi t) sin(pi s), does not: its eigenvalue
+    # is about 2^1022 on every fiber, bitwise 2^1023 times that of its terms
+    # divided by 2^1023
+    ogrid, squad = fs.build_omega_grid(8), fs.build_s_quadrature("gauss_legendre", 8)
+
+    def kernel(scale):
+        return fs.SeparableKernel(
+            tuple(
+                (parse(f"{c}{scale}"), parse("2*sin(pi*t)")) for c in ("1.5", "-1.25")
+            )
+        )
+
+    d = fs.decompose_all_fibers(kernel(""), ogrid, squad)
+    s = fs.decompose_all_fibers(kernel("*2^1023"), ogrid, squad)
+    assert np.all(s.ranks == 1)
+    top = np.ldexp(float(squad.weights @ np.sin(np.pi * squad.nodes) ** 2), 1023)
+    np.testing.assert_allclose(s.eigenvalues[:, 0], top, rtol=1e-14)
+    assert s.eigenvalues.tobytes() == np.ldexp(d.eigenvalues, 1023).tobytes()
+    assert s.functions.tobytes() == d.functions.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
